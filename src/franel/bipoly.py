@@ -134,6 +134,11 @@ def kp_prem(a, b):
     return kp_strip(rem)
 
 
+# integers substituted for n where one good point settles a question in k;
+# large, so that a leading coefficient in k rarely vanishes at any of them
+SPECIALIZATION_POINTS = (1000003, 1016003, 1032003)
+
+
 def _coprime_by_specialization(a, b) -> bool:
     """Prove gcd_k(a, b) is constant from one good evaluation point.
 
@@ -141,7 +146,7 @@ def _coprime_by_specialization(a, b) -> bool:
     bounds the k-degree of the true gcd from above, so a constant gcd at
     such a point certifies coprimality.  Returns False when inconclusive.
     """
-    for n0 in (1000003, 1016003, 1032003):
+    for n0 in SPECIALIZATION_POINTS:
         if a[-1].eval_int(n0) == 0:
             continue
         pa = IntPoly([c.eval_int(n0) for c in a])
@@ -203,14 +208,6 @@ def kp_shift_k(a, j: int):
             out[i - t] = out[i - t] + (comb(i, t) * jp) * ci
             jp *= j
     return kp_strip(out)
-
-
-def kp_eval_k(a, j: int) -> IntPoly:
-    """Evaluate at the integer k = j, leaving a polynomial in n."""
-    acc = IntPoly()
-    for c in reversed(a):
-        acc = acc * j + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

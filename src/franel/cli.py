@@ -8,9 +8,11 @@ Exit codes: 0 success, 1 failed verification, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,13 +42,33 @@ def _default_cache_dir(explicit):
     return Path.home() / ".cache" / "franel"
 
 
+def _replace_file(path: Path, data: bytes):
+    """Replace the file at path with data, through a unique temp file.
+
+    The temp file sits in the same directory, so concurrent writers never
+    move each other's half-written file into place; it is removed if
+    anything fails before the replace.
+    """
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
+                               dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 is not what open gives
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_output(data: bytes, out):
     if out:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(data)
-        tmp.replace(path)
+        _replace_file(path, data)
     else:
         sys.stdout.write(data.decode("utf-8"))
 
@@ -135,9 +157,7 @@ def cmd_telescope(args) -> int:
         data = document_bytes(doc)
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
-            tmp = cache_path.with_name(cache_path.name + ".tmp")
-            tmp.write_bytes(data)
-            tmp.replace(cache_path)
+            _replace_file(cache_path, data)
         except OSError as exc:
             print("warning: could not write cache: %s" % exc,
                   file=sys.stderr)

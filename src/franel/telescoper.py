@@ -14,9 +14,11 @@ compare coefficients of k in
 
     A(k) f(k+1) - B(k-1) f(k) = C(k) sum_i c_i(n) u_i(k),
 
-which is linear in the c_i and the coefficients of f.  The resulting system
-over Z[n] is solved by fraction-free elimination; a solution with nonzero
-(c_0, .., c_r) yields the operator and the certificate
+which is linear in the c_i and the coefficients of f.  The shifts j that
+the normal form must examine come from a resultant in k taken at one integer
+n; any extra shift it yields is harmless (see _dispersion_set).  The
+resulting system over Z[n] is solved by fraction-free elimination; a
+solution with nonzero (c_0, .., c_r) yields the operator and the certificate
 
     R(n, k) = B(k-1) f(k) / (C(k) d(k)).
 
@@ -28,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .bipoly import (BiPoly, RatFunc, kp_content, kp_deg, kp_divexact,
-                     kp_eval_k, kp_gcd, kp_mul, kp_mul_intpoly, kp_shift_k,
-                     kp_strip, kp_sub, poly_gcd)
+from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_content,
+                     kp_deg, kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly,
+                     kp_shift_k, kp_strip, kp_sub, poly_gcd)
 from .errors import ExactDivisionError, TelescoperNotFoundError
 from .hyperterm import HyperTerm, shift_quotient_products
 from .intpoly import IntPoly, integer_roots
@@ -51,67 +54,48 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _resultant_in_k_shifted(a_kp, b_kp) -> BiPoly:
-    """Res_k(a(k), b(k+h)) as a polynomial in (n, h).
+def _dispersion_set(a_kp, b_kp):
+    """Sorted j >= 0 including every j with gcd(a(k), b(k+j)) nonconstant.
 
-    Both inputs are k-polys over Z[n]; the result reuses BiPoly with the
-    first variable n and the second variable h.
+    The resultant Res_k(a(k), b(k+h)) is taken at one integer n = n0 where
+    neither leading coefficient in k vanishes, as a polynomial in h alone.
+    Why the answer is still complete, and why extra members do no harm:
+
+    - b(k+h) has the same leading coefficient in k as b(k), so with both
+      leading coefficients nonzero at n0 the resultant specializes: the
+      resultant at n0 is the generic one evaluated at n = n0.  It is a
+      nonzero polynomial in h because both polynomials have degree >= 1 in
+      k; a vanishing resultant only moves the search to the next point.
+    - A common factor g of a(k) and b(k+j) over Q(n), taken primitive in
+      Z[n][k], has a leading coefficient that divides lc_k(a), so g keeps its
+      full k-degree at n0 and j is a root of the specialized resultant.
+    - A root j that is not in the generic set (an "n0 coincidence") is a
+      no-op for the caller: gcd(A(k), B(k+j)) is constant in k, and stays so
+      for the divisors of A and B the normal form works with, so its exact
+      gcd loop leaves A, B and C untouched.
     """
     da, db = kp_deg(a_kp), kp_deg(b_kp)
-    # rows of b(k+h): coefficient of k^m is sum_{i>=m} C(i,m) b_i(n) h^(i-m)
-    from math import comb
-    b_shift = []
-    for m in range(db + 1):
-        entry = BiPoly()
-        for i in range(m, db + 1):
-            if not b_kp[i].is_zero:
-                entry = entry + BiPoly.from_intpoly_n(comb(i, m) * b_kp[i]) \
-                    * BiPoly({(0, i - m): 1})
-        b_shift.append(entry)
-    a_rows = [BiPoly.from_intpoly_n(c) for c in a_kp]
-    size = da + db
-    matrix = []
-    for shift in range(db):
-        row = [BiPoly()] * size
-        for i, c in enumerate(reversed(a_rows)):
-            row[shift + i] = c
-        matrix.append(row)
-    for shift in range(da):
-        row = [BiPoly()] * size
-        for i, c in enumerate(reversed(b_shift)):
-            row[shift + i] = c
-        matrix.append(row)
-    return bareiss_determinant(matrix, BiPoly.const(1), BiPoly())
-
-
-def _dispersion_set(a_kp, b_kp):
-    """Sorted nonnegative integers j with gcd(a(k), b(k+j)) nonconstant."""
-    if kp_deg(a_kp) < 1 or kp_deg(b_kp) < 1:
+    if da < 1 or db < 1:
         return []
-    res = _resultant_in_k_shifted(a_kp, b_kp)
-    if res.is_zero:
-        raise ValueError("degenerate dispersion resultant")
-    # view the resultant as a polynomial in h whose coefficients live in Z[n]
-    rows = res.to_kpoly()  # index = power of h, entries IntPoly in n
-    # any fixed n-degree slice gives a nonzero integer polynomial in h whose
-    # integer roots contain every valid j; verify candidates exactly after
-    max_n_deg = max(p.degree for p in rows)
-    slice_poly = None
-    for delta in range(max_n_deg + 1):
-        cs = []
-        for p in rows:
-            c = p.coeffs[delta] if delta <= p.degree else 0
-            cs.append(c)
-        cand = IntPoly(cs)
-        if not cand.is_zero:
-            slice_poly = cand
-            break
-    assert slice_poly is not None
-    out = []
-    for j in integer_roots(slice_poly):
-        if j >= 0 and kp_eval_k(rows, j).is_zero:
-            out.append(j)
-    return out
+    for n0 in SPECIALIZATION_POINTS:
+        if a_kp[-1].eval_int(n0) == 0 or b_kp[-1].eval_int(n0) == 0:
+            continue
+        a0 = [IntPoly.const(c.eval_int(n0)) for c in a_kp]
+        b0 = [c.eval_int(n0) for c in b_kp]
+        # coefficient of k^m in b(k+h): sum_{i>=m} C(i,m) b_i h^(i-m)
+        b_shift = [IntPoly([comb(i, m) * b0[i] for i in range(m, db + 1)])
+                   for m in range(db + 1)]
+        matrix = []
+        for rows, count in ((a0, db), (b_shift, da)):
+            for shift in range(count):
+                row = [IntPoly()] * (da + db)
+                for i, c in enumerate(reversed(rows)):
+                    row[shift + i] = c
+                matrix.append(row)
+        res = bareiss_determinant(matrix, IntPoly.const(1), IntPoly())
+        if not res.is_zero:
+            return [j for j in integer_roots(res) if j >= 0]
+    raise ValueError("degenerate dispersion resultant")
 
 
 def _gosper_normal_form(qhat_kp, rhat_kp):
@@ -196,7 +180,6 @@ def _solve_at_order(term: HyperTerm, r: int):
         return None
 
     # columns: f_0..f_D then c_0..c_r
-    from math import comb
     f_cols = []
     for j in range(D + 1):
         # A(k) (k+1)^j - B(k-1) k^j

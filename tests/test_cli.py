@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import franel
 from franel import cli
 
 
@@ -84,6 +89,43 @@ def test_cache_byte_for_byte(env, tmp_path, capsys):
     assert run(["telescope", "--s", "2", "--r-max", "2",
                 "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes() == first
+
+
+def test_concurrent_telescopes_share_one_cache(env, tmp_path):
+    cache = tmp_path / "shared"
+    src = str(Path(franel.__file__).resolve().parent.parent)
+    child_env = dict(os.environ,
+                     PYTHONPATH=os.pathsep.join(
+                         [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                  if p]))
+    argv = [sys.executable, "-m", "franel.cli", "telescope", "--s", "4",
+            "--r-max", "3", "--cache-dir", str(cache)]
+    procs = [subprocess.Popen(argv, env=child_env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) for _ in range(2)]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert b"warning" not in err
+    ref = tmp_path / "ref.json"
+    assert run(["telescope", "--s", "4", "--r-max", "3",
+                "--out", str(ref)]) == 0
+    files = list(cache.iterdir())
+    assert [f.name for f in files] == \
+        ["telescope-s4-v%s.json" % cli._tool_version()]
+    assert files[0].read_bytes() == ref.read_bytes()
+
+
+def test_failed_cache_write_leaves_no_temp_file(env, tmp_path, monkeypatch,
+                                                capsys):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    cache = tmp_path / "cache"
+    assert run(["telescope", "--s", "2", "--r-max", "1",
+                "--cache-dir", str(cache)]) == 0
+    assert "could not write cache: disk full" in capsys.readouterr().err
+    assert list(cache.iterdir()) == []
 
 
 def test_cache_corruption_recomputes(env, tmp_path, capsys):

@@ -3,10 +3,12 @@ from math import comb
 
 import pytest
 
-from franel.bipoly import BiPoly, RatFunc
+import franel.telescoper as telescoper
+from franel.bipoly import BiPoly, RatFunc, kp_deg
 from franel.errors import TelescoperNotFoundError
 from franel.hyperterm import apery_zeta3_term, binom_power_term
-from franel.intpoly import IntPoly
+from franel.intpoly import IntPoly, integer_roots
+from franel.linalg import bareiss_determinant
 from franel.operators import (Certificate, RecurrenceOperator,
                               apply_operator, normalize_operator_coeffs)
 from franel.sequences import franel
@@ -192,16 +194,20 @@ def test_allow_order_zero_searches_gosper_first():
     assert op.order == 1
 
 
-def test_weighted_binomial_exercises_nontrivial_normal_form():
-    # a(n, k) = binom(n, k) (k+1): the shift quotient in k has roots two
-    # apart, so the Gosper normal form must peel off a nontrivial C(k)
+def _weighted_binomial_term():
     from franel.hyperterm import from_quotients
     rho_n = RatFunc(N + 1, N + 1 - K)
     rho_k = RatFunc((N - K) * (K + 2), (K + 1) * (K + 1))
-    term = from_quotients(
+    return from_quotients(
         rho_n, rho_k, "binom*(k+1)",
         lambda n, k: Fraction(comb(n, k) * (k + 1)) if 0 <= k <= n
         else Fraction(0))
+
+
+def test_weighted_binomial_exercises_nontrivial_normal_form():
+    # a(n, k) = binom(n, k) (k+1): the shift quotient in k has roots two
+    # apart, so the Gosper normal form must peel off a nontrivial C(k)
+    term = _weighted_binomial_term()
     op, cert = zeilberger(term, 2)
     # sum_k binom(n,k)(k+1) = 2^(n-1)(n+2) satisfies (n+2) u(n+1) = 2(n+3) u(n)
     assert op.order == 1
@@ -316,3 +322,130 @@ def test_operator_matches_data_fit():
         assert fit_op.coeffs == op.coeffs
         # no lower-order fit exists at any reasonable degree
         assert _fit_operator_from_data(values, r - 1, degree + 3) is None
+
+
+# ---------------------------------------------------------------------------
+# dispersion: the one-point resultant against the generic bivariate one
+# ---------------------------------------------------------------------------
+
+
+def _resultant_in_k_shifted(a_kp, b_kp) -> BiPoly:
+    """Res_k(a(k), b(k+h)) as a polynomial in (n, h), over Z[n, h].
+
+    Both inputs are k-polys over Z[n]; the result reuses BiPoly with the
+    first variable n and the second variable h.
+    """
+    da, db = kp_deg(a_kp), kp_deg(b_kp)
+    # rows of b(k+h): coefficient of k^m is sum_{i>=m} C(i,m) b_i(n) h^(i-m)
+    b_shift = []
+    for m in range(db + 1):
+        entry = BiPoly()
+        for i in range(m, db + 1):
+            if not b_kp[i].is_zero:
+                entry = entry + BiPoly.from_intpoly_n(comb(i, m) * b_kp[i]) \
+                    * BiPoly({(0, i - m): 1})
+        b_shift.append(entry)
+    a_rows = [BiPoly.from_intpoly_n(c) for c in a_kp]
+    size = da + db
+    matrix = []
+    for shift in range(db):
+        row = [BiPoly()] * size
+        for i, c in enumerate(reversed(a_rows)):
+            row[shift + i] = c
+        matrix.append(row)
+    for shift in range(da):
+        row = [BiPoly()] * size
+        for i, c in enumerate(reversed(b_shift)):
+            row[shift + i] = c
+        matrix.append(row)
+    return bareiss_determinant(matrix, BiPoly.const(1), BiPoly())
+
+
+def _generic_dispersion_set(a_kp, b_kp):
+    """The dispersion set over Q(n), from the bivariate resultant.
+
+    Candidates are the integer roots of one nonzero n-degree slice of the
+    resultant; a candidate j stays only if the resultant vanishes
+    identically in n at h = j.
+    """
+    if kp_deg(a_kp) < 1 or kp_deg(b_kp) < 1:
+        return []
+    rows = _resultant_in_k_shifted(a_kp, b_kp).to_kpoly()  # h-poly over Z[n]
+    max_n_deg = max(p.degree for p in rows)
+    slice_poly = None
+    for delta in range(max_n_deg + 1):
+        cand = IntPoly([p.coeffs[delta] if delta <= p.degree else 0
+                        for p in rows])
+        if not cand.is_zero:
+            slice_poly = cand
+            break
+    out = []
+    for j in integer_roots(slice_poly):
+        at_j = IntPoly()  # the resultant at h = j, a polynomial in n
+        for c in reversed(rows):
+            at_j = at_j * j + c
+        if j >= 0 and at_j.is_zero:
+            out.append(j)
+    return out
+
+
+def _recorded_dispersion_pairs(monkeypatch, terms_and_orders):
+    """The (qhat, rhat) pairs _solve_at_order hands to _dispersion_set."""
+    pairs = []
+    real = telescoper._dispersion_set
+
+    def record(a_kp, b_kp):
+        pairs.append((list(a_kp), list(b_kp)))
+        return real(a_kp, b_kp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(telescoper, "_dispersion_set", record)
+        for term, r in terms_and_orders:
+            telescoper._solve_at_order(term, r)
+    return pairs
+
+
+def test_specialized_dispersion_contains_generic_set(monkeypatch):
+    cases = [(binom_power_term(s), r) for s in range(1, 6)
+             for r in range(1, 4)]
+    pairs = _recorded_dispersion_pairs(monkeypatch, cases)
+    assert len(pairs) == len(cases)
+    for a_kp, b_kp in pairs:
+        generic = _generic_dispersion_set(a_kp, b_kp)
+        assert set(generic) <= set(telescoper._dispersion_set(a_kp, b_kp))
+
+    (a_kp, b_kp), = _recorded_dispersion_pairs(
+        monkeypatch, [(_weighted_binomial_term(), 1)])
+    assert _generic_dispersion_set(a_kp, b_kp) == [1]
+    assert 1 in telescoper._dispersion_set(a_kp, b_kp)
+
+
+def test_false_dispersion_candidate_leaves_normal_form_unchanged(
+        monkeypatch):
+    # a = k + 2, b = n + 1 - k: b(k + h) vanishes at the root k = -2 of a
+    # only where h = n + 3, which is no integer constant, but is the integer
+    # n0 + 3 once n is specialized to n0
+    a_kp = [IntPoly.const(2), IntPoly.const(1)]
+    b_kp = [IntPoly((1, 1)), IntPoly.const(-1)]
+    n0 = telescoper.SPECIALIZATION_POINTS[0]
+    assert telescoper._dispersion_set(a_kp, b_kp) == [n0 + 3]
+    assert _generic_dispersion_set(a_kp, b_kp) == []
+    fast = telescoper._gosper_normal_form(a_kp, b_kp)
+    monkeypatch.setattr(telescoper, "_dispersion_set",
+                        _generic_dispersion_set)
+    assert telescoper._gosper_normal_form(a_kp, b_kp) == fast
+    assert fast == (a_kp, b_kp, [IntPoly.const(1)])
+
+
+def test_dispersion_determinants_are_univariate(monkeypatch):
+    calls = []
+
+    def univariate_only(matrix, one, zero):
+        assert all(isinstance(e, IntPoly) for row in matrix for e in row)
+        calls.append(len(matrix))
+        return bareiss_determinant(matrix, one, zero)
+
+    monkeypatch.setattr(telescoper, "bareiss_determinant", univariate_only)
+    op, _ = zeilberger(binom_power_term(5), 3)
+    assert op.order == 3
+    assert calls
