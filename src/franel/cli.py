@@ -16,12 +16,12 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from .bigfloat import BigFloat
 from .documents import (document_bytes, operator_document,
                         parse_operator_document)
 from .errors import DocumentError, TelescoperNotFoundError
 from .hyperterm import binom_power_term
-from .limits import (apery_zeta3_limit, asymptotic_ratio, limit_report,
-                     zeta3_reference)
+from .limits import asymptotic_ratio, limit_report, zeta3_reference
 from .sequences import apery_zeta3, coefficient_table
 from .telescoper import (analyze_structure, certificate_residual,
                          first_valid_row, verify_certificate, zeilberger)
@@ -64,13 +64,19 @@ def _replace_file(path: Path, data: bytes):
         raise
 
 
-def _write_output(data: bytes, out):
-    if out:
-        path = Path(out)
+def _write_output(data: bytes, out) -> int:
+    """Write data to the path out, or to stdout; returns the exit code."""
+    if not out:
+        sys.stdout.write(data.decode("utf-8"))
+        return _EXIT_OK
+    path = Path(out)
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
         _replace_file(path, data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (out, exc), file=sys.stderr)
+        return _EXIT_USAGE
+    return _EXIT_OK
 
 
 def _fmt_table(rows, headers):
@@ -119,8 +125,7 @@ def cmd_compute(args) -> int:
         rows = [[str(n)] + [_frac_str(c) for c in row]
                 for n, row in enumerate(table.rows)]
         data = _fmt_table(rows, headers).encode()
-    _write_output(data, args.out)
-    return _EXIT_OK
+    return _write_output(data, args.out)
 
 
 def cmd_telescope(args) -> int:
@@ -162,8 +167,8 @@ def cmd_telescope(args) -> int:
             print("warning: could not write cache: %s" % exc,
                   file=sys.stderr)
     report = analyze_structure(op, cert, args.s)
-    if args.out:
-        _write_output(data, args.out)
+    if args.out and _write_output(data, args.out) != _EXIT_OK:
+        return _EXIT_USAGE
     summary = {
         "s": args.s,
         "order": report.order,
@@ -259,8 +264,7 @@ def cmd_limits(args) -> int:
                              % (rep.normalized_estimate.decimal(places),
                                 rep.normalized_target.decimal(places)))
         data = ("\n".join(lines) + "\n").encode()
-    _write_output(data, args.out)
-    return _EXIT_OK
+    return _write_output(data, args.out)
 
 
 def cmd_asym(args) -> int:
@@ -287,7 +291,8 @@ def cmd_demo_apery(args) -> int:
     rows = [[str(p.n), str(p.a), _frac_str(p.b)] for p in pairs]
     sys.stdout.write(_fmt_table(rows, ["n", "A", "B"]))
     places = min(50, args.precision_bits // 6)
-    approx = apery_zeta3_limit(args.n_max, args.precision_bits)
+    last = pairs[-1]
+    approx = BigFloat.from_fraction(6 * last.b / last.a, args.precision_bits)
     ref = zeta3_reference(args.precision_bits)
     diff = abs(approx - ref)
     print("6 B(n)/A(n) = %s" % approx.decimal(places))

@@ -70,6 +70,11 @@ def pi_sin_zeta_coeffs(J: int) -> tuple:
     return tuple(out)
 
 
+def _row_ratio(row, j: int, precision_bits: int) -> BigFloat:
+    """A_j(n) / A_0(n) from one row (A_0(n), .., A_J(n)), rounded once."""
+    return BigFloat.from_fraction(Fraction(row[j]) / row[0], precision_bits)
+
+
 def limit_estimate(s: int, j: int, n: int, precision_bits: int = 256,
                    table=None) -> BigFloat:
     """A_j(n) / A_0(n) as an exact rational, rounded once at the end."""
@@ -81,8 +86,7 @@ def limit_estimate(s: int, j: int, n: int, precision_bits: int = 256,
         row = table.rows[n]
     else:
         row = coefficient_row(s, n, j)
-    return BigFloat.from_fraction(Fraction(row[j], 1) / row[0],
-                                  precision_bits)
+    return _row_ratio(row, j, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -138,10 +142,8 @@ def limit_report(s: int, n_max: int, J: int, precision_bits: int = 256,
     pi_val = pi(precision_bits)
     reports = []
     for j in range(J + 1):
-        estimate = BigFloat.from_fraction(Fraction(row_cur[j], 1)
-                                          / row_cur[0], precision_bits)
-        prev_est = BigFloat.from_fraction(Fraction(row_prev[j], 1)
-                                          / row_prev[0], precision_bits)
+        estimate = _row_ratio(row_cur, j, precision_bits)
+        prev_est = _row_ratio(row_prev, j, precision_bits)
         target = pi_val.pow_int(2 * j) * phis[j]
         abs_error = abs(estimate - target)
         prev_error = abs(prev_est - target)
@@ -167,9 +169,7 @@ def limit_error_sequence(s: int, j: int, n_from: int, n_to: int,
     target = pi(precision_bits).pow_int(2 * j) * phis[j]
     out = []
     for n in range(n_from, n_to + 1):
-        row = coefficient_row(s, n, j)
-        est = BigFloat.from_fraction(Fraction(row[j], 1) / row[0],
-                                     precision_bits)
+        est = _row_ratio(coefficient_row(s, n, j), j, precision_bits)
         out.append((n, abs(est - target)))
     return out
 

@@ -4,10 +4,14 @@ The deformed sum replaces binom(n, k)**s by
 
     binom(n, k)**s [ prod_{j<=k} (1 - t/j) prod_{j<=n-k} (1 + t/j) ]**(-s)
 
-and is computed as a truncated power series in t.  Internally every
-coefficient of t^i is an integer over the fixed scale L^i with
-L = lcm(1..n); products over at most i factors from {1..n} divide L^i, so
-every intermediate division below is exact integer arithmetic.  The even
+and is computed as a truncated power series in t through t^span.  With
+L = lcm(1..n), products over at most i factors from {1..n} divide L^i, so
+the t^i coefficient of every series below is an integer over L^i, hence
+over the one common scale L^span.  Over that scale, multiplying by (c + t)
+is out_i = c*g_i + g_{i-1} and dividing by (d - t) is
+h_i = (g_i + h_{i-1}) / d: steps by small integers only, each quotient
+exact and its remainder asserted, as is the final division of coefficient
+i back to L^i, which checks the L^i bound itself.  The even
 t-coefficients are the sequences whose ratios converge to the deformation
 limits; the odd ones must vanish identically and are asserted, not skipped.
 """
@@ -23,16 +27,24 @@ from .series import TruncSeries
 
 
 def franel(s: int, n: int) -> int:
-    """Sum of binom(n, k)**s over k = 0..n, exactly."""
+    """Sum of binom(n, k)**s over k = 0..n, exactly.
+
+    The power steps by its ratio (n-k)^s / (k+1)^s, an exact division as
+    binom(n, k+1)**s is an integer; by symmetry the terms k < (n+1)/2 are
+    summed twice, plus the middle term when n is even.
+    """
     if s < 1:
         raise ValueError("the power s must be a positive integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = 0
-    c = 1
-    for k in range(n + 1):
-        total += c ** s
-        c = c * (n - k) // (k + 1)
+    p = 1
+    for k in range((n + 1) // 2):
+        total += p
+        p = p * (n - k) ** s // (k + 1) ** s
+    total *= 2
+    if n % 2 == 0:
+        total += p
     return total
 
 
@@ -41,29 +53,6 @@ def lcm_upto(n: int) -> int:
     for j in range(2, n + 1):
         acc = acc * j // gcd(acc, j)
     return acc
-
-
-def _scaled_mul_linear(g, c: int, scale: int):
-    """Multiply a scaled series by (c + t): out_i = c*g_i + L*g_{i-1}."""
-    out = [0] * len(g)
-    prev = 0
-    for i, gi in enumerate(g):
-        out[i] = c * gi + scale * prev
-        prev = gi
-    return out
-
-
-def _scaled_div_linear(g, c: int, scale: int):
-    """Exact division of a scaled series by (c - t)."""
-    out = [0] * len(g)
-    prev = 0
-    for i, gi in enumerate(g):
-        num = gi + scale * prev
-        q, r = divmod(num, c)
-        assert r == 0, "inexact scaled series division"
-        out[i] = q
-        prev = q
-    return out
 
 
 def _deformed_numerators(s: int, n: int, span: int):
@@ -75,15 +64,10 @@ def _deformed_numerators(s: int, n: int, span: int):
     scale = lcm_upto(n)
     size = span + 1
     # bracket at k = 0: prod_{j=1..n} (1 + t/j), as (j + t)/j per factor
-    br = [0] * size
-    br[0] = 1
+    br = [1] + [0] * span
     for j in range(1, n + 1):
         step = scale // j
-        prev = 0
-        for i in range(size):
-            cur = br[i]
-            br[i] = cur + step * prev
-            prev = cur
+        br = [b + step * prev for b, prev in zip(br, [0] + br[:-1])]
     # g = bracket**(-s): power then invert (constant term is 1)
     power = [0] * size
     power[0] = 1
@@ -103,6 +87,9 @@ def _deformed_numerators(s: int, n: int, span: int):
             if power[m]:
                 acc += power[m] * g[i - m]
         g[i] = -acc
+    # lift coefficient i from L^i to the common scale L^span
+    lift = [scale ** (span - i) for i in range(size)]
+    g = [gi * li for gi, li in zip(g, lift)]
     acc = list(g)  # k = 0 contribution
     for k in range(n):
         # advance k -> k+1: the true per-term ratio is
@@ -111,13 +98,20 @@ def _deformed_numerators(s: int, n: int, span: int):
         # and multiplying by the un-normalized linear factors instead folds
         # the binomial weight binom(n, k+1)**s into the running series, so
         # the accumulator adds g itself.
+        c = n - k
         for _ in range(s):
-            g = _scaled_mul_linear(g, n - k, scale)
+            g = [c * gi + prev for gi, prev in zip(g, [0] + g[:-1])]
+        d = k + 1
         for _ in range(s):
-            g = _scaled_div_linear(g, k + 1, scale)
-        for i in range(size):
-            if g[i]:
-                acc[i] += g[i]
+            prev = 0
+            for i in range(size):
+                prev, r = divmod(g[i] + prev, d)
+                assert r == 0, "inexact scaled series division"
+                g[i] = prev
+        acc = [a + gi for a, gi in zip(acc, g)]
+    for i in range(size):
+        acc[i], r = divmod(acc[i], lift[i])
+        assert r == 0, "denominator of t^%d does not divide L^%d" % (i, i)
     return acc, scale
 
 

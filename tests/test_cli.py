@@ -36,6 +36,28 @@ def test_compute_json_file(env, tmp_path):
     assert doc["rows"][1] == ["2", "12"]
 
 
+def test_compute_out_that_cannot_be_written(env, tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory")
+    for out in (blocker / "x.json", tmp_path):
+        assert run(["compute", "--s", "3", "--n-max", "2",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write %s" % out)
+    assert blocker.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain-file"]
+
+
+def test_telescope_out_that_cannot_be_written(env, tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    assert run(["telescope", "--s", "2", "--r-max", "2",
+                "--out", str(blocker / "op.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+
+
 def test_compute_rejects_bad_s(env):
     assert run(["compute", "--s", "0", "--n-max", "4"]) == 2
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -52,6 +52,50 @@ def brute_deformed(s, n, J):
     return total
 
 
+def reference_numerators(s, n, span):
+    """The kernel with every t^i coefficient over its own scale L^i, so
+    each step multiplies by L: (acc, L) with [t^i] A(n, t) = acc[i] / L^i.
+    """
+    scale = lcm(*range(1, n + 1))
+    size = span + 1
+
+    def conv(a, b):
+        out = [0] * size
+        for i, ai in enumerate(a):
+            for j in range(size - i):
+                out[i + j] += ai * b[j]
+        return out
+
+    def mul_linear(g, c):  # by (c + t)
+        return [c * gi + scale * prev for gi, prev in zip(g, [0] + g[:-1])]
+
+    def div_linear(g, c):  # by (c - t), exactly
+        out, prev = [], 0
+        for gi in g:
+            prev, r = divmod(gi + scale * prev, c)
+            assert r == 0
+            out.append(prev)
+        return out
+
+    bracket = [1] + [0] * span
+    for j in range(1, n + 1):
+        bracket = conv(bracket, [1, scale // j] + [0] * (span - 1))
+    power = [1] + [0] * span
+    for _ in range(s):
+        power = conv(power, bracket)
+    g = [1] + [0] * span
+    for i in range(1, size):
+        g[i] = -sum(power[m] * g[i - m] for m in range(1, i + 1))
+    acc = list(g)
+    for k in range(n):
+        for _ in range(s):
+            g = mul_linear(g, n - k)
+        for _ in range(s):
+            g = div_linear(g, k + 1)
+        acc = [a + gi for a, gi in zip(acc, g)]
+    return acc, scale
+
+
 def test_franel_examples():
     assert franel(1, 5) == 32
     assert franel(2, 4) == comb(8, 4) == 70
@@ -64,6 +108,10 @@ def test_franel_closed_forms():
     for n in range(20):
         assert franel(1, n) == 2 ** n
         assert franel(2, n) == comb(2 * n, n)
+    # the halved ratio-stepped sum against the plain one, odd and even n
+    for s in range(1, 8):
+        for n in list(range(121)) + [777, 1000]:
+            assert franel(s, n) == sum(comb(n, k) ** s for k in range(n + 1))
 
 
 def test_deformed_row_zero():
@@ -107,6 +155,20 @@ def test_against_brute_force():
         assert list(got.series.coeffs) == expected
         cells += n + 1
     assert cells >= 200
+
+
+def test_kernel_matches_reference():
+    # the one-scale kernel against the per-coefficient L^i kernel; the
+    # coefficients through t^span do not depend on span, so one reference
+    # at span 7 serves J = 0..3
+    for s in range(1, 8):
+        for n in list(range(41)) + [97, 256]:
+            acc, scale = reference_numerators(s, n, 7)
+            want = [Fraction(a, scale ** i) for i, a in enumerate(acc)]
+            for J in range(4):
+                assert coefficient_row(s, n, J) == tuple(want[:2 * J + 1:2])
+                assert list(deformed(s, n, J).series.coeffs) \
+                    == want[:2 * J + 2]
 
 
 def test_reflection_symmetry_termwise():
