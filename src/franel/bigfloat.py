@@ -107,10 +107,6 @@ class BigFloat:
         err = (0, 0) if r == 0 else (1, -shift)
         return cls(q, -shift, err, prec)
 
-    @classmethod
-    def exact_zero(cls, prec: int = 256) -> "BigFloat":
-        return cls(0, 0, (0, 0), prec)
-
     # -- structure -----------------------------------------------------------
 
     @property

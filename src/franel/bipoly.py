@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, gcd as int_gcd
 
 from .errors import ExactDivisionError, PoleError
-from .intpoly import IntPoly, pack_signed, poly_gcd_int, unpack_signed
+from .intpoly import IntPoly, mul_kronecker, poly_gcd_int, pseudo_rem_coeffs
 
 # ---------------------------------------------------------------------------
 # k-recursive view: list of IntPoly coefficients, index = power of k
@@ -115,25 +115,6 @@ def kp_primitive(a):
     return [c.divexact(g) for c in a]
 
 
-def kp_prem(a, b):
-    """Pseudo-remainder in k: lc_k(b)^(deg a - deg b + 1) * a mod b."""
-    da, db = kp_deg(a), kp_deg(b)
-    if da < db:
-        return list(a)
-    lead = b[-1]
-    rem = list(a)
-    for i in range(da - db, -1, -1):
-        top = rem[i + db]
-        for j in range(i + db):
-            rem[j] = rem[j] * lead
-        if not top.is_zero:
-            for j in range(db):
-                if not b[j].is_zero:
-                    rem[i + j] = rem[i + j] - top * b[j]
-        del rem[i + db]
-    return kp_strip(rem)
-
-
 # integers substituted for n where one good point settles a question in k;
 # large, so that a leading coefficient in k rarely vanishes at any of them
 SPECIALIZATION_POINTS = (1000003, 1016003, 1032003)
@@ -182,7 +163,7 @@ def kp_gcd(a, b):
         if kp_deg(b) == 0:
             return [IntPoly.const(1)]
         delta = kp_deg(a) - kp_deg(b)
-        r = kp_prem(a, b)
+        r = kp_strip(pseudo_rem_coeffs(a, b))
         if kp_is_zero(r):
             return kp_primitive(b)
         divisor = g * h ** delta
@@ -248,10 +229,6 @@ class BiPoly:
     @classmethod
     def from_intpoly_n(cls, p: IntPoly) -> "BiPoly":
         return cls({(i, 0): c for i, c in enumerate(p.coeffs) if c})
-
-    @classmethod
-    def from_intpoly_k(cls, p: IntPoly) -> "BiPoly":
-        return cls({(0, i): c for i, c in enumerate(p.coeffs) if c})
 
     @classmethod
     def from_kpoly(cls, kp) -> "BiPoly":
@@ -406,29 +383,19 @@ class BiPoly:
 
     def _mul_dense(self, other):
         """Kronecker-packed product; None if the dense grid would be huge."""
-        dn = self.deg_n + other.deg_n
-        dk = self.deg_k + other.deg_k
-        cols = dk + 1
-        count = (dn + 1) * cols
-        if count > 4_000_000:
+        cols = self.deg_k + other.deg_k + 1
+        if (self.deg_n + other.deg_n + 1) * cols > 4_000_000:
             return None
-        bits = (self.max_coeff_bits() + other.max_coeff_bits()
-                + min(len(self.terms), len(other.terms)).bit_length() + 2)
-        stride = (bits + 7) // 8
 
-        def pack(p):
+        def flat(p):
             vec = [0] * (p.deg_n * cols + p.deg_k + 1)
             for (tn, tk), c in p.terms.items():
                 vec[tn * cols + tk] = c
-            return pack_signed(vec, stride)
+            return vec
 
-        prod = pack(self) * pack(other)
-        digits = unpack_signed(prod, stride, count)
-        terms = {}
-        for idx, c in enumerate(digits):
-            if c:
-                terms[(idx // cols, idx % cols)] = c
-        return BiPoly(terms)
+        digits = mul_kronecker(flat(self), flat(other))
+        return BiPoly({divmod(idx, cols): c
+                       for idx, c in enumerate(digits) if c})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -578,14 +545,6 @@ class RatFunc:
     @classmethod
     def from_int(cls, c: int) -> "RatFunc":
         return cls(BiPoly.const(c), BiPoly.const(1))
-
-    @classmethod
-    def from_bipoly(cls, p: BiPoly) -> "RatFunc":
-        return cls(p, BiPoly.const(1))
-
-    @classmethod
-    def from_intpoly_n(cls, p: IntPoly) -> "RatFunc":
-        return cls(BiPoly.from_intpoly_n(p), BiPoly.const(1))
 
     @classmethod
     def one(cls) -> "RatFunc":

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bigfloat import BigFloat
-from .documents import (document_bytes, operator_document,
+from .documents import (TOOL_VERSION, document_bytes, operator_document,
                         parse_operator_document)
 from .errors import DocumentError, TelescoperNotFoundError
 from .hyperterm import binom_power_term
@@ -134,7 +134,7 @@ def cmd_telescope(args) -> int:
         return _EXIT_USAGE
     cache_dir = _default_cache_dir(args.cache_dir)
     cache_path = cache_dir / ("telescope-s%d-v%s.json"
-                              % (args.s, _tool_version()))
+                              % (args.s, TOOL_VERSION))
     term = binom_power_term(args.s)
     data = op = cert = None
     if cache_path.exists():
@@ -299,11 +299,6 @@ def cmd_demo_apery(args) -> int:
     print("zeta(3) ref = %s" % ref.decimal(places))
     print("|difference| <= %.3e" % float(diff.abs_upper()))
     return _EXIT_OK
-
-
-def _tool_version() -> str:
-    from .documents import TOOL_VERSION
-    return TOOL_VERSION
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Optional
 
-from .bipoly import BiPoly, RatFunc
+from .bipoly import BiPoly, RatFunc, poly_gcd
 from .errors import PoleError
 from .operators import RecurrenceOperator
 
@@ -113,11 +113,34 @@ def shift_quotient_products(term: HyperTerm, order: int):
     return sigmas
 
 
+def _bipoly_lcm(polys):
+    acc = BiPoly.const(1)
+    for p in polys:
+        g = poly_gcd(acc, p)
+        acc = acc * p.divexact(g)
+    c = acc.content_int()
+    if c > 1:
+        acc = acc.divexact(BiPoly.const(c))
+    return acc if acc.lc_grlex() > 0 else -acc
+
+
+def shift_quotient_numerators(term: HyperTerm, order: int):
+    """(d, [u_0, .., u_order]) with a(n+i, k)/a(n, k) = u_i/d, d the lcm."""
+    sigmas = shift_quotient_products(term, order)
+    d = _bipoly_lcm([sig.den for sig in sigmas])
+    return d, [sig.num * d.divexact(sig.den) for sig in sigmas]
+
+
+def operator_numerator(op: RecurrenceOperator, term: HyperTerm):
+    """(sum_i c_i(n) u_i, d): (P a)/a over the common d, unreduced."""
+    d, us = shift_quotient_numerators(term, op.order)
+    total = BiPoly()
+    for c, u in zip(op.coeffs, us):
+        if not c.is_zero:
+            total = total + BiPoly.from_intpoly_n(c) * u
+    return total, d
+
+
 def operator_ratio(op: RecurrenceOperator, term: HyperTerm) -> RatFunc:
     """(P a)(n, k) / a(n, k) = sum_i c_i(n) a(n+i, k)/a(n, k), normalized."""
-    sigmas = shift_quotient_products(term, op.order)
-    total = RatFunc.zero()
-    for c, sigma in zip(op.coeffs, sigmas):
-        if not c.is_zero:
-            total = total + RatFunc.from_intpoly_n(c) * sigma
-    return total
+    return RatFunc(*operator_numerator(op, term))

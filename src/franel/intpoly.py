@@ -5,7 +5,8 @@ zero polynomial has an empty coefficient tuple.  These polynomials carry the
 recurrence coefficients in n and back the fraction-free linear algebra, so
 multiplication switches to Kronecker substitution (packing coefficients into
 one big integer) once operands are large enough for Python's subquadratic
-integer multiplication to win.
+integer multiplication to win.  The pseudo-remainder runs on coefficient
+lists, so one loop serves both Z[x] and Z[n][k] (IntPoly coefficients).
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def unpack_signed(value: int, stride_bytes: int, count: int) -> list:
     return out
 
 
-def _mul_kronecker(a, b):
+def mul_kronecker(a, b):
+    """Product of two nonempty signed coefficient lists by one big product."""
     la, lb = len(a), len(b)
     bits_a = max(abs(c).bit_length() for c in a)
     bits_b = max(abs(c).bit_length() for c in b)
@@ -91,7 +93,7 @@ def _mul_coeffs(a, b):
         c = b[0]
         return [c * x for x in a]
     if la * lb >= _KRONECKER_CUTOFF:
-        return _mul_kronecker(a, b)
+        return mul_kronecker(a, b)
     out = [0] * (la + lb - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -285,30 +287,38 @@ class IntPoly:
         return max((abs(c).bit_length() for c in self.coeffs), default=0)
 
 
-def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced modulo b.
+def pseudo_rem_coeffs(a, b) -> list:
+    """Pseudo-remainder of coefficient lists: lc(b)^(da - db + 1) * a mod b.
 
-    The remainder is rescaled by lc(b) at every one of the deg a - deg b + 1
-    elimination steps, so the overall scaling exponent is fixed; the Sturm
-    chain construction relies on that for sign bookkeeping.
+    Lists run low degree first and b's last entry is nonzero; the entries
+    need only *, - and truth testing, so ints (Z[x]) and IntPolys (Z[n][k])
+    both work.  The remainder is rescaled by lc(b) at every one of the
+    da - db + 1 elimination steps, so the overall scaling exponent is fixed;
+    the Sturm chain construction relies on that for sign bookkeeping.
+    Trailing zeros of the result are not stripped.
     """
-    if b.is_zero:
+    if not b:
         raise ZeroDivisionError("pseudo-remainder by zero")
-    da, db = a.degree, b.degree
+    da, db = len(a) - 1, len(b) - 1
     if da < db:
-        return a
-    lead = b.lc
-    rem = list(a.coeffs)
-    bc = b.coeffs
+        return list(a)
+    lead = b[-1]
+    rem = list(a)
     for i in range(da - db, -1, -1):
         top = rem[i + db]
         for j in range(i + db):
-            rem[j] *= lead
+            rem[j] = rem[j] * lead
         if top:
             for j in range(db):
-                rem[i + j] -= top * bc[j]
+                if b[j]:
+                    rem[i + j] = rem[i + j] - top * b[j]
         del rem[i + db]
-    return IntPoly(rem)
+    return rem
+
+
+def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Pseudo-remainder in Z[x]; see :func:`pseudo_rem_coeffs`."""
+    return IntPoly(pseudo_rem_coeffs(a.coeffs, b.coeffs))
 
 
 def poly_gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -334,13 +344,6 @@ def poly_gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
         pa, pb = pb, r.primitive()
     g = g * cg
     return g if g.lc > 0 else -g
-
-
-def poly_lcm_int(a: IntPoly, b: IntPoly) -> IntPoly:
-    if a.is_zero or b.is_zero:
-        return IntPoly()
-    lcm = a * b.divexact(poly_gcd_int(a, b))
-    return lcm if lcm.lc > 0 else -lcm
 
 
 # ---------------------------------------------------------------------------

@@ -163,12 +163,9 @@ def deformed(s: int, n: int, J: int) -> DeformedSeries:
 
 
 def coefficient_row(s: int, n: int, J: int):
-    """(A_0(n), .., A_J(n)) as exact fractions, one row of the table."""
-    acc, scale = _deformed_numerators(s, n, 2 * J + 1)
-    for i in range(1, 2 * J + 2, 2):
-        if acc[i]:
-            raise AssertionError("odd coefficient t^%d is nonzero" % i)
-    return tuple(Fraction(acc[2 * j], scale ** (2 * j)) for j in range(J + 1))
+    """(A_0(n), .., A_J(n)): the even coefficients of deformed(s, n, J)."""
+    series = deformed(s, n, J).series
+    return tuple(series[2 * j] for j in range(J + 1))
 
 
 @dataclass(frozen=True)
@@ -186,18 +183,15 @@ class SequenceTable:
 
 
 def coefficient_table(s: int, n_max: int, J: int) -> SequenceTable:
-    """Exact deformation coefficients for 0 <= n <= n_max, 0 <= j <= J."""
+    """Exact deformation coefficients for 0 <= n <= n_max, 0 <= j <= J.
+
+    Each row comes from :func:`deformed`, which checks its odd slots and
+    its head against the direct sum.
+    """
     if J < 0 or n_max < 0:
         raise ValueError("n_max and J must be nonnegative")
-    rows = []
-    for n in range(n_max + 1):
-        row = coefficient_row(s, n, J)
-        head = row[0]
-        if head.denominator != 1 or head <= 0 or head != franel(s, n):
-            raise AssertionError("row %d head disagrees with the direct sum"
-                                 % n)
-        rows.append(row)
-    return SequenceTable(s, J, tuple(rows))
+    rows = tuple(coefficient_row(s, n, J) for n in range(n_max + 1))
+    return SequenceTable(s, J, rows)
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,10 @@ from math import comb
 
 from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_content,
                      kp_deg, kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly,
-                     kp_shift_k, kp_strip, kp_sub, poly_gcd)
+                     kp_shift_k, kp_strip, kp_sub)
 from .errors import ExactDivisionError, TelescoperNotFoundError
-from .hyperterm import HyperTerm, shift_quotient_products
+from .hyperterm import (HyperTerm, operator_numerator,
+                        shift_quotient_numerators)
 from .intpoly import IntPoly, integer_roots
 from .linalg import bareiss_determinant, fraction_free_nullspace
 from .operators import (Certificate, RecurrenceOperator,
@@ -147,26 +148,13 @@ def _gosper_degree_bound(a_kp, bm1_kp, deg_p):
 # ---------------------------------------------------------------------------
 
 
-def _bipoly_lcm(polys):
-    acc = BiPoly.const(1)
-    for p in polys:
-        g = poly_gcd(acc, p)
-        acc = acc * p.divexact(g)
-    c = acc.content_int()
-    if c > 1:
-        acc = acc.divexact(BiPoly.const(c))
-    return acc if acc.lc_grlex() > 0 else -acc
-
-
 def _solve_at_order(term: HyperTerm, r: int):
     """Try to telescope at exactly order r.
 
     Returns (operator, certificate) or None when the linear system has no
     solution with a nonzero operator part.
     """
-    sigmas = shift_quotient_products(term, r)
-    d = _bipoly_lcm([sig.den for sig in sigmas])
-    u_polys = [sig.num * d.divexact(sig.den) for sig in sigmas]
+    d, u_polys = shift_quotient_numerators(term, r)
     ratio = term.rho_k * RatFunc(d, d.compose_shift(0, 1))
     qhat = ratio.num.to_kpoly()
     rhat = ratio.den.to_kpoly()
@@ -263,13 +251,7 @@ def certificate_residual(term: HyperTerm, op: RecurrenceOperator,
     by cross multiplication, so no gcd is ever taken on the identity path;
     the residual is only brought to lowest terms when it is nonzero.
     """
-    sigmas = shift_quotient_products(term, op.order)
-    lhs_den = _bipoly_lcm([sig.den for sig in sigmas])
-    lhs_num = BiPoly()
-    for c, sig in zip(op.coeffs, sigmas):
-        if not c.is_zero:
-            lhs_num = lhs_num + BiPoly.from_intpoly_n(c) * sig.num \
-                * lhs_den.divexact(sig.den)
+    lhs_num, lhs_den = operator_numerator(op, term)
     R = cert.ratio
     rn, rd = R.num, R.den
     rn1 = rn.compose_shift(0, 1)

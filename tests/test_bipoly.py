@@ -61,11 +61,18 @@ def test_gcd_product_property():
 
 def test_dense_mul_matches_sparse():
     rng = random.Random(17)
-    for _ in range(10):
-        a = BiPoly({(i, j): rng.randint(-50, 50)
-                    for i in range(8) for j in range(8)})
-        b = BiPoly({(i, j): rng.randint(-50, 50)
-                    for i in range(7) for j in range(9)})
+    # small coefficients, then full-size ones of equal, opposite and random
+    # signs, whose products land within a few bits of the packing bound
+    # 2**(8*stride - 1)
+    draws = [(lambda: rng.randint(-50, 50),) * 2] * 10
+    for bits in range(20, 29):
+        top = 2 ** bits - 1
+        draws += [(lambda t=top: t,) * 2,
+                  (lambda t=top: t, lambda t=top: -t),
+                  (lambda t=top: rng.choice((-t, t)),) * 2]
+    for draw_a, draw_b in draws:
+        a = BiPoly({(i, j): draw_a() for i in range(8) for j in range(8)})
+        b = BiPoly({(i, j): draw_b() for i in range(7) for j in range(9)})
         dense = a._mul_dense(b)
         sparse = {}
         for (an, ak), ac in a.terms.items():

@@ -133,7 +133,7 @@ def test_concurrent_telescopes_share_one_cache(env, tmp_path):
                 "--out", str(ref)]) == 0
     files = list(cache.iterdir())
     assert [f.name for f in files] == \
-        ["telescope-s4-v%s.json" % cli._tool_version()]
+        ["telescope-s4-v%s.json" % cli.TOOL_VERSION]
     assert files[0].read_bytes() == ref.read_bytes()
 
 

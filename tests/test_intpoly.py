@@ -4,7 +4,7 @@ import pytest
 
 from franel.errors import ExactDivisionError
 from franel.intpoly import (IntPoly, integer_roots, pack_signed, poly_gcd_int,
-                            poly_lcm_int, pseudo_rem, unpack_signed)
+                            pseudo_rem, pseudo_rem_coeffs, unpack_signed)
 
 X = IntPoly.variable()
 
@@ -68,6 +68,19 @@ def test_pseudo_rem_scaling():
         while ra and ra[-1] == 0:
             ra.pop()
     assert [Fraction(c) for c in r.coeffs] == ra
+    rng = random.Random(23)
+    for _ in range(60):
+        a, b = rand_poly(rng, 7, 30), rand_poly(rng, 4, 30)
+        if b.is_zero:
+            continue
+        r = pseudo_rem(a, b)
+        assert r.degree < b.degree
+        scaled = b.lc ** max(a.degree - b.degree + 1, 0) * a
+        (scaled - r).divexact(b)  # raises unless b divides it
+        # the same loop over Z[n] coefficients: constants give the same
+        lifted = pseudo_rem_coeffs([IntPoly.const(c) for c in a.coeffs],
+                                   [IntPoly.const(c) for c in b.coeffs])
+        assert IntPoly([c.lc for c in lifted]) == r
 
 
 def test_gcd_examples():
@@ -87,11 +100,6 @@ def test_gcd_product_property():
         # associates: each divides the other up to content
         assert g.divexact(poly_gcd_int(g, gc)).degree == 0
         assert gc.divexact(poly_gcd_int(g, gc)).degree == 0
-
-
-def test_lcm():
-    lcm = poly_lcm_int((X + 1) * (X + 2), (X + 2) * (X + 3))
-    assert lcm == (X + 1) * (X + 2) * (X + 3)
 
 
 def test_integer_roots_known():

@@ -1,12 +1,15 @@
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 import franel.telescoper as telescoper
 from franel.bipoly import BiPoly, RatFunc, kp_deg
+from franel.documents import document_bytes, operator_document
 from franel.errors import TelescoperNotFoundError
-from franel.hyperterm import apery_zeta3_term, binom_power_term
+from franel.hyperterm import (apery_zeta3_term, binom_power_term,
+                              operator_ratio)
 from franel.intpoly import IntPoly, integer_roots
 from franel.linalg import bareiss_determinant
 from franel.operators import (Certificate, RecurrenceOperator,
@@ -20,6 +23,15 @@ from franel.telescoper import (analyze_structure, certificate_residual,
 
 N = BiPoly.var_n()
 K = BiPoly.var_k()
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+
+
+def assert_matches_frozen_document(s, op, cert, monkeypatch):
+    """The r_max = 4 document is byte-identical to the frozen reference."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    frozen = (REFS / ("operator-s%d.json" % s)).read_bytes()
+    assert document_bytes(operator_document(s, op, cert, 4)) == frozen
 
 
 def test_order_one_pascal():
@@ -84,6 +96,44 @@ def test_minimality_below_expected_order():
         m = expected_order(s)
         with pytest.raises(TelescoperNotFoundError):
             zeilberger(binom_power_term(s), m - 1)
+
+
+def test_minimality_survives_a_raised_degree_bound(monkeypatch):
+    # "no telescoper below order ceil(s/2)" must not hinge on the Gosper
+    # degree bound: three more degrees of freedom still find nothing
+    bound = telescoper._gosper_degree_bound
+
+    def raised(*args):
+        D = bound(*args)
+        return (D if D is not None else 0) + 3
+
+    monkeypatch.setattr(telescoper, "_gosper_degree_bound", raised)
+    for s in range(3, 8):
+        with pytest.raises(TelescoperNotFoundError):
+            zeilberger(binom_power_term(s), (s + 1) // 2 - 1)
+
+
+def test_documents_match_frozen_references(telescoped, monkeypatch):
+    for s in range(1, 7):
+        op, cert, _ = telescoped[s]
+        assert_matches_frozen_document(s, op, cert, monkeypatch)
+
+
+def test_operator_ratio_is_the_certificate_difference(telescoped):
+    # (P a)/a from the shared assembly equals R(n, k+1) rho_k - R(n, k);
+    # from s = 4 on only by cross multiplication, because building the
+    # right side with RatFunc arithmetic takes seconds at s = 5
+    for s in range(1, 6):
+        op, cert, _ = telescoped[s]
+        term = binom_power_term(s)
+        lhs = operator_ratio(op, term)
+        rn, rd = cert.ratio.num, cert.ratio.den
+        rn1, rd1 = rn.compose_shift(0, 1), rd.compose_shift(0, 1)
+        qn, qd = term.rho_k.num, term.rho_k.den
+        assert lhs.num * (rd1 * qd * rd) == \
+            lhs.den * (rn1 * qn * rd - rn * qd * rd1)
+        if s <= 3:
+            assert lhs == cert.ratio.shift(0, 1) * term.rho_k - cert.ratio
 
 
 def test_annihilates_direct_sums():
@@ -219,7 +269,7 @@ def test_weighted_binomial_exercises_nontrivial_normal_form():
         assert apply_operator(op, seq, n) == 0
 
 
-def test_order_four_seventh_power():
+def test_order_four_seventh_power(monkeypatch):
     # one size beyond the release gate: order floor((7+1)/2) = 4 with the
     # predicted coefficient degree and certificate shape
     op, cert = zeilberger(binom_power_term(7), 4, verify=False)
@@ -229,6 +279,7 @@ def test_order_four_seventh_power():
     assert rep.denominator_matches
     assert rep.numerator_k_degree == 28
     assert verify_certificate(binom_power_term(7), op, cert)
+    assert_matches_frozen_document(7, op, cert, monkeypatch)
 
 
 def test_even_slice_binomial_has_nonzero_first_valid_row():
