@@ -1,10 +1,13 @@
 """Bivariate integer polynomials in (n, k) and normalized rational functions.
 
-BiPoly stores a sparse map from (deg_n, deg_k) to nonzero integer
-coefficients.  Gcd computations view a polynomial recursively as a
-polynomial in k whose coefficients live in Z[n] (a "k-poly": a dense list of
-IntPoly indexed by the power of k) and run a subresultant pseudo-remainder
-sequence there; that keeps certificate reduction fraction-free.
+A polynomial in Z[n][k] has one representation, its "k-poly": the dense
+list of its IntPoly coefficients in n, indexed by the power of k, with no
+trailing zero.  The kp_* functions below are the whole arithmetic on it;
+BiPoly is an immutable wrapper around the k-poly as a tuple and delegates
+to them.  Products switch from schoolbook over k to one Kronecker product
+of the packed (n, k) grid once the operands are large.  Gcds run a
+subresultant pseudo-remainder sequence over Z[n], which keeps certificate
+reduction fraction-free.
 
 The monomial order used for sign normalization is graded lexicographic with
 n > k.
@@ -13,10 +16,11 @@ n > k.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd as int_gcd
+from math import gcd as int_gcd
 
 from .errors import ExactDivisionError, PoleError
-from .intpoly import IntPoly, mul_kronecker, poly_gcd_int, pseudo_rem_coeffs
+from .intpoly import (IntPoly, mul_kronecker, poly_gcd_int, pseudo_rem_coeffs,
+                      taylor_shift_coeffs)
 
 # ---------------------------------------------------------------------------
 # k-recursive view: list of IntPoly coefficients, index = power of k
@@ -53,10 +57,27 @@ def kp_sub(a, b):
     return kp_add(a, kp_neg(b))
 
 
+# pairwise products of n-coefficients from which one packed product of
+# the whole k-major grid beats schoolbook over k; timed on every product
+# the s = 1..7 telescopes take, 256 to 2048 cost within 1% of each other
+_KP_KRONECKER_CUTOFF = 512
+
+
 def kp_mul(a, b):
+    """Product in Z[n][k]: schoolbook over k, or one packed product."""
     if not a or not b:
         return []
-    out = [IntPoly() for _ in range(len(a) + len(b) - 1)]
+    cols = len(a) + len(b) - 1
+    if (sum(len(c.coeffs) for c in a) * sum(len(c.coeffs) for c in b)
+            >= _KP_KRONECKER_CUTOFF):
+        # k-major grid, entry (dn, dk) at dk * stride + dn; a product's
+        # n-degree stays below stride, so no column spills into the next
+        stride = max(c.degree for c in a) + max(c.degree for c in b) + 1
+        if stride * cols <= 4_000_000:
+            digits = mul_kronecker(_kp_grid(a, stride), _kp_grid(b, stride))
+            return kp_strip([IntPoly(digits[i * stride:(i + 1) * stride])
+                             for i in range(cols)])
+    out = [IntPoly() for _ in range(cols)]
     for i, ai in enumerate(a):
         if ai.is_zero:
             continue
@@ -64,6 +85,13 @@ def kp_mul(a, b):
             if not bj.is_zero:
                 out[i + j] = out[i + j] + ai * bj
     return kp_strip(out)
+
+
+def _kp_grid(a, stride: int) -> list:
+    grid = [0] * (len(a) * stride)
+    for i, c in enumerate(a):
+        grid[i * stride:i * stride + len(c.coeffs)] = c.coeffs
+    return grid
 
 
 def kp_mul_intpoly(a, p: IntPoly):
@@ -177,37 +205,32 @@ def kp_gcd(a, b):
 
 def kp_shift_k(a, j: int):
     """Substitute k -> k + j for an integer j."""
-    if j == 0 or kp_is_zero(a):
-        return list(a)
-    out = [IntPoly() for _ in a]
-    for i, ci in enumerate(a):
-        if ci.is_zero:
-            continue
-        # k^i -> sum_t C(i, t) j^t k^(i - t)
-        jp = 1
-        for t in range(i + 1):
-            out[i - t] = out[i - t] + (comb(i, t) * jp) * ci
-            jp *= j
-    return kp_strip(out)
+    return kp_strip(taylor_shift_coeffs(a, j))
 
 
 # ---------------------------------------------------------------------------
-# sparse bivariate polynomials
+# bivariate polynomials
 # ---------------------------------------------------------------------------
 
 
 class BiPoly:
-    """Immutable sparse polynomial in (n, k) over the integers."""
+    """Immutable polynomial in (n, k) over the integers.
 
-    __slots__ = ("terms",)
+    Stored as its k-poly: a tuple of IntPoly coefficients in n, index =
+    power of k, with no trailing zero.
+    """
+
+    __slots__ = ("coeffs",)
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    t[key] = c
-        object.__setattr__(self, "terms", t)
+        """Build from a map {(deg_n, deg_k): c}; zero coefficients drop."""
+        cols = []
+        for (dn, dk), c in (terms or {}).items():
+            cols.extend([] for _ in range(dk + 1 - len(cols)))
+            cols[dk].extend([0] * (dn + 1 - len(cols[dk])))
+            cols[dk][dn] = c
+        object.__setattr__(self, "coeffs",
+                           tuple(kp_strip([IntPoly(c) for c in cols])))
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -216,68 +239,58 @@ class BiPoly:
 
     @classmethod
     def const(cls, c: int) -> "BiPoly":
-        return cls({(0, 0): c})
+        return cls.from_kpoly([IntPoly.const(c)])
 
     @classmethod
     def var_n(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
+        return cls.from_kpoly([IntPoly.variable()])
 
     @classmethod
     def var_k(cls) -> "BiPoly":
-        return cls({(0, 1): 1})
+        return cls.from_kpoly([IntPoly(), IntPoly.const(1)])
 
     @classmethod
     def from_intpoly_n(cls, p: IntPoly) -> "BiPoly":
-        return cls({(i, 0): c for i, c in enumerate(p.coeffs) if c})
+        return cls.from_kpoly([p])
 
     @classmethod
     def from_kpoly(cls, kp) -> "BiPoly":
-        terms = {}
-        for dk, p in enumerate(kp):
-            for dn, c in enumerate(p.coeffs):
-                if c:
-                    terms[(dn, dk)] = c
-        return cls(terms)
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(kp_strip(list(kp))))
+        return p
 
     def to_kpoly(self):
-        if not self.terms:
-            return []
-        dk_max = max(dk for _, dk in self.terms)
-        cols = [{} for _ in range(dk_max + 1)]
-        for (dn, dk), c in self.terms.items():
-            cols[dk][dn] = c
-        out = []
-        for col in cols:
-            if col:
-                size = max(col) + 1
-                cs = [0] * size
-                for dn, c in col.items():
-                    cs[dn] = c
-                out.append(IntPoly(cs))
-            else:
-                out.append(IntPoly())
-        return kp_strip(out)
+        return list(self.coeffs)
+
+    @property
+    def terms(self) -> dict:
+        """A new map {(deg_n, deg_k): c} of the nonzero coefficients."""
+        return {(dn, dk): c for dk, p in enumerate(self.coeffs)
+                for dn, c in enumerate(p.coeffs) if c}
 
     # -- structure -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     @property
     def deg_n(self) -> int:
-        return max((dn for dn, _ in self.terms), default=-1)
+        return max((c.degree for c in self.coeffs), default=-1)
 
     @property
     def deg_k(self) -> int:
-        return max((dk for _, dk in self.terms), default=-1)
+        return len(self.coeffs) - 1
 
     def lead_term_grlex(self):
         """((deg_n, deg_k), coeff) of the graded-lex (n > k) leading term."""
-        if not self.terms:
+        if not self.coeffs:
             return None
-        key = max(self.terms, key=lambda t: (t[0] + t[1], t[0]))
-        return key, self.terms[key]
+        # within one power of k the top power of n leads
+        total, dn = max((c.degree + dk, c.degree)
+                        for dk, c in enumerate(self.coeffs) if c)
+        dk = total - dn
+        return (dn, dk), self.coeffs[dk].lc
 
     def lc_grlex(self) -> int:
         lead = self.lead_term_grlex()
@@ -285,35 +298,32 @@ class BiPoly:
 
     def content_int(self) -> int:
         g = 0
-        for c in self.terms.values():
-            g = int_gcd(g, c)
+        for c in self.coeffs:
+            g = int_gcd(g, c.content())
             if g == 1:
                 return 1
         return g
 
-    def max_coeff_bits(self) -> int:
-        return max((abs(c).bit_length() for c in self.terms.values()),
-                   default=0)
-
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = BiPoly.const(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(self.coeffs)
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "BiPoly(0)"
         parts = []
-        for (dn, dk) in sorted(self.terms, key=lambda t: (t[0] + t[1], t[0])):
-            c = self.terms[(dn, dk)]
+        for (dn, dk) in sorted(terms, key=lambda t: (t[0] + t[1], t[0])):
+            c = terms[(dn, dk)]
             mono = []
             if dn:
                 mono.append("n" if dn == 1 else "n^%d" % dn)
@@ -332,70 +342,30 @@ class BiPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = BiPoly.const(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return BiPoly(out)
+        return BiPoly.from_kpoly(kp_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({key: -c for key, c in self.terms.items()})
+        return BiPoly.from_kpoly(kp_neg(self.coeffs))
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = BiPoly.const(other)
-        return self + (-other)
+        return BiPoly.from_kpoly(kp_sub(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return BiPoly()
-            return BiPoly({key: c * other for key, c in self.terms.items()})
+            return BiPoly.from_kpoly(
+                kp_mul_intpoly(self.coeffs, IntPoly.const(other)))
         if not isinstance(other, BiPoly):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return BiPoly()
-        la, lb = len(self.terms), len(other.terms)
-        if la * lb >= 512:
-            dense = self._mul_dense(other)
-            if dense is not None:
-                return dense
-        out = {}
-        for (an, ak), ac in self.terms.items():
-            for (bn, bk), bc in other.terms.items():
-                key = (an + bn, ak + bk)
-                v = out.get(key, 0) + ac * bc
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return BiPoly(out)
+        return BiPoly.from_kpoly(kp_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def _mul_dense(self, other):
-        """Kronecker-packed product; None if the dense grid would be huge."""
-        cols = self.deg_k + other.deg_k + 1
-        if (self.deg_n + other.deg_n + 1) * cols > 4_000_000:
-            return None
-
-        def flat(p):
-            vec = [0] * (p.deg_n * cols + p.deg_k + 1)
-            for (tn, tk), c in p.terms.items():
-                vec[tn * cols + tk] = c
-            return vec
-
-        digits = mul_kronecker(flat(self), flat(other))
-        return BiPoly({divmod(idx, cols): c
-                       for idx, c in enumerate(digits) if c})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -411,26 +381,7 @@ class BiPoly:
         return result
 
     def divexact(self, other: "BiPoly") -> "BiPoly":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return BiPoly()
-        if other.deg_k == 0 and other.deg_n == 0:
-            c = next(iter(other.terms.values()))
-            out = {}
-            for key, v in self.terms.items():
-                q, r = divmod(v, c)
-                if r:
-                    raise ExactDivisionError("inexact constant division")
-                out[key] = q
-            return BiPoly(out)
-        if other.deg_k == 0:
-            # divisor lives in Z[n]; divide each k-coefficient
-            div = other.to_kpoly()[0]
-            return BiPoly.from_kpoly(
-                [c.divexact(div) for c in self.to_kpoly()])
-        return BiPoly.from_kpoly(kp_divexact(self.to_kpoly(),
-                                             other.to_kpoly()))
+        return BiPoly.from_kpoly(kp_divexact(self.coeffs, other.coeffs))
 
     # -- substitution and evaluation --------------------------------------------
 
@@ -438,41 +389,13 @@ class BiPoly:
         """Substitute n -> n + dn and k -> k + dk for integers dn, dk."""
         if dn == 0 and dk == 0:
             return self
-        out = {}
-        for (tn, tk), c in self.terms.items():
-            # expand (n + dn)^tn (k + dk)^tk
-            n_row = [(comb(tn, i) * dn ** (tn - i)) for i in range(tn + 1)] \
-                if dn else None
-            k_row = [(comb(tk, j) * dk ** (tk - j)) for j in range(tk + 1)] \
-                if dk else None
-            if n_row is None:
-                n_items = [(tn, 1)]
-            else:
-                n_items = [(i, n_row[i]) for i in range(tn + 1) if n_row[i]]
-            if k_row is None:
-                k_items = [(tk, 1)]
-            else:
-                k_items = [(j, k_row[j]) for j in range(tk + 1) if k_row[j]]
-            for i, cn in n_items:
-                for j, ck in k_items:
-                    key = (i, j)
-                    v = out.get(key, 0) + c * cn * ck
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
-        return BiPoly(out)
+        shifted = [c.compose_shift(dn) for c in self.coeffs]
+        return BiPoly.from_kpoly(kp_shift_k(shifted, dk))
 
     def eval(self, n, k) -> Fraction:
         acc = Fraction(0)
-        for (dn, dk), c in self.terms.items():
-            acc += c * Fraction(n) ** dn * Fraction(k) ** dk
-        return acc
-
-    def eval_int(self, n: int, k: int) -> int:
-        acc = 0
-        for (dn, dk), c in self.terms.items():
-            acc += c * n ** dn * k ** dk
+        for c in reversed(self.coeffs):
+            acc = acc * k + c.eval_fraction(n)
         return acc
 
 
@@ -489,7 +412,7 @@ def poly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
         g = (b if a.is_zero else a)
         g = g.divexact(BiPoly.const(g.content_int()))
         return g if g.lc_grlex() > 0 else -g
-    ka, kb = a.to_kpoly(), b.to_kpoly()
+    ka, kb = a.coeffs, b.coeffs
     cont_a, cont_b = kp_content(ka), kp_content(kb)
     cont_g = poly_gcd_int(cont_a, cont_b)
     pp_a = [c.divexact(cont_a) for c in ka]

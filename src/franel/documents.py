@@ -42,8 +42,8 @@ def intpoly_from_json(data) -> IntPoly:
 
 def bipoly_to_json(p: BiPoly):
     out = []
-    for (dn, dk) in sorted(p.terms):
-        out.append([str(p.terms[(dn, dk)]), dn, dk])
+    for (dn, dk), c in sorted(p.terms.items()):
+        out.append([str(c), dn, dk])
     return out
 
 

@@ -38,10 +38,10 @@ class HyperTerm:
 
 
 def from_quotients(rho_n: RatFunc, rho_k: RatFunc, label: str = "",
-                   direct_eval=None, validate: bool = True) -> HyperTerm:
+                   direct_eval=None) -> HyperTerm:
     """Build a term from its shift quotients, checking consistency."""
     term = HyperTerm(rho_n, rho_k, label, direct_eval)
-    if validate and not term.is_compatible():
+    if not term.is_compatible():
         raise ValueError("shift quotients fail mixed-shift compatibility")
     return term
 

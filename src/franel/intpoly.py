@@ -5,8 +5,9 @@ zero polynomial has an empty coefficient tuple.  These polynomials carry the
 recurrence coefficients in n and back the fraction-free linear algebra, so
 multiplication switches to Kronecker substitution (packing coefficients into
 one big integer) once operands are large enough for Python's subquadratic
-integer multiplication to win.  The pseudo-remainder runs on coefficient
-lists, so one loop serves both Z[x] and Z[n][k] (IntPoly coefficients).
+integer multiplication to win.  The pseudo-remainder and the Taylor shift
+run on coefficient lists, so one loop each serves both Z[x] and Z[n][k]
+(IntPoly coefficients).
 """
 
 from __future__ import annotations
@@ -251,7 +252,11 @@ class IntPoly:
             raise ExactDivisionError("nonzero remainder")
         return IntPoly(q)
 
-    # -- evaluation ------------------------------------------------------------
+    # -- substitution and evaluation ------------------------------------------
+
+    def compose_shift(self, d: int) -> "IntPoly":
+        """p(x + d) for an integer d."""
+        return IntPoly(taylor_shift_coeffs(self.coeffs, d))
 
     def eval_int(self, x: int) -> int:
         acc = 0
@@ -314,6 +319,20 @@ def pseudo_rem_coeffs(a, b) -> list:
                     rem[i + j] = rem[i + j] - top * b[j]
         del rem[i + db]
     return rem
+
+
+def taylor_shift_coeffs(a, d: int) -> list:
+    """Coefficients of a(x + d) for an integer d, by repeated Horner steps.
+
+    Lists run low degree first; the entries need only + and multiplication
+    by an int, so ints (Z[x]) and IntPolys (Z[n][k]) both work.
+    """
+    out = list(a)
+    if d:
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] = out[j] + d * out[j + 1]
+    return out
 
 
 def pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:

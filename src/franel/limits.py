@@ -75,18 +75,12 @@ def _row_ratio(row, j: int, precision_bits: int) -> BigFloat:
     return BigFloat.from_fraction(Fraction(row[j]) / row[0], precision_bits)
 
 
-def limit_estimate(s: int, j: int, n: int, precision_bits: int = 256,
-                   table=None) -> BigFloat:
+def limit_estimate(s: int, j: int, n: int,
+                   precision_bits: int = 256) -> BigFloat:
     """A_j(n) / A_0(n) as an exact rational, rounded once at the end."""
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
-    if table is not None:
-        if n > table.n_max or j > table.J:
-            raise ValueError("table row n=%d, j=%d not available" % (n, j))
-        row = table.rows[n]
-    else:
-        row = coefficient_row(s, n, j)
-    return _row_ratio(row, j, precision_bits)
+    return _row_ratio(coefficient_row(s, n, j), j, precision_bits)
 
 
 @dataclass(frozen=True)

@@ -156,12 +156,9 @@ def _solve_at_order(term: HyperTerm, r: int):
     """
     d, u_polys = shift_quotient_numerators(term, r)
     ratio = term.rho_k * RatFunc(d, d.compose_shift(0, 1))
-    qhat = ratio.num.to_kpoly()
-    rhat = ratio.den.to_kpoly()
-    A, B, C = _gosper_normal_form(qhat, rhat)
+    A, B, C = _gosper_normal_form(ratio.num.coeffs, ratio.den.coeffs)
     Bm1 = kp_shift_k(B, -1)
-    u_kps = [p.to_kpoly() for p in u_polys]
-    cu = [kp_mul(C, u) for u in u_kps]
+    cu = [kp_mul(C, u.coeffs) for u in u_polys]
     deg_p = max(kp_deg(p) for p in cu)
     D = _gosper_degree_bound(A, Bm1, deg_p)
     if D is None:
@@ -209,22 +206,19 @@ def _solve_at_order(term: HyperTerm, r: int):
     return op, cert
 
 
-def zeilberger(term: HyperTerm, r_max: int, *, allow_order_zero: bool = False,
-               verify: bool = True):
+def zeilberger(term: HyperTerm, r_max: int, *, verify: bool = True):
     """Least-order telescoping operator and certificate for a term.
 
-    Orders 1..r_max are tried in turn (0..r_max with allow_order_zero);
-    raises TelescoperNotFoundError when none admits a telescoper.  With
-    verify=True (the default) the returned pair has already passed the exact
-    certificate identity check.
+    Orders 1..r_max are tried in turn; raises TelescoperNotFoundError when
+    none admits a telescoper.  With verify=True (the default) the returned
+    pair has already passed the exact certificate identity check.
     """
-    if r_max < 1 and not allow_order_zero:
+    if r_max < 1:
         raise ValueError("r_max must be at least 1")
     if term.rho_n.is_zero or term.rho_k.is_zero:
         raise ValueError("degenerate term: a shift quotient is zero")
-    orders = range(0 if allow_order_zero else 1, r_max + 1)
     tried = []
-    for r in orders:
+    for r in range(1, r_max + 1):
         tried.append(r)
         found = _solve_at_order(term, r)
         if found is None:
@@ -345,7 +339,7 @@ def analyze_structure(op: RecurrenceOperator, cert: Certificate,
             divides = True
         except ExactDivisionError:
             divides = False
-    cont = kp_content(den.to_kpoly())
+    cont = kp_content(den.coeffs)
     if cont.degree >= 1:
         roots = tuple(j for j in integer_roots(cont) if j >= 0)
     else:

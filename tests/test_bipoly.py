@@ -1,13 +1,85 @@
 import random
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
-from franel.bipoly import (BiPoly, RatFunc, kp_gcd, kp_shift_k, poly_gcd)
-from franel.errors import PoleError
+from franel.bipoly import (_KP_KRONECKER_CUTOFF, BiPoly, RatFunc, kp_gcd,
+                           kp_mul, kp_shift_k, poly_gcd)
+from franel.errors import ExactDivisionError, PoleError
 
 N = BiPoly.var_n()
 K = BiPoly.var_k()
+
+
+# ---------------------------------------------------------------------------
+# reference: sparse {(deg_n, deg_k): c} arithmetic, the oracle for the
+# k-poly arithmetic BiPoly runs on
+# ---------------------------------------------------------------------------
+
+
+def _nonzero(terms):
+    return {key: c for key, c in terms.items() if c}
+
+
+def reference_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return _nonzero(out)
+
+
+def reference_neg(a):
+    return {key: -c for key, c in a.items()}
+
+
+def reference_mul(a, b):
+    out = {}
+    for (an, ak), ac in a.items():
+        for (bn, bk), bc in b.items():
+            key = (an + bn, ak + bk)
+            out[key] = out.get(key, 0) + ac * bc
+    return _nonzero(out)
+
+
+def reference_compose_shift(a, dn, dk):
+    # expand (n + dn)^tn (k + dk)^tk term by term
+    out = {}
+    for (tn, tk), c in a.items():
+        for i in range(tn + 1):
+            for j in range(tk + 1):
+                out[(i, j)] = out.get((i, j), 0) + (
+                    c * comb(tn, i) * dn ** (tn - i)
+                    * comb(tk, j) * dk ** (tk - j))
+    return _nonzero(out)
+
+
+def reference_eval(a, n, k):
+    return sum((c * Fraction(n) ** dn * Fraction(k) ** dk
+                for (dn, dk), c in a.items()), Fraction(0))
+
+
+def reference_lead_term_grlex(a):
+    key = max(a, key=lambda t: (t[0] + t[1], t[0]))
+    return key, a[key]
+
+
+def reference_content(a):
+    g = 0
+    for c in a.values():
+        g = gcd(g, c)
+    return g
+
+
+def rand_terms(rng, maxdeg, maxc, count):
+    return _nonzero({(rng.randint(0, maxdeg), rng.randint(0, maxdeg)):
+                     rng.randint(-maxc, maxc) for _ in range(count)})
+
+
+def packed(a: BiPoly, b: BiPoly) -> bool:
+    """Whether kp_mul takes the packed Kronecker path for a * b."""
+    size = [sum(len(c.coeffs) for c in p.coeffs) for p in (a, b)]
+    return size[0] * size[1] >= _KP_KRONECKER_CUTOFF
 
 
 def rand_bipoly(rng, maxdeg=2, maxc=6, terms=4):
@@ -71,15 +143,80 @@ def test_dense_mul_matches_sparse():
                   (lambda t=top: t, lambda t=top: -t),
                   (lambda t=top: rng.choice((-t, t)),) * 2]
     for draw_a, draw_b in draws:
-        a = BiPoly({(i, j): draw_a() for i in range(8) for j in range(8)})
-        b = BiPoly({(i, j): draw_b() for i in range(7) for j in range(9)})
-        dense = a._mul_dense(b)
-        sparse = {}
-        for (an, ak), ac in a.terms.items():
-            for (bn, bk), bc in b.terms.items():
-                key = (an + bn, ak + bk)
-                sparse[key] = sparse.get(key, 0) + ac * bc
-        assert dense.terms == {k: v for k, v in sparse.items() if v}
+        a = {(i, j): draw_a() for i in range(8) for j in range(8)}
+        b = {(i, j): draw_b() for i in range(7) for j in range(9)}
+        pa, pb = BiPoly(a), BiPoly(b)
+        assert packed(pa, pb)
+        product = BiPoly.from_kpoly(kp_mul(pa.coeffs, pb.coeffs))
+        assert product.terms == reference_mul(a, b)
+
+
+def test_arithmetic_matches_sparse_reference():
+    rng = random.Random(41)
+    sides = set()
+    for trial in range(80):
+        # small operands, then ones past the Kronecker cutoff
+        big = trial % 2
+        a = rand_terms(rng, 3 + 6 * big, 10 ** (2 + 10 * big), 6 + 50 * big)
+        b = rand_terms(rng, 3 + 6 * big, 10 ** (2 + 10 * big), 6 + 50 * big)
+        pa, pb = BiPoly(a), BiPoly(b)
+        assert pa.terms == a and BiPoly(pa.terms) == pa
+        assert (pa + pb).terms == reference_add(a, b)
+        assert (pa - pb).terms == reference_add(a, reference_neg(b))
+        assert (-pa).terms == reference_neg(a)
+        assert (pa * pb).terms == reference_mul(a, b)
+        assert (3 * pa - 2).terms == reference_add(
+            reference_mul(a, {(0, 0): 3}), {(0, 0): -2})
+        sides.add(packed(pa, pb))
+        if not pb.is_zero:
+            assert (pa * pb).divexact(pb) == pa
+    assert sides == {False, True}
+    for _ in range(10):
+        a = rand_terms(rng, 2, 20, 4)
+        power = {(0, 0): 1}
+        for e in range(5):
+            assert (BiPoly(a) ** e).terms == power
+            power = reference_mul(power, a)
+
+
+def test_divexact():
+    assert (6 * N * K + 4 * K).divexact(BiPoly.const(2)) == 3 * N * K + 2 * K
+    assert ((N + 1) * (N - K)).divexact(N + 1) == N - K
+    with pytest.raises(ExactDivisionError):
+        (6 * N * K + 4 * K).divexact(BiPoly.const(4))
+    with pytest.raises(ExactDivisionError):
+        (N * N + 1).divexact(N + 1)
+    with pytest.raises(ExactDivisionError):
+        (K * K + 1).divexact(K + 1)
+    with pytest.raises(ZeroDivisionError):
+        N.divexact(BiPoly())
+
+
+def test_compose_shift_matches_sparse_reference():
+    rng = random.Random(43)
+    for _ in range(20):
+        a = rand_terms(rng, 4, 30, 8)
+        for dn in range(-2, 3):
+            for dk in range(-2, 3):
+                shifted = BiPoly(a).compose_shift(dn, dk)
+                assert shifted.terms == reference_compose_shift(a, dn, dk)
+
+
+def test_structure_matches_sparse_reference():
+    rng = random.Random(47)
+    for _ in range(60):
+        a = rand_terms(rng, 5, 60, 8)
+        p = BiPoly(a)
+        if not a:
+            assert p.is_zero and p.lead_term_grlex() is None
+            continue
+        assert p.lead_term_grlex() == reference_lead_term_grlex(a)
+        assert p.content_int() == reference_content(a)
+        assert p.deg_n == max(dn for dn, _ in a)
+        assert p.deg_k == max(dk for _, dk in a)
+        for n, k in ((0, 0), (3, -2), (Fraction(1, 3), 5),
+                     (-7, Fraction(2, 5))):
+            assert p.eval(n, k) == reference_eval(a, n, k)
 
 
 def test_compose_shift():

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from franel.bipoly import BiPoly, RatFunc
-from franel.hyperterm import (apery_zeta3_term, binom_power_term,
+from franel.hyperterm import (HyperTerm, apery_zeta3_term, binom_power_term,
                               from_quotients, operator_ratio, term_eval)
 from franel.intpoly import IntPoly
 from franel.operators import RecurrenceOperator
@@ -50,7 +50,7 @@ def test_staircase_agrees_with_binomials():
     # evaluate via shift-quotient products along the staircase and compare
     for s in range(1, 5):
         term = binom_power_term(s)
-        bare = from_quotients(term.rho_n, term.rho_k, validate=False)
+        bare = HyperTerm(term.rho_n, term.rho_k)
         for n in range(13):
             for k in range(n + 1):
                 assert term_eval(bare, n, k) == comb(n, k) ** s
@@ -59,8 +59,7 @@ def test_staircase_agrees_with_binomials():
 def test_staircase_pole_reported():
     from franel.errors import PoleError
     # rho_n has a pole at n = 1, hit while walking up the staircase
-    term = from_quotients(RatFunc(BiPoly.const(1), N - 1), RatFunc.one(),
-                          validate=True)
+    term = from_quotients(RatFunc(BiPoly.const(1), N - 1), RatFunc.one())
     with pytest.raises(PoleError):
         term_eval(term, 3, 0)
 

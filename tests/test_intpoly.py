@@ -130,6 +130,19 @@ def test_eval():
     assert p.eval_fraction(Fraction(1, 2)) == Fraction(33, 8)
 
 
+def test_compose_shift():
+    assert (X * X).compose_shift(1) == X * X + 2 * X + 1
+    assert IntPoly().compose_shift(5).is_zero
+    rng = random.Random(37)
+    for _ in range(40):
+        p = rand_poly(rng, 8, 50)
+        for d in range(-3, 4):
+            q = p.compose_shift(d)
+            for x in range(-4, 5):
+                assert q.eval_int(x) == p.eval_int(x + d)
+            assert q.compose_shift(-d) == p
+
+
 def test_unpack_overflow_detected():
     import pytest as _pytest
     # a digit at exactly the half boundary cannot be represented

@@ -7,7 +7,6 @@ from franel.limits import (ZETA3_REFERENCE_ERROR, ZETA3_REFERENCE_VALUE,
                            apery_zeta3_limit, asymptotic_ratio,
                            limit_error_sequence, limit_estimate, limit_report,
                            phi, pi_sin_zeta_coeffs, zeta3_reference)
-from franel.sequences import coefficient_table
 
 
 def test_phi_examples():
@@ -41,15 +40,6 @@ def test_double_expansion_agreement():
 def test_limit_estimate_j0():
     est = limit_estimate(3, 0, 25, 128)
     assert est.to_fraction() == 1
-
-
-def test_limit_estimate_with_table():
-    table = coefficient_table(3, 20, 1)
-    est = limit_estimate(3, 1, 20, 128, table=table)
-    direct = limit_estimate(3, 1, 20, 128)
-    assert est.to_fraction() == direct.to_fraction()
-    with pytest.raises(ValueError):
-        limit_estimate(3, 1, 21, 128, table=table)
 
 
 def test_limit_estimate_converges_s3():

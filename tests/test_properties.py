@@ -1,0 +1,74 @@
+"""Property tests: packed Kronecker products agree with schoolbook ones."""
+
+import pytest
+
+from franel.bipoly import _KP_KRONECKER_CUTOFF, kp_mul
+from franel.intpoly import IntPoly, mul_kronecker
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def coefficients(bits):
+    # the extremes +-(2^b - 1) are drawn often: products of full-size
+    # coefficients are what land next to the packing bound 2**(8*stride-1)
+    top = 2 ** bits - 1
+    return st.one_of(st.sampled_from((top, -top)), st.integers(-top, top))
+
+
+@st.composite
+def coefficient_lists(draw):
+    bits = draw(st.integers(1, 80))
+    out = []
+    for _ in range(2):
+        size = draw(st.integers(1, 40))
+        # a list at one extreme makes every product term of one sign
+        fill = draw(st.sampled_from((2 ** bits - 1, 1 - 2 ** bits, None)))
+        out.append([fill] * size if fill else draw(st.lists(
+            coefficients(bits), min_size=size, max_size=size)))
+    return out
+
+
+@st.composite
+def grids(draw):
+    """Two k-major grids (lists of rows in n), large enough to be packed."""
+    bits = draw(st.integers(1, 80))
+    out = []
+    for _ in range(2):
+        rows, cols = draw(st.integers(5, 8)), draw(st.integers(5, 8))
+        out.append([draw(st.lists(coefficients(bits), min_size=cols,
+                                  max_size=cols)) for _ in range(rows)])
+    return out
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(coefficient_lists())
+def test_mul_kronecker_matches_schoolbook(pair):
+    a, b = pair
+    assert mul_kronecker(a, b) == schoolbook(a, b)
+
+
+@hypothesis.settings(deadline=None, max_examples=30)
+@hypothesis.given(grids())
+def test_packed_kp_mul_matches_schoolbook(pair):
+    ga, gb = pair
+    ka = [IntPoly(row) for row in ga]
+    kb = [IntPoly(row) for row in gb]
+    hypothesis.assume(ka[-1] and kb[-1])
+    sizes = [sum(len(c.coeffs) for c in kp) for kp in (ka, kb)]
+    hypothesis.assume(sizes[0] * sizes[1] >= _KP_KRONECKER_CUTOFF)
+    expected = [[0] * (len(ga[0]) + len(gb[0]) - 1)
+                for _ in range(len(ga) + len(gb) - 1)]
+    for i, row_a in enumerate(ga):
+        for j, row_b in enumerate(gb):
+            for m, c in enumerate(schoolbook(row_a, row_b)):
+                expected[i + j][m] += c
+    assert kp_mul(ka, kb) == [IntPoly(row) for row in expected]

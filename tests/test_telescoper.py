@@ -237,13 +237,6 @@ def test_degenerate_term_rejected():
         zeilberger(bad, 2)
 
 
-def test_allow_order_zero_searches_gosper_first():
-    # binomial powers are not indefinitely summable, so the r = 0 attempt
-    # fails and the search continues to the usual order-1 operator
-    op, _ = zeilberger(binom_power_term(1), 1, allow_order_zero=True)
-    assert op.order == 1
-
-
 def _weighted_binomial_term():
     from franel.hyperterm import from_quotients
     rho_n = RatFunc(N + 1, N + 1 - K)
