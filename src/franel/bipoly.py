@@ -7,7 +7,8 @@ BiPoly is an immutable wrapper around the k-poly as a tuple and delegates
 to them.  Products switch from schoolbook over k to one Kronecker product
 of the packed (n, k) grid once the operands are large.  Gcds run a
 subresultant pseudo-remainder sequence over Z[n], which keeps certificate
-reduction fraction-free.
+reduction fraction-free; a coprimality proof modulo one prime at one
+integer n settles the common coprime case first.
 
 The monomial order used for sign normalization is graded lexicographic with
 n > k.
@@ -106,11 +107,13 @@ def kp_divexact(a, b):
         raise ZeroDivisionError("division by zero polynomial")
     if kp_is_zero(a):
         return []
+    lead = b[-1]
+    if len(b) == 1:
+        return kp_strip([c.divexact(lead) for c in a])
     da, db = kp_deg(a), kp_deg(b)
     if da < db:
         raise ExactDivisionError("k-degree of dividend below divisor")
     rem = list(a)
-    lead = b[-1]
     q = [IntPoly() for _ in range(da - db + 1)]
     for i in range(da - db, -1, -1):
         top = rem[i + db]
@@ -147,22 +150,50 @@ def kp_primitive(a):
 # large, so that a leading coefficient in k rarely vanishes at any of them
 SPECIALIZATION_POINTS = (1000003, 1016003, 1032003)
 
+# the Mersenne prime modulo which _coprime_by_specialization runs Euclid
+COPRIME_PRIME = 2 ** 61 - 1
+
 
 def _coprime_by_specialization(a, b) -> bool:
-    """Prove gcd_k(a, b) is constant from one good evaluation point.
+    """Prove gcd_k(a, b) is constant from one good point, modulo a prime.
 
-    At any n0 where lc_k(a) does not vanish, the specialized gcd degree
-    bounds the k-degree of the true gcd from above, so a constant gcd at
-    such a point certifies coprimality.  Returns False when inconclusive.
+    Euclid runs on a(n0, k) and b(n0, k) modulo p = COPRIME_PRIME, at the
+    first n0 where p does not divide lc_k(a)(n0).  A constant gcd there is
+    a proof that a and b are coprime over Q(n):
+
+    - By Gauss's lemma their gcd over Q(n) can be taken as a primitive g in
+      Z[n][k] with a = g h in Z[n][k], so lc_k(a) = lc_k(g) lc_k(h) in
+      Z[n].  At n0 the integer lc_k(g)(n0) divides lc_k(a)(n0), which p does
+      not divide, so p does not divide lc_k(g)(n0) either.
+    - Hence g(n0, k) mod p keeps the k-degree of g, and it divides both
+      images mod p.  The gcd mod p has at least that degree, so a constant
+      one forces deg_k g = 0.
+
+    Returns False when inconclusive: a nonconstant gcd mod p (a common
+    factor, or a coincidence at n0 or modulo p) or no usable point.  The
+    caller's exact pseudo-remainder sequence decides those cases.
     """
+    p = COPRIME_PRIME
     for n0 in SPECIALIZATION_POINTS:
-        if a[-1].eval_int(n0) == 0:
+        pa = [c.eval_int(n0) % p for c in a]
+        if pa[-1] == 0:
             continue
-        pa = IntPoly([c.eval_int(n0) for c in a])
-        pb = IntPoly([c.eval_int(n0) for c in b])
-        if pb.is_zero:
-            return False
-        return poly_gcd_int(pa, pb).degree == 0
+        pb = [c.eval_int(n0) % p for c in b]
+        while pb and pb[-1] == 0:
+            pb.pop()
+        while pb:
+            # pa <- pa mod pb, then swap
+            inv = pow(pb[-1], -1, p)
+            db = len(pb) - 1
+            while len(pa) > db:
+                q = pa[-1] * inv % p
+                shift = len(pa) - 1 - db
+                for i, c in enumerate(pb):
+                    pa[shift + i] = (pa[shift + i] - q * c) % p
+                while pa and pa[-1] == 0:
+                    pa.pop()
+            pa, pb = pb, pa
+        return len(pa) == 1
     return False
 
 
@@ -172,8 +203,8 @@ def kp_gcd(a, b):
     Subresultant pseudo-remainder sequence (Brown's algorithm): every
     remainder is divided by the known factor g*h^delta, which keeps the
     coefficient growth polynomial without computing contents inside the
-    loop.  A one-point specialization settles the common coprime case
-    before any pseudo-division happens.
+    loop.  A one-point specialization modulo a prime settles the common
+    coprime case before any pseudo-division happens.
     """
     a = kp_primitive(kp_strip(list(a)))
     b = kp_primitive(kp_strip(list(b)))

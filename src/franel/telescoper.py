@@ -22,8 +22,11 @@ solution with nonzero (c_0, .., c_r) yields the operator and the certificate
 
     R(n, k) = B(k-1) f(k) / (C(k) d(k)).
 
-Everything is exact; verification never trusts the construction and checks
-the defining identity by cross multiplication of rational functions.
+Everything is exact; verification never trusts the construction.  It adds
+(P a)/a and R(n, k) over one shared denominator, which for binom(n, k)^s is
+the certificate's own, and checks the identity (P a)/a + R(n, k) =
+R(n, k+1) rho_k by a single cross multiplication; no residual is reduced
+unless it is nonzero.
 """
 
 from __future__ import annotations
@@ -237,32 +240,48 @@ def zeilberger(term: HyperTerm, r_max: int, *, verify: bool = True):
 # ---------------------------------------------------------------------------
 
 
+def _identity_sides(term: HyperTerm, op: RecurrenceOperator,
+                    cert: Certificate):
+    """(left, right, bottom, rd1 * qd) with the identity valid iff left ==
+    right, and the residual (left - right) / (bottom * rd1 * qd)."""
+    lhs_num, lhs_den = operator_numerator(op, term)
+    rn, rd = cert.ratio.num, cert.ratio.den
+    # (P a)/a + R(n, k), unreduced; the two denominators are equal for every
+    # binom(n, k)^s and for the Apery term: both are the rising product
+    if lhs_den == rd:
+        top, bottom = lhs_num + rn, rd
+    else:
+        top, bottom = lhs_num * rd + rn * lhs_den, lhs_den * rd
+    right_den = rd.compose_shift(0, 1) * term.rho_k.den
+    left = top * right_den
+    right = rn.compose_shift(0, 1) * term.rho_k.num * bottom
+    return left, right, bottom, right_den
+
+
 def certificate_residual(term: HyperTerm, op: RecurrenceOperator,
                          cert: Certificate) -> RatFunc:
     """(P a)/a - (R(n, k+1) rho_k - R(n, k)), exactly; zero iff valid.
 
-    Both sides are assembled over unreduced common denominators and compared
-    by cross multiplication, so no gcd is ever taken on the identity path;
-    the residual is only brought to lowest terms when it is nonzero.
+    (P a)/a = lhs_num / lhs_den comes from operator_numerator, R = rn/rd and
+    rho_k = qn/qd.  The sum lhs_num/lhs_den + rn/rd is formed unreduced over
+    one denominator `bottom` (rd itself when lhs_den == rd), and the identity
+    (P a)/a + R(n, k) = R(n, k+1) rho_k is checked by one cross
+    multiplication, top * rd(n, k+1) * qd == rn(n, k+1) * qn * bottom.  The
+    residual is brought to lowest terms only when it is nonzero, and its
+    normalized form is canonical, so it does not depend on the denominator
+    the check used.
     """
-    lhs_num, lhs_den = operator_numerator(op, term)
-    R = cert.ratio
-    rn, rd = R.num, R.den
-    rn1 = rn.compose_shift(0, 1)
-    rd1 = rd.compose_shift(0, 1)
-    qn, qd = term.rho_k.num, term.rho_k.den
-    rhs_num = rn1 * qn * rd - rn * qd * rd1
-    rhs_den = rd1 * qd * rd
-    diff = lhs_num * rhs_den - rhs_num * lhs_den
-    if diff.is_zero:
+    left, right, bottom, right_den = _identity_sides(term, op, cert)
+    if left == right:
         return RatFunc.zero()
-    return RatFunc(diff, lhs_den * rhs_den)
+    return RatFunc(left - right, bottom * right_den)
 
 
 def verify_certificate(term: HyperTerm, op: RecurrenceOperator,
                        cert: Certificate) -> bool:
-    """Exact identity check of the telescoping relation."""
-    return certificate_residual(term, op, cert).is_zero
+    """Exact identity check of the telescoping relation; never reduces."""
+    left, right, _, _ = _identity_sides(term, op, cert)
+    return left == right
 
 
 def expected_order(s: int) -> int:

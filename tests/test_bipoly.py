@@ -4,7 +4,9 @@ from math import comb, gcd
 
 import pytest
 
-from franel.bipoly import (_KP_KRONECKER_CUTOFF, BiPoly, RatFunc, kp_gcd,
+from franel.bipoly import (_KP_KRONECKER_CUTOFF, COPRIME_PRIME,
+                           SPECIALIZATION_POINTS, BiPoly, RatFunc,
+                           _coprime_by_specialization, kp_deg, kp_gcd,
                            kp_mul, kp_shift_k, poly_gcd)
 from franel.errors import ExactDivisionError, PoleError
 
@@ -233,6 +235,25 @@ def test_kp_shift_and_gcd():
     r = K.to_kpoly()
     g = kp_gcd(q, kp_shift_k(r, 2))
     assert BiPoly.from_kpoly(g) == K + 2
+
+
+def test_coprimality_modulo_the_prime_is_not_trusted_when_inconclusive():
+    # k and k - p are coprime over Q but equal modulo p: the modular check
+    # must report no proof, and the exact sequence still finds gcd 1
+    a = K.to_kpoly()
+    b = (K - COPRIME_PRIME).to_kpoly()
+    assert not _coprime_by_specialization(a, b)
+    assert kp_gcd(a, b) == BiPoly.const(1).to_kpoly()
+
+
+def test_coprimality_modulo_the_prime_skips_a_point_where_lc_vanishes():
+    # g = (n - n0 - p) k + 1 divides both, but its leading coefficient is
+    # -p at the first point n0, so modulo p the images there are k and k + 1
+    n0 = SPECIALIZATION_POINTS[0]
+    g = (N - (n0 + COPRIME_PRIME)) * K + 1
+    a, b = (g * K).to_kpoly(), (g * (K + 1)).to_kpoly()
+    assert not _coprime_by_specialization(a, b)
+    assert kp_deg(kp_gcd(a, b)) == 1
 
 
 def test_ratfunc_normalization_idempotent():

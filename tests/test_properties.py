@@ -1,9 +1,12 @@
-"""Property tests: packed Kronecker products agree with schoolbook ones."""
+"""Property tests: packed Kronecker products agree with schoolbook ones, and
+the modular coprimality proof agrees with the integer gcd it replaced."""
 
 import pytest
 
-from franel.bipoly import _KP_KRONECKER_CUTOFF, kp_mul
-from franel.intpoly import IntPoly, mul_kronecker
+from franel.bipoly import (_KP_KRONECKER_CUTOFF, SPECIALIZATION_POINTS,
+                           _coprime_by_specialization, kp_deg, kp_gcd,
+                           kp_mul)
+from franel.intpoly import IntPoly, mul_kronecker, poly_gcd_int
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -72,3 +75,45 @@ def test_packed_kp_mul_matches_schoolbook(pair):
             for m, c in enumerate(schoolbook(row_a, row_b)):
                 expected[i + j][m] += c
     assert kp_mul(ka, kb) == [IntPoly(row) for row in expected]
+
+
+def coprime_by_integer_gcd(a, b):
+    """The coprimality check before the modular one, kept as the oracle:
+    the gcd over Z of a(n0, k) and b(n0, k) at the first n0 where lc_k(a)
+    does not vanish is constant."""
+    for n0 in SPECIALIZATION_POINTS:
+        if a[-1].eval_int(n0) == 0:
+            continue
+        pa = IntPoly([c.eval_int(n0) for c in a])
+        pb = IntPoly([c.eval_int(n0) for c in b])
+        if pb.is_zero:
+            return False
+        return poly_gcd_int(pa, pb).degree == 0
+    return False
+
+
+@st.composite
+def k_polys(draw, min_k_degree=1):
+    """A k-poly with small integer coefficients, n-degree at most 3."""
+    coeffs = [IntPoly(draw(st.lists(st.integers(-30, 30), max_size=4)))
+              for _ in range(draw(st.integers(min_k_degree, 4)) + 1)]
+    hypothesis.assume(not coeffs[-1].is_zero)
+    return coeffs
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(k_polys(), k_polys(), k_polys(min_k_degree=0),
+                  st.booleans())
+def test_modular_coprimality_proof_implies_integer_gcd_is_constant(
+        a, b, factor, shared):
+    if shared:
+        a, b = kp_mul(a, factor), kp_mul(b, factor)
+    if kp_deg(a) < kp_deg(b):
+        a, b = b, a
+    proved = _coprime_by_specialization(a, b)
+    if proved:
+        assert coprime_by_integer_gcd(a, b)
+        assert kp_deg(kp_gcd(a, b)) == 0
+    if shared and kp_deg(factor) >= 1:
+        assert not proved
+        assert kp_deg(kp_gcd(a, b)) >= kp_deg(factor)

@@ -6,10 +6,11 @@ import pytest
 
 import franel.telescoper as telescoper
 from franel.bipoly import BiPoly, RatFunc, kp_deg
-from franel.documents import document_bytes, operator_document
+from franel.documents import (document_bytes, operator_document,
+                              parse_operator_document)
 from franel.errors import TelescoperNotFoundError
 from franel.hyperterm import (apery_zeta3_term, binom_power_term,
-                              operator_ratio)
+                              operator_numerator, operator_ratio)
 from franel.intpoly import IntPoly, integer_roots
 from franel.linalg import bareiss_determinant
 from franel.operators import (Certificate, RecurrenceOperator,
@@ -32,6 +33,54 @@ def assert_matches_frozen_document(s, op, cert, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     frozen = (REFS / ("operator-s%d.json" % s)).read_bytes()
     assert document_bytes(operator_document(s, op, cert, 4)) == frozen
+
+
+def reference_residual(term, op, cert):
+    """The certificate check before the shared denominator, kept as the
+    oracle: (P a)/a and R(n, k+1) rho_k - R(n, k) each over its own full
+    denominator, compared by one cross multiplication."""
+    lhs_num, lhs_den = operator_numerator(op, term)
+    rn, rd = cert.ratio.num, cert.ratio.den
+    rn1 = rn.compose_shift(0, 1)
+    rd1 = rd.compose_shift(0, 1)
+    qn, qd = term.rho_k.num, term.rho_k.den
+    rhs_num = rn1 * qn * rd - rn * qd * rd1
+    rhs_den = rd1 * qd * rd
+    diff = lhs_num * rhs_den - rhs_num * lhs_den
+    if diff.is_zero:
+        return RatFunc.zero()
+    return RatFunc(diff, lhs_den * rhs_den)
+
+
+def assert_residual_matches_reference(term, op, cert, shared):
+    """certificate_residual equals the oracle and agrees with
+    verify_certificate; `shared` says whether (P a)/a already has the
+    certificate's denominator, the branch the check takes."""
+    assert (operator_numerator(op, term)[1] == cert.ratio.den) is shared
+    residual = certificate_residual(term, op, cert)
+    assert residual == reference_residual(term, op, cert)
+    assert verify_certificate(term, op, cert) is residual.is_zero
+    return residual
+
+
+def frozen_document(s):
+    raw = (REFS / ("operator-s%d.json" % s)).read_bytes()
+    _, op, cert, _ = parse_operator_document(raw)
+    return op, cert
+
+
+def bumped_operators(op):
+    """op with the constant term of one c_i moved by 1 or -1, for each i
+    where that still leaves a canonical operator."""
+    for i, c in enumerate(op.coeffs):
+        for delta in ((1, -1) if i % 2 == 0 else (-1, 1)):
+            coeffs = list(op.coeffs)
+            coeffs[i] = c + delta
+            try:
+                yield RecurrenceOperator(tuple(coeffs))
+            except ValueError:
+                continue
+            break
 
 
 def test_order_one_pascal():
@@ -70,12 +119,32 @@ def test_round_trip_verification():
 
 
 def test_verify_rejects_wrong_certificate():
+    # order 0 and R = 0: both denominators are 1, so the shared branch
     term = binom_power_term(1)
     op = RecurrenceOperator((IntPoly.const(1),))
     cert = Certificate(RatFunc.zero())
-    assert not verify_certificate(term, op, cert)
-    residual = certificate_residual(term, op, cert)
+    residual = assert_residual_matches_reference(term, op, cert, shared=True)
     assert residual == RatFunc.one()
+
+
+def test_residual_matches_reference_on_frozen_documents():
+    # every c_i is bumped up to s = 6, and c_0 alone at s = 7, where the
+    # oracle takes about 1 s per bump; the numerator bump stops at s = 4:
+    # the oracle takes 1 s on it at s = 5, 2 s at s = 6 and 40 s at s = 7,
+    # nearly all of it reducing the residual
+    for s in range(1, 8):
+        term = binom_power_term(s)
+        op, cert = frozen_document(s)
+        assert assert_residual_matches_reference(term, op, cert, True).is_zero
+        bumped = list(bumped_operators(op))
+        assert len(bumped) == op.order + (s > 1)
+        for bad in (bumped if s < 7 else bumped[:1]):
+            assert not assert_residual_matches_reference(term, bad, cert,
+                                                         True).is_zero
+        if s <= 4:
+            bad = Certificate(RatFunc(cert.ratio.num - 1, cert.ratio.den))
+            assert not assert_residual_matches_reference(term, op, bad,
+                                                         True).is_zero
 
 
 def test_verify_rejects_perturbed_certificate():
@@ -157,7 +226,8 @@ def test_apery_stretch_term():
          for n in range(25)]
     for n in range(22):
         assert apply_operator(op, [Fraction(x) for x in a], n) == 0
-    assert verify_certificate(apery_zeta3_term(), op, cert)
+    assert assert_residual_matches_reference(apery_zeta3_term(), op, cert,
+                                             True).is_zero
 
 
 def test_expected_degree_formulas():
@@ -255,8 +325,10 @@ def test_weighted_binomial_exercises_nontrivial_normal_form():
     # sum_k binom(n,k)(k+1) = 2^(n-1)(n+2) satisfies (n+2) u(n+1) = 2(n+3) u(n)
     assert op.order == 1
     assert op.coeffs == (IntPoly((-6, -2)), IntPoly((2, 1)))
-    assert verify_certificate(term, op, cert)
+    assert assert_residual_matches_reference(term, op, cert, False).is_zero
     assert cert.ratio.den == (K + 1) * (N + 1 - K)
+    bad = Certificate(RatFunc(cert.ratio.num + 1, cert.ratio.den))
+    assert not assert_residual_matches_reference(term, op, bad, False).is_zero
     seq = [Fraction(2) ** (n - 1) * (n + 2) for n in range(12)]
     for n in range(10):
         assert apply_operator(op, seq, n) == 0
@@ -289,7 +361,7 @@ def test_even_slice_binomial_has_nonzero_first_valid_row():
         else Fraction(0))
     op, cert = zeilberger(term, 2)
     assert op.coeffs == (IntPoly.const(-4), IntPoly.const(1))
-    assert verify_certificate(term, op, cert)
+    assert assert_residual_matches_reference(term, op, cert, False).is_zero
     rep = analyze_structure(op, cert, 1)
     assert rep.integer_roots_of_denominator_in_n == (0,)
     assert first_valid_row(rep) == 1
