@@ -221,6 +221,10 @@ def cmd_limits(args) -> int:
     if args.precision_bits < 64:
         print("error: --precision-bits must be at least 64", file=sys.stderr)
         return _EXIT_USAGE
+    if args.n_max < 2 or args.J < 0:
+        print("error: --n-max must be at least 2 and --J nonnegative",
+              file=sys.stderr)
+        return _EXIT_USAGE
     theory_max = (args.s - 1) // 2
     if args.J > theory_max and not args.J_force:
         print("error: --J exceeds floor((s-1)/2) = %d; pass --J-force to "

@@ -1,10 +1,12 @@
-"""Fraction-free exact linear algebra over polynomial entries.
+"""Fraction-free exact linear algebra over integer-polynomial entries.
 
-The elimination is Bareiss-style: every update is
+One forward Bareiss elimination serves both routines.  Each column takes
+its pivot among the rows not yet used, and only those rows are updated, by
 (pivot * entry - row_entry * pivot_row_entry) / previous_pivot with the
-division exact by Sylvester's identity.  Entries only need mul, sub,
-divexact and is_zero, so the same determinant routine runs over univariate
-and bivariate polynomials.
+division exact by Sylvester's identity.  Rows are never swapped and the
+rows above a pivot are never touched again.  The determinant is the last
+pivot, signed by the order in which rows became pivots; nullspace vectors
+are read off the echelon rows by fraction-free back substitution.
 """
 
 from __future__ import annotations
@@ -12,26 +14,24 @@ from __future__ import annotations
 from .intpoly import IntPoly, poly_gcd_int
 
 
-def fraction_free_nullspace(matrix):
-    """Right-nullspace basis of a matrix of IntPoly entries over Q(n).
+def _eliminate(M, ncols):
+    """Forward Bareiss elimination of the row list M, in place.
 
-    Returns one content-stripped integer-polynomial vector per free column
-    of the reduced form.  Columns are processed left to right, so the caller
-    controls which unknowns become free by ordering the columns.
+    The pivot of each column is the nonzero entry of least
+    (degree, max_coeff_bits()) among the unused rows, the lowest row index
+    breaking ties.  Only unused rows, and only their columns right of the
+    pivot, are updated; entries left of and at a pivot are left stale.
+    Returns the (row, column) pivots in order, the free columns and the last
+    pivot, which is the minor det M[rows, columns] of the pivots up to the
+    sign of their row order.
     """
-    nrows = len(matrix)
-    if nrows == 0:
-        return []
-    ncols = len(matrix[0])
-    M = [list(row) for row in matrix]
+    unused = list(range(len(M)))
     pivots = []
-    pivot_rows = set()
+    free = []
     prev = IntPoly.const(1)
     for col in range(ncols):
         best = None
-        for r in range(nrows):
-            if r in pivot_rows:
-                continue
+        for r in unused:
             e = M[r][col]
             if e.is_zero:
                 continue
@@ -39,38 +39,59 @@ def fraction_free_nullspace(matrix):
             if best is None or key < best[0]:
                 best = (key, r)
         if best is None:
+            free.append(col)
             continue
         prow = best[1]
-        piv = M[prow][col]
-        pivot_row = M[prow]
-        for r in range(nrows):
-            if r == prow:
-                continue
+        unused.remove(prow)
+        top = M[prow]
+        piv = top[col]
+        for r in unused:
             row = M[r]
             e = row[col]
             if e.is_zero:
-                for j in range(ncols):
+                for j in range(col + 1, ncols):
                     if not row[j].is_zero:
                         row[j] = (piv * row[j]).divexact(prev)
             else:
-                for j in range(ncols):
-                    if j == col:
-                        continue
-                    row[j] = (piv * row[j] - e * pivot_row[j]).divexact(prev)
-                row[col] = IntPoly()
+                for j in range(col + 1, ncols):
+                    row[j] = (piv * row[j] - e * top[j]).divexact(prev)
         pivots.append((prow, col))
-        pivot_rows.add(prow)
         prev = piv
+    return pivots, free, prev
 
-    pivot_cols = {c for _, c in pivots}
+
+def fraction_free_nullspace(matrix):
+    """Right-nullspace basis of a matrix of IntPoly entries over Q(n).
+
+    Returns one content-stripped integer-polynomial vector per free column
+    of the echelon form.  Columns are processed left to right, so the caller
+    controls which unknowns become free by ordering the columns.
+
+    For a free column fc the vector has x_fc = the last pivot, which is the
+    minor det M[R, P] on the pivot rows R and pivot columns P, and zero at
+    the other free columns.  By Cramer's rule every entry of that vector is
+    a minor of M, so it has polynomial entries.  Each echelon row is a
+    combination of rows of M and so vanishes on it; from the last pivot
+    row up, x_p = -(sum_{j>p} U[row][j] x_j) / U[row][p] is therefore an
+    exact division.
+    """
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    M = [list(row) for row in matrix]
+    pivots, free, last = _eliminate(M, ncols)
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
+    for fc in free:
         vec = [IntPoly() for _ in range(ncols)]
-        vec[fc] = prev
-        for prow, pcol in pivots:
-            vec[pcol] = -M[prow][fc]
+        vec[fc] = last
+        for prow, pcol in reversed(pivots):
+            row = M[prow]
+            acc = IntPoly()
+            for j in range(pcol + 1, ncols):
+                if not vec[j].is_zero and not row[j].is_zero:
+                    acc = acc + row[j] * vec[j]
+            if not acc.is_zero:
+                vec[pcol] = (-acc).divexact(row[pcol])
         g = IntPoly()
         for v in vec:
             g = poly_gcd_int(g, v)
@@ -80,42 +101,16 @@ def fraction_free_nullspace(matrix):
     return basis
 
 
-def bareiss_determinant(matrix, one, zero):
-    """Determinant of a square matrix over a polynomial ring.
-
-    ``one`` and ``zero`` are the ring constants; entries must support
-    mul, sub, neg, divexact and is_zero.
-    """
+def bareiss_determinant(matrix):
+    """Determinant of a square matrix of IntPoly entries."""
     size = len(matrix)
     if size == 0:
-        return one
+        return IntPoly.const(1)
     M = [list(row) for row in matrix]
-    sign = 1
-    prev = one
-    for t in range(size - 1):
-        prow = None
-        for r in range(t, size):
-            if not M[r][t].is_zero:
-                prow = r
-                break
-        if prow is None:
-            return zero
-        if prow != t:
-            M[t], M[prow] = M[prow], M[t]
-            sign = -sign
-        piv = M[t][t]
-        for r in range(t + 1, size):
-            e = M[r][t]
-            row = M[r]
-            top = M[t]
-            if e.is_zero:
-                for j in range(t + 1, size):
-                    if not row[j].is_zero:
-                        row[j] = (piv * row[j]).divexact(prev)
-            else:
-                for j in range(t + 1, size):
-                    row[j] = (piv * row[j] - e * top[j]).divexact(prev)
-            row[t] = zero
-        prev = piv
-    det = M[size - 1][size - 1]
-    return det if sign > 0 else -det
+    pivots, free, last = _eliminate(M, size)
+    if free:
+        return IntPoly()
+    order = [r for r, _ in pivots]
+    inversions = sum(1 for i in range(size) for j in range(i + 1, size)
+                     if order[i] > order[j])
+    return -last if inversions % 2 else last

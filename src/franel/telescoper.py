@@ -17,8 +17,9 @@ compare coefficients of k in
 which is linear in the c_i and the coefficients of f.  The shifts j that
 the normal form must examine come from a resultant in k taken at one integer
 n; any extra shift it yields is harmless (see _dispersion_set).  The
-resulting system over Z[n] is solved by fraction-free elimination; a
-solution with nonzero (c_0, .., c_r) yields the operator and the certificate
+resulting system over Z[n] is solved by one forward fraction-free
+elimination and back substitution; a solution with nonzero (c_0, .., c_r)
+yields the operator and the certificate
 
     R(n, k) = B(k-1) f(k) / (C(k) d(k)).
 
@@ -96,7 +97,7 @@ def _dispersion_set(a_kp, b_kp):
                 for i, c in enumerate(reversed(rows)):
                     row[shift + i] = c
                 matrix.append(row)
-        res = bareiss_determinant(matrix, IntPoly.const(1), IntPoly())
+        res = bareiss_determinant(matrix)
         if not res.is_zero:
             return [j for j in integer_roots(res) if j >= 0]
     raise ValueError("degenerate dispersion resultant")

@@ -1,0 +1,111 @@
+"""The linear algebra before the shared forward elimination, kept as the
+oracle: a full fraction-free Gauss-Jordan for the nullspace, and a Bareiss
+determinant that pivots on the first nonzero entry and swaps rows."""
+
+from franel.intpoly import IntPoly, poly_gcd_int
+
+
+def reference_nullspace(matrix):
+    """Right-nullspace basis of IntPoly entries, by Gauss-Jordan: each pivot
+    updates every other row in every column, so the reduced form has the
+    last pivot on its diagonal and the vectors are read off directly."""
+    nrows = len(matrix)
+    if nrows == 0:
+        return []
+    ncols = len(matrix[0])
+    M = [list(row) for row in matrix]
+    pivots = []
+    pivot_rows = set()
+    prev = IntPoly.const(1)
+    for col in range(ncols):
+        best = None
+        for r in range(nrows):
+            if r in pivot_rows:
+                continue
+            e = M[r][col]
+            if e.is_zero:
+                continue
+            key = (e.degree, e.max_coeff_bits())
+            if best is None or key < best[0]:
+                best = (key, r)
+        if best is None:
+            continue
+        prow = best[1]
+        piv = M[prow][col]
+        pivot_row = M[prow]
+        for r in range(nrows):
+            if r == prow:
+                continue
+            row = M[r]
+            e = row[col]
+            if e.is_zero:
+                for j in range(ncols):
+                    if not row[j].is_zero:
+                        row[j] = (piv * row[j]).divexact(prev)
+            else:
+                for j in range(ncols):
+                    if j == col:
+                        continue
+                    row[j] = (piv * row[j] - e * pivot_row[j]).divexact(prev)
+                row[col] = IntPoly()
+        pivots.append((prow, col))
+        pivot_rows.add(prow)
+        prev = piv
+
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        vec = [IntPoly() for _ in range(ncols)]
+        vec[fc] = prev
+        for prow, pcol in pivots:
+            vec[pcol] = -M[prow][fc]
+        g = IntPoly()
+        for v in vec:
+            g = poly_gcd_int(g, v)
+        if not (g.degree == 0 and g.lc == 1):
+            vec = [v.divexact(g) for v in vec]
+        basis.append(vec)
+    return basis
+
+
+def reference_determinant(matrix, one, zero):
+    """Determinant over any ring whose entries support mul, sub, neg,
+    divexact and is_zero; ``one`` and ``zero`` are its constants (plain
+    integers are promoted to IntPoly)."""
+    if isinstance(one, int):
+        one, zero = IntPoly.const(one), IntPoly.const(zero)
+    size = len(matrix)
+    if size == 0:
+        return one
+    M = [list(row) for row in matrix]
+    sign = 1
+    prev = one
+    for t in range(size - 1):
+        prow = None
+        for r in range(t, size):
+            if not M[r][t].is_zero:
+                prow = r
+                break
+        if prow is None:
+            return zero
+        if prow != t:
+            M[t], M[prow] = M[prow], M[t]
+            sign = -sign
+        piv = M[t][t]
+        for r in range(t + 1, size):
+            e = M[r][t]
+            row = M[r]
+            top = M[t]
+            if e.is_zero:
+                for j in range(t + 1, size):
+                    if not row[j].is_zero:
+                        row[j] = (piv * row[j]).divexact(prev)
+            else:
+                for j in range(t + 1, size):
+                    row[j] = (piv * row[j] - e * top[j]).divexact(prev)
+            row[t] = zero
+        prev = piv
+    det = M[size - 1][size - 1]
+    return det if sign > 0 else -det

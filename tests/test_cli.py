@@ -62,6 +62,16 @@ def test_compute_rejects_bad_s(env):
     assert run(["compute", "--s", "0", "--n-max", "4"]) == 2
 
 
+def test_limits_rejects_bad_bounds(env, capsys):
+    for argv in (["--n-max", "1", "--J", "1"], ["--n-max", "0", "--J", "1"],
+                 ["--n-max", "4", "--J", "-1"],
+                 ["--n-max", "4", "--J", "-1", "--J-force"]):
+        assert run(["limits", "--s", "3"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 def test_argparse_errors_exit_2(env):
     assert run(["compute", "--s", "notanint", "--n-max", "4"]) == 2
     assert run(["nosuchcommand"]) == 2

@@ -1,9 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import franel.telescoper as telescoper
 from franel.bipoly import BiPoly
+from franel.errors import TelescoperNotFoundError
+from franel.hyperterm import binom_power_term
 from franel.intpoly import IntPoly
 from franel.linalg import bareiss_determinant, fraction_free_nullspace
+
+from reference_linalg import reference_determinant, reference_nullspace
 
 
 def rand_poly(rng, maxdeg=2, maxc=5):
@@ -73,7 +80,7 @@ def test_determinant_matches_fraction_arithmetic():
         size = rng.randint(1, 5)
         matrix = [[rand_poly(rng, 1, 4) for _ in range(size)]
                   for _ in range(size)]
-        det = bareiss_determinant(matrix, IntPoly.const(1), IntPoly())
+        det = bareiss_determinant(matrix)
         x = 10 ** 3 + 7
         rows = [[Fraction(p.eval_int(x)) for p in row] for row in matrix]
         expected = _frac_det(rows)
@@ -106,5 +113,104 @@ def _frac_det(rows):
 def test_determinant_over_bipoly():
     n, k = BiPoly.var_n(), BiPoly.var_k()
     matrix = [[n, k], [k, n]]
-    det = bareiss_determinant(matrix, BiPoly.const(1), BiPoly())
+    det = reference_determinant(matrix, BiPoly.const(1), BiPoly())
     assert det == n * n - k * k
+
+
+def structured_matrix(rng, nr, nc):
+    """A random matrix with one of the shapes elimination treats apart:
+    low rank (nullity >= 2), zero columns, all-zero rows, duplicated rows,
+    or none of these."""
+    shape = rng.choice(("low_rank", "zero_cols", "zero_rows", "dup_rows",
+                        "plain"))
+    if shape == "low_rank":
+        rank = rng.randint(0, max(0, min(nr, nc - 2)))
+        left = [[rand_poly(rng, 1, 3) for _ in range(rank)]
+                for _ in range(nr)]
+        right = [[rand_poly(rng, 1, 3) for _ in range(nc)]
+                 for _ in range(rank)]
+        matrix = []
+        for lrow in left:
+            row = []
+            for j in range(nc):
+                acc = IntPoly()
+                for t in range(rank):
+                    acc = acc + lrow[t] * right[t][j]
+                row.append(acc)
+            matrix.append(row)
+        return matrix
+    matrix = [[rand_poly(rng) for _ in range(nc)] for _ in range(nr)]
+    if shape == "zero_cols":
+        for j in rng.sample(range(nc), rng.randint(1, nc)):
+            for row in matrix:
+                row[j] = IntPoly()
+    elif shape == "zero_rows":
+        for i in rng.sample(range(nr), rng.randint(1, nr)):
+            matrix[i] = [IntPoly()] * nc
+    elif shape == "dup_rows" and nr >= 2:
+        i, j = rng.sample(range(nr), 2)
+        matrix[j] = list(matrix[i])
+    return matrix
+
+
+def test_nullspace_matches_reference_on_structured_matrices():
+    rng = random.Random(4711)
+    nullities = set()
+    for _ in range(200):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        if rng.random() < 0.3:
+            nr = nc + rng.randint(1, 3)  # more rows than columns
+        matrix = structured_matrix(rng, nr, nc)
+        basis = fraction_free_nullspace(matrix)
+        assert basis == reference_nullspace(matrix)
+        nullities.add(len(basis))
+    assert {0, 1, 2, 3} <= nullities
+
+
+def test_nullspace_matches_reference_on_gosper_systems(monkeypatch):
+    systems = []
+    real = telescoper.fraction_free_nullspace
+
+    def record(matrix):
+        systems.append([list(row) for row in matrix])
+        return real(matrix)
+
+    monkeypatch.setattr(telescoper, "fraction_free_nullspace", record)
+    for s in range(1, 7):
+        telescoper.zeilberger(binom_power_term(s), 4, verify=False)
+    with pytest.raises(TelescoperNotFoundError):
+        telescoper.zeilberger(binom_power_term(6), 2, verify=False)
+    # the orders 1..ceil(s/2) tried for s = 1..6, then orders 1 and 2 again
+    assert len(systems) == 1 + 1 + 2 + 2 + 3 + 3 + 2
+    for matrix in systems:
+        assert real(matrix) == reference_nullspace(matrix)
+
+
+def test_determinant_matches_reference():
+    rng = random.Random(2024)
+    singular = 0
+    for _ in range(150):
+        size = rng.randint(1, 6)
+        matrix = structured_matrix(rng, size, size)
+        if rng.random() < 0.4:
+            # a constant below a row of larger entries moves the pivot off
+            # the first row
+            i = rng.randrange(size)
+            matrix[i][0] = IntPoly.const(rng.choice((-1, 1)))
+        det = bareiss_determinant(matrix)
+        assert det == reference_determinant(matrix, 1, 0)
+        singular += det.is_zero
+    assert 20 <= singular <= 130
+    assert bareiss_determinant([]) == reference_determinant([], 1, 0)
+
+
+def test_determinant_sign_follows_pivot_row_order():
+    n = IntPoly.variable()
+    one, zero = IntPoly.const(1), IntPoly()
+    # pivots in rows 1, 0: an odd row order
+    odd = [[n, one], [one, zero]]
+    assert bareiss_determinant(odd) == -one
+    # pivots in rows 1, 2, 0: a 3-cycle, even
+    even = [[n * n, n, one], [one, n, n], [n + 1, one, n]]
+    assert bareiss_determinant(even) == reference_determinant(even, 1, 0)
+    assert bareiss_determinant(even) == IntPoly([1, -1, -1, 0, 1])

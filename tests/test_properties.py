@@ -1,5 +1,7 @@
-"""Property tests: packed Kronecker products agree with schoolbook ones, and
-the modular coprimality proof agrees with the integer gcd it replaced."""
+"""Property tests: packed Kronecker products agree with schoolbook ones, the
+modular coprimality proof agrees with the integer gcd it replaced, and the
+forward elimination agrees with the Gauss-Jordan and row-swapping
+determinant it replaced."""
 
 import pytest
 
@@ -7,6 +9,9 @@ from franel.bipoly import (_KP_KRONECKER_CUTOFF, SPECIALIZATION_POINTS,
                            _coprime_by_specialization, kp_deg, kp_gcd,
                            kp_mul)
 from franel.intpoly import IntPoly, mul_kronecker, poly_gcd_int
+from franel.linalg import bareiss_determinant, fraction_free_nullspace
+
+from reference_linalg import reference_determinant, reference_nullspace
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -117,3 +122,29 @@ def test_modular_coprimality_proof_implies_integer_gcd_is_constant(
     if shared and kp_deg(factor) >= 1:
         assert not proved
         assert kp_deg(kp_gcd(a, b)) >= kp_deg(factor)
+
+
+def int_polys():
+    """Small IntPolys, zero about a quarter of the time."""
+    return st.one_of(st.just(IntPoly()), st.lists(
+        st.integers(-6, 6), min_size=1, max_size=3).map(IntPoly))
+
+
+@st.composite
+def poly_matrices(draw, square=False):
+    nr = draw(st.integers(1, 5))
+    nc = nr if square else draw(st.integers(1, 5))
+    return [draw(st.lists(int_polys(), min_size=nc, max_size=nc))
+            for _ in range(nr)]
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(poly_matrices())
+def test_forward_elimination_nullspace_matches_gauss_jordan(matrix):
+    assert fraction_free_nullspace(matrix) == reference_nullspace(matrix)
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(poly_matrices(square=True))
+def test_forward_elimination_determinant_matches_row_swapping(matrix):
+    assert bareiss_determinant(matrix) == reference_determinant(matrix, 1, 0)
