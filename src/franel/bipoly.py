@@ -1,4 +1,5 @@
-"""Bivariate integer polynomials in (n, k) and normalized rational functions.
+"""Bivariate integer polynomials in (n, k), and rational functions in lowest
+terms.
 
 A polynomial in Z[n][k] has one representation, its "k-poly": the dense
 list of its IntPoly coefficients in n, indexed by the power of k, with no
@@ -9,6 +10,12 @@ of the packed (n, k) grid once the operands are large.  Gcds run a
 subresultant pseudo-remainder sequence over Z[n], which keeps certificate
 reduction fraction-free; a coprimality proof modulo one prime at one
 integer n settles the common coprime case first.
+
+A RatFunc is a canonical form and has no arithmetic: its constructor
+reduces to lowest terms, so one is built only where a canonical form is
+read (a term's shift quotients, the Gosper ratio, a certificate, a parsed
+document, a nonzero residual).  Everything in between works on unreduced
+BiPoly numerators and denominators.
 
 The monomial order used for sign normalization is graded lexicographic with
 n > k.
@@ -527,62 +534,7 @@ class RatFunc:
     def __repr__(self):
         return "RatFunc(%r / %r)" % (self.num, self.den)
 
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = RatFunc.from_int(other)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = RatFunc.from_int(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = RatFunc.from_int(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = RatFunc.from_int(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return RatFunc(self.den, self.num) ** (-e)
-        result = RatFunc.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    # -- substitution and evaluation --------------------------------------------
-
-    def shift(self, dn: int, dk: int) -> "RatFunc":
-        """Substitute n -> n + dn, k -> k + dk."""
-        return RatFunc(self.num.compose_shift(dn, dk),
-                       self.den.compose_shift(dn, dk))
+    # -- evaluation ----------------------------------------------------------
 
     def eval(self, n, k) -> Fraction:
         d = self.den.eval(n, k)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 
 from .bipoly import BiPoly, RatFunc
@@ -19,12 +20,28 @@ from .operators import Certificate, RecurrenceOperator
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
 
 def _timestamp() -> str:
     """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible output."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     t = int(epoch) if epoch else int(time.time())
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; bool is a subclass of int in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _decimal(text) -> int:
+    """The integer a stored decimal string spells: ASCII digits with an
+    optional leading minus, nothing else."""
+    if not isinstance(text, str) or not _DECIMAL.fullmatch(text):
+        raise DocumentError("coefficient %r is not a decimal string"
+                            % (text,))
+    return int(text)
 
 
 def intpoly_to_json(p: IntPoly):
@@ -34,10 +51,7 @@ def intpoly_to_json(p: IntPoly):
 def intpoly_from_json(data) -> IntPoly:
     if not isinstance(data, list):
         raise DocumentError("polynomial must be a list of decimal strings")
-    try:
-        return IntPoly([int(c) for c in data])
-    except (TypeError, ValueError) as exc:
-        raise DocumentError("bad polynomial coefficient: %s" % exc) from exc
+    return IntPoly([_decimal(c) for c in data])
 
 
 def bipoly_to_json(p: BiPoly):
@@ -53,13 +67,10 @@ def bipoly_from_json(data) -> BiPoly:
     terms = {}
     for rec in data:
         if (not isinstance(rec, list) or len(rec) != 3
-                or not isinstance(rec[1], int) or not isinstance(rec[2], int)
+                or not _is_int(rec[1]) or not _is_int(rec[2])
                 or rec[1] < 0 or rec[2] < 0):
             raise DocumentError("bad monomial record %r" % (rec,))
-        try:
-            coef = int(rec[0])
-        except (TypeError, ValueError) as exc:
-            raise DocumentError("bad monomial coefficient: %s" % exc) from exc
+        coef = _decimal(rec[0])
         if coef == 0:
             raise DocumentError("zero coefficient stored in %r" % (rec,))
         key = (rec[1], rec[2])
@@ -102,18 +113,18 @@ def parse_operator_document(raw: bytes):
         raise DocumentError("not valid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise DocumentError("unsupported schema_version %r"
-                            % doc.get("schema_version"))
+    version = doc.get("schema_version")
+    if not _is_int(version) or version != SCHEMA_VERSION:
+        raise DocumentError("unsupported schema_version %r" % (version,))
     s = doc.get("s")
-    if not isinstance(s, int) or s < 1:
+    if not _is_int(s) or s < 1:
         raise DocumentError("field s must be a positive integer")
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or not coeffs:
         raise DocumentError("field coeffs must be a nonempty list")
     polys = tuple(intpoly_from_json(c) for c in coeffs)
     order = doc.get("order")
-    if order != len(polys) - 1:
+    if not _is_int(order) or order != len(polys) - 1:
         raise DocumentError("order field disagrees with coefficient count")
     try:
         op = RecurrenceOperator(polys)

@@ -1,9 +1,11 @@
 """Bivariate hypergeometric terms given by their two shift quotients.
 
 A term a(n, k) is represented by the rational functions
-rho_n = a(n+1, k)/a(n, k) and rho_k = a(n, k+1)/a(n, k).  Everything the
-telescoper needs happens at this rational-function level; concrete values
-are only used for boundary and spot checks.
+rho_n = a(n+1, k)/a(n, k) and rho_k = a(n, k+1)/a(n, k), each in lowest
+terms.  What the telescoper builds from them, the shift quotients
+a(n+i, k)/a(n, k), stays a plain numerator over a common denominator; no
+gcd is taken until a canonical form is read.  Concrete values are only used
+for boundary and spot checks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Optional
 
-from .bipoly import BiPoly, RatFunc, poly_gcd
+from .bipoly import BiPoly, RatFunc
 from .errors import PoleError
 from .operators import RecurrenceOperator
 
@@ -30,11 +32,13 @@ class HyperTerm:
         """Mixed-shift consistency of the two quotients.
 
         Shifting first in n and then in k must agree with the other order:
-        rho_n(n, k+1) rho_k(n, k) = rho_k(n+1, k) rho_n(n, k).
+        rho_n(n, k+1) rho_k(n, k) = rho_k(n+1, k) rho_n(n, k), checked by one
+        cross multiplication.
         """
-        lhs = self.rho_n.shift(0, 1) * self.rho_k
-        rhs = self.rho_k.shift(1, 0) * self.rho_n
-        return lhs == rhs
+        pn, qn = self.rho_n.num, self.rho_n.den
+        pk, qk = self.rho_k.num, self.rho_k.den
+        return (pn.compose_shift(0, 1) * pk * qk.compose_shift(1, 0) * qn
+                == pk.compose_shift(1, 0) * pn * qn.compose_shift(0, 1) * qk)
 
 
 def from_quotients(rho_n: RatFunc, rho_k: RatFunc, label: str = "",
@@ -52,8 +56,8 @@ def binom_power_term(s: int) -> HyperTerm:
         raise ValueError("the power s must be a positive integer")
     n = BiPoly.var_n()
     k = BiPoly.var_k()
-    rho_k = RatFunc(n - k, k + 1) ** s
-    rho_n = RatFunc(n + 1, n + 1 - k) ** s
+    rho_k = RatFunc((n - k) ** s, (k + 1) ** s)
+    rho_n = RatFunc((n + 1) ** s, (n + 1 - k) ** s)
 
     def evaluate(nn: int, kk: int) -> Fraction:
         if nn < 0:
@@ -69,8 +73,8 @@ def apery_zeta3_term() -> HyperTerm:
     """The term binom(n, k)**2 binom(n+k, k)**2."""
     n = BiPoly.var_n()
     k = BiPoly.var_k()
-    rho_n = RatFunc(n + k + 1, n + 1 - k) ** 2
-    rho_k = RatFunc((n - k) * (n + k + 1), (k + 1) * (k + 1)) ** 2
+    rho_n = RatFunc((n + k + 1) ** 2, (n + 1 - k) ** 2)
+    rho_k = RatFunc(((n - k) * (n + k + 1)) ** 2, (k + 1) ** 4)
 
     def evaluate(nn: int, kk: int) -> Fraction:
         if nn < 0:
@@ -106,34 +110,27 @@ def term_eval(term: HyperTerm, n: int, k: int) -> Fraction:
 
 
 def shift_quotient_products(term: HyperTerm, order: int):
-    """The quotients sigma_i = a(n+i, k)/a(n, k) for i = 0..order."""
-    sigmas = [RatFunc.one()]
-    for i in range(order):
-        sigmas.append(sigmas[-1] * term.rho_n.shift(i, 0))
-    return sigmas
+    """(d, [u_0, .., u_order]) with a(n+i, k)/a(n, k) = u_i/d, unreduced.
 
-
-def _bipoly_lcm(polys):
-    acc = BiPoly.const(1)
-    for p in polys:
-        g = poly_gcd(acc, p)
-        acc = acc * p.divexact(g)
-    c = acc.content_int()
-    if c > 1:
-        acc = acc.divexact(BiPoly.const(c))
-    return acc if acc.lc_grlex() > 0 else -acc
-
-
-def shift_quotient_numerators(term: HyperTerm, order: int):
-    """(d, [u_0, .., u_order]) with a(n+i, k)/a(n, k) = u_i/d, d the lcm."""
-    sigmas = shift_quotient_products(term, order)
-    d = _bipoly_lcm([sig.den for sig in sigmas])
-    return d, [sig.num * d.divexact(sig.den) for sig in sigmas]
+    With rho_n = p/q, a(n+i, k)/a(n, k) = prod_{j<i} p(n+j, k)/q(n+j, k), so
+    d = prod_{j<order} q(n+j, k) and u_i = prod_{j<i} p(n+j, k) *
+    prod_{i<=j<order} q(n+j, k), built from prefix and suffix products.  d is
+    a common denominator but not always the least one: p(n+j, k) may share a
+    factor with a later q(n+j', k).  For binom(n, k)^s and the Apery term
+    nothing cancels, and d is the rising product.
+    """
+    p, q = term.rho_n.num, term.rho_n.den
+    prefix = [BiPoly.const(1)]
+    suffix = [BiPoly.const(1)]  # suffix[t] = prod_{order-t <= j < order}
+    for j in range(order):
+        prefix.append(prefix[-1] * p.compose_shift(j, 0))
+        suffix.append(suffix[-1] * q.compose_shift(order - 1 - j, 0))
+    return suffix[-1], [a * b for a, b in zip(prefix, reversed(suffix))]
 
 
 def operator_numerator(op: RecurrenceOperator, term: HyperTerm):
     """(sum_i c_i(n) u_i, d): (P a)/a over the common d, unreduced."""
-    d, us = shift_quotient_numerators(term, op.order)
+    d, us = shift_quotient_products(term, op.order)
     total = BiPoly()
     for c, u in zip(op.coeffs, us):
         if not c.is_zero:

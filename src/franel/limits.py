@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Optional
 
 from .bernoulli import bernoulli
@@ -96,34 +96,14 @@ class LimitReport:
     normalized_target: Optional[BigFloat] = None
 
 
-def _normalizer(s: int, j: int) -> Optional[Fraction]:
-    # A_j(1) = 2 * binom(2j + s - 1, 2j)
-    if j == 1:
-        return Fraction(s * (s + 1))
-    if j == 2:
-        return Fraction(s * (s + 1) * (s + 2) * (s + 3), 12)
-    return None
-
-
-def _normalized_target(s: int, j: int, pi_val: BigFloat) -> Optional[BigFloat]:
-    if j == 1:
-        # zeta(2)/(s + 1)
-        return pi_val.pow_int(2) * Fraction(1, 6 * (s + 1))
-    if j == 2:
-        # 3 (5s + 2) zeta(4) / ((s+1)(s+2)(s+3))
-        return pi_val.pow_int(4) * Fraction(
-            3 * (5 * s + 2), 90 * (s + 1) * (s + 2) * (s + 3))
-    return None
-
-
 def limit_report(s: int, n_max: int, J: int, precision_bits: int = 256,
                  enforce_theory_range: bool = True) -> list:
     """Per-j comparison of A_j(n_max)/A_0(n_max) against phi_j pi^(2j).
 
     The theory guarantees the limit only for j <= floor((s-1)/2); larger j
     are refused unless enforce_theory_range is off (exploration mode).
-    Each report carries the normalized estimate whose target is
-    zeta(2)/(s+1) for j = 1 and 3(5s+2) zeta(4)/((s+1)(s+2)(s+3)) for j = 2.
+    Each report with j >= 1 also carries the estimate and the target divided
+    by A_j(1) = 2 binom(2j+s-1, 2j), the value at the first row.
     """
     if enforce_theory_range and J > (s - 1) // 2:
         raise ValueError("J exceeds floor((s-1)/2); the limits beyond are "
@@ -138,17 +118,18 @@ def limit_report(s: int, n_max: int, J: int, precision_bits: int = 256,
     for j in range(J + 1):
         estimate = _row_ratio(row_cur, j, precision_bits)
         prev_est = _row_ratio(row_prev, j, precision_bits)
-        target = pi_val.pow_int(2 * j) * phis[j]
+        pi_power = pi_val.pow_int(2 * j)
+        target = pi_power * phis[j]
         abs_error = abs(estimate - target)
         prev_error = abs(prev_est - target)
         ratio = None
         if prev_error.definitely_nonzero():
             ratio = abs_error / prev_error
-        norm = _normalizer(s, j)
         norm_est = norm_target = None
-        if norm is not None:
-            norm_est = estimate * (1 / norm)
-            norm_target = _normalized_target(s, j, pi_val)
+        if j >= 1:
+            norm = 2 * comb(2 * j + s - 1, 2 * j)
+            norm_est = estimate * Fraction(1, norm)
+            norm_target = pi_power * (phis[j] / norm)
         reports.append(LimitReport(
             s=s, j=j, n_used=n_max, estimate=estimate, target=target,
             abs_error=abs_error, successive_diff_ratio=ratio,

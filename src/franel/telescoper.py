@@ -23,6 +23,10 @@ yields the operator and the certificate
 
     R(n, k) = B(k-1) f(k) / (C(k) d(k)).
 
+Rational functions are brought to lowest terms only where a canonical form
+is read: the Gosper ratio, whose normal form needs it, and the certificate.
+The shift quotients u_i/d and the linear system stay unreduced products.
+
 Everything is exact; verification never trusts the construction.  It adds
 (P a)/a and R(n, k) over one shared denominator, which for binom(n, k)^s is
 the certificate's own, and checks the identity (P a)/a + R(n, k) =
@@ -41,7 +45,7 @@ from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_content,
                      kp_shift_k, kp_strip, kp_sub)
 from .errors import ExactDivisionError, TelescoperNotFoundError
 from .hyperterm import (HyperTerm, operator_numerator,
-                        shift_quotient_numerators)
+                        shift_quotient_products)
 from .intpoly import IntPoly, integer_roots
 from .linalg import bareiss_determinant, fraction_free_nullspace
 from .operators import (Certificate, RecurrenceOperator,
@@ -152,14 +156,38 @@ def _gosper_degree_bound(a_kp, bm1_kp, deg_p):
 # ---------------------------------------------------------------------------
 
 
+def _gosper_ratio(term: HyperTerm, r: int) -> RatFunc:
+    """rho_k(n, k) d(k)/d(k+1) in lowest terms, d = prod_{j<r} q(n+j, k).
+
+    With rho_n = p/q, mixed-shift compatibility rho_n(n, k+1) rho_k(n, k) =
+    rho_k(n+1, k) rho_n(n, k) reads
+
+        q(n, k)/q(n, k+1) = rho_k(n+1, k)/rho_k(n, k) * p(n, k)/p(n, k+1),
+
+    so over j < r the quotients of rho_k telescope:
+
+        rho_k d(k)/d(k+1) = rho_k(n+r, k) prod_{j<r} p(n+j, k)/p(n+j, k+1).
+
+    The right side is formed unreduced and normalized once.  For
+    binom(n, k)^s, p has no k, so the product is a common factor in Z[n].
+    """
+    num = term.rho_k.num.compose_shift(r, 0)
+    den = term.rho_k.den.compose_shift(r, 0)
+    for j in range(r):
+        p = term.rho_n.num.compose_shift(j, 0)
+        num, den = num * p, den * p.compose_shift(0, 1)
+    return RatFunc(num, den)
+
+
+
 def _solve_at_order(term: HyperTerm, r: int):
     """Try to telescope at exactly order r.
 
     Returns (operator, certificate) or None when the linear system has no
     solution with a nonzero operator part.
     """
-    d, u_polys = shift_quotient_numerators(term, r)
-    ratio = term.rho_k * RatFunc(d, d.compose_shift(0, 1))
+    d, u_polys = shift_quotient_products(term, r)
+    ratio = _gosper_ratio(term, r)
     A, B, C = _gosper_normal_form(ratio.num.coeffs, ratio.den.coeffs)
     Bm1 = kp_shift_k(B, -1)
     cu = [kp_mul(C, u.coeffs) for u in u_polys]
@@ -215,12 +243,16 @@ def zeilberger(term: HyperTerm, r_max: int, *, verify: bool = True):
 
     Orders 1..r_max are tried in turn; raises TelescoperNotFoundError when
     none admits a telescoper.  With verify=True (the default) the returned
-    pair has already passed the exact certificate identity check.
+    pair has already passed the exact certificate identity check.  A term
+    with a zero quotient, or with quotients that fail mixed-shift
+    compatibility (which _gosper_ratio relies on), raises ValueError.
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     if term.rho_n.is_zero or term.rho_k.is_zero:
         raise ValueError("degenerate term: a shift quotient is zero")
+    if not term.is_compatible():
+        raise ValueError("shift quotients fail mixed-shift compatibility")
     tried = []
     for r in range(1, r_max + 1):
         tried.append(r)

@@ -1,0 +1,27 @@
+"""The shift quotients before the product formula, kept as the oracle:
+each a(n+i, k)/a(n, k) brought to lowest terms by the RatFunc constructor,
+and the reduced denominators joined by their lcm."""
+
+from franel.bipoly import BiPoly, RatFunc, poly_gcd
+
+
+def _bipoly_lcm(polys):
+    acc = BiPoly.const(1)
+    for p in polys:
+        g = poly_gcd(acc, p)
+        acc = acc * p.divexact(g)
+    c = acc.content_int()
+    if c > 1:
+        acc = acc.divexact(BiPoly.const(c))
+    return acc if acc.lc_grlex() > 0 else -acc
+
+
+def reference_shift_quotients(term, order):
+    """(d, [u_0, .., u_order]) with a(n+i, k)/a(n, k) = u_i/d, d the lcm."""
+    p, q = term.rho_n.num, term.rho_n.den
+    sigmas = [RatFunc.one()]
+    for i in range(order):
+        sigmas.append(RatFunc(sigmas[-1].num * p.compose_shift(i, 0),
+                              sigmas[-1].den * q.compose_shift(i, 0)))
+    d = _bipoly_lcm([sig.den for sig in sigmas])
+    return d, [sig.num * d.divexact(sig.den) for sig in sigmas]

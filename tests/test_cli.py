@@ -99,6 +99,17 @@ def test_telescope_verify_cycle(env, tmp_path, capsys):
     assert run(["verify", "--in", str(tmp_path / "missing.json")]) == 2
 
 
+def test_verify_rejects_a_boolean_power(env, tmp_path, capsys):
+    # read as s = 1, the s = 3 document would fail with MISMATCH (exit 1)
+    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+    doc = json.loads((refs / "operator-s3.json").read_text())
+    doc["s"] = True
+    bad = tmp_path / "bool-s.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--in", str(bad)]) == 2
+    assert "error: invalid document" in capsys.readouterr().err
+
+
 def test_telescope_not_found_exit_3(env):
     assert run(["telescope", "--s", "3", "--r-max", "1"]) == 3
 

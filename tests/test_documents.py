@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from franel.hyperterm import binom_power_term
 from franel.intpoly import IntPoly
 from franel.operators import Certificate, RecurrenceOperator
 from franel.telescoper import zeilberger
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
 
 
 def rand_operator(rng):
@@ -116,6 +119,34 @@ def test_parse_rejects_bad_documents():
     # sanity: the pristine document still parses
     parse_operator_document(raw)
     assert doc["schema_version"] == 1
+
+
+def _frozen(s):
+    return json.loads((REFS / ("operator-s%d.json" % s)).read_bytes())
+
+
+def test_parse_rejects_json_booleans_and_numbers():
+    # True == 1 in Python, so a bare comparison reads "s": true as s = 1
+    def rejected(s, edit):
+        doc = _frozen(s)
+        edit(doc)
+        with pytest.raises(DocumentError):
+            parse_operator_document(json.dumps(doc).encode())
+
+    rejected(3, lambda d: d.update(s=True))
+    rejected(3, lambda d: d.update(s=3.0))
+    rejected(1, lambda d: d.update(order=True))
+    rejected(3, lambda d: d.update(schema_version=True))
+    rejected(3, lambda d: d["certificate"]["num"][0].__setitem__(1, True))
+    rejected(3, lambda d: d["certificate"]["den"][0].__setitem__(2, 1.0))
+    for coefficient in (1, True, 1.5, None, " 8", "+8", "8_0", "\u0668",
+                        "-", ""):
+        rejected(3, lambda d: d["coeffs"][0].__setitem__(0, coefficient))
+        rejected(3, lambda d: d["certificate"]["num"][0].__setitem__(
+            0, coefficient))
+    for s in (1, 2, 3):
+        assert parse_operator_document(
+            json.dumps(_frozen(s)).encode())[0] == s
 
 
 def test_tool_version_matches_package():

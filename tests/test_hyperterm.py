@@ -5,9 +5,12 @@ import pytest
 
 from franel.bipoly import BiPoly, RatFunc
 from franel.hyperterm import (HyperTerm, apery_zeta3_term, binom_power_term,
-                              from_quotients, operator_ratio, term_eval)
+                              from_quotients, operator_ratio,
+                              shift_quotient_products, term_eval)
 from franel.intpoly import IntPoly
 from franel.operators import RecurrenceOperator
+
+from reference_hyperterm import reference_shift_quotients
 
 N = BiPoly.var_n()
 K = BiPoly.var_k()
@@ -37,6 +40,19 @@ def test_compatibility_invariant():
     for s in range(1, 9):
         assert binom_power_term(s).is_compatible()
     assert apery_zeta3_term().is_compatible()
+
+
+def test_shift_quotient_products_equal_the_reduced_reference():
+    # nothing cancels for these terms, so the product formula gives the
+    # lcm and the numerators over it exactly
+    for s in range(1, 9):
+        term = binom_power_term(s)
+        for order in range(1, 5):
+            assert shift_quotient_products(term, order) == \
+                reference_shift_quotients(term, order)
+    for order in range(1, 4):
+        assert shift_quotient_products(apery_zeta3_term(), order) == \
+            reference_shift_quotients(apery_zeta3_term(), order)
 
 
 def test_from_quotients_rejects_incompatible():
@@ -104,8 +120,8 @@ def test_operator_ratio_linearity():
     combined = RecurrenceOperator.from_raw(
         (p1.coeffs[0] + p2.coeffs[0], p1.coeffs[1] + p2.coeffs[1]))
     lhs = operator_ratio(combined, term)
-    rhs = operator_ratio(p1, term) + operator_ratio(p2, term)
-    assert lhs == rhs
+    a, b = operator_ratio(p1, term), operator_ratio(p2, term)
+    assert lhs.num * a.den * b.den == (a.num * b.den + b.num * a.den) * lhs.den
 
 
 def test_arbitrary_staircase_paths_inside_support():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,6 +8,7 @@ from franel.limits import (ZETA3_REFERENCE_ERROR, ZETA3_REFERENCE_VALUE,
                            apery_zeta3_limit, asymptotic_ratio,
                            limit_error_sequence, limit_estimate, limit_report,
                            phi, pi_sin_zeta_coeffs, zeta3_reference)
+from franel.sequences import coefficient_row
 
 
 def test_phi_examples():
@@ -64,6 +66,28 @@ def test_limit_report_normalized_targets():
                - z2.to_fraction() / 6) < Fraction(1, 2 ** 200)
     assert abs(by_j[2].normalized_target.to_fraction()
                - z4.to_fraction() * Fraction(81, 336)) < Fraction(1, 2 ** 200)
+
+
+def test_normalizer_is_the_first_row_and_gives_the_closed_forms():
+    pi2, pi4 = pi(256).pow_int(2), pi(256).pow_int(4)
+    for s in range(1, 8):
+        reps = limit_report(s, 4, 3, 256, enforce_theory_range=False)
+        row = coefficient_row(s, 1, 3)
+        assert reps[0].normalized_estimate is None
+        for rep in reps[1:]:
+            j = rep.j
+            assert row[j] == 2 * comb(2 * j + s - 1, 2 * j)
+            assert rep.normalized_estimate.to_fraction() == \
+                (rep.estimate * Fraction(1, row[j])).to_fraction()
+        # zeta(2)/(s+1) and 3(5s+2) zeta(4)/((s+1)(s+2)(s+3)), with the
+        # same rounding as the closed forms
+        closed = (pi2 * Fraction(1, 6 * (s + 1)),
+                  pi4 * Fraction(3 * (5 * s + 2),
+                                 90 * (s + 1) * (s + 2) * (s + 3)))
+        for rep, want in zip(reps[1:], closed):
+            assert rep.normalized_target.to_fraction() == want.to_fraction()
+            assert rep.normalized_target.error_fraction() == \
+                want.error_fraction()
 
 
 def test_limit_report_range_guard():

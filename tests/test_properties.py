@@ -1,13 +1,19 @@
 """Property tests: packed Kronecker products agree with schoolbook ones, the
-modular coprimality proof agrees with the integer gcd it replaced, and the
+modular coprimality proof agrees with the integer gcd it replaced, the
 forward elimination agrees with the Gauss-Jordan and row-swapping
-determinant it replaced."""
+determinant it replaced, and the document parser rejects a damaged
+document only with DocumentError."""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from franel.bipoly import (_KP_KRONECKER_CUTOFF, SPECIALIZATION_POINTS,
                            _coprime_by_specialization, kp_deg, kp_gcd,
                            kp_mul)
+from franel.documents import parse_operator_document
+from franel.errors import DocumentError
 from franel.intpoly import IntPoly, mul_kronecker, poly_gcd_int
 from franel.linalg import bareiss_determinant, fraction_free_nullspace
 
@@ -148,3 +154,41 @@ def test_forward_elimination_nullspace_matches_gauss_jordan(matrix):
 @hypothesis.given(poly_matrices(square=True))
 def test_forward_elimination_determinant_matches_row_swapping(matrix):
     assert bareiss_determinant(matrix) == reference_determinant(matrix, 1, 0)
+
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-64, 64), st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-64, 64), st.text(max_size=3)),
+             max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-64, 64), max_size=2))
+
+
+def _paths(node, prefix=()):
+    """Every key path below the root of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(st.data())
+def test_parser_raises_only_document_error(data):
+    s = data.draw(st.integers(1, 3))
+    doc = json.loads((REFS / ("operator-s%d.json" % s)).read_bytes())
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(json_values)
+    try:
+        parse_operator_document(json.dumps(doc).encode())
+    except DocumentError:
+        pass

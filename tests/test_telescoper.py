@@ -9,8 +9,9 @@ from franel.bipoly import BiPoly, RatFunc, kp_deg
 from franel.documents import (document_bytes, operator_document,
                               parse_operator_document)
 from franel.errors import TelescoperNotFoundError
-from franel.hyperterm import (apery_zeta3_term, binom_power_term,
-                              operator_numerator, operator_ratio)
+from franel.hyperterm import (HyperTerm, apery_zeta3_term, binom_power_term,
+                              from_quotients, operator_numerator,
+                              operator_ratio, shift_quotient_products)
 from franel.intpoly import IntPoly, integer_roots
 from franel.operators import (Certificate, RecurrenceOperator,
                               apply_operator, normalize_operator_coeffs)
@@ -21,6 +22,7 @@ from franel.telescoper import (analyze_structure, certificate_residual,
                                first_valid_row, verify_certificate,
                                zeilberger)
 
+from reference_hyperterm import reference_shift_quotients
 from reference_linalg import reference_determinant
 
 N = BiPoly.var_n()
@@ -190,9 +192,8 @@ def test_documents_match_frozen_references(telescoped, monkeypatch):
 
 
 def test_operator_ratio_is_the_certificate_difference(telescoped):
-    # (P a)/a from the shared assembly equals R(n, k+1) rho_k - R(n, k);
-    # from s = 4 on only by cross multiplication, because building the
-    # right side with RatFunc arithmetic takes seconds at s = 5
+    # (P a)/a from the shared assembly equals R(n, k+1) rho_k - R(n, k),
+    # by cross multiplication
     for s in range(1, 6):
         op, cert, _ = telescoped[s]
         term = binom_power_term(s)
@@ -202,8 +203,6 @@ def test_operator_ratio_is_the_certificate_difference(telescoped):
         qn, qd = term.rho_k.num, term.rho_k.den
         assert lhs.num * (rd1 * qd * rd) == \
             lhs.den * (rn1 * qn * rd - rn * qd * rd1)
-        if s <= 3:
-            assert lhs == cert.ratio.shift(0, 1) * term.rho_k - cert.ratio
 
 
 def test_annihilates_direct_sums():
@@ -302,14 +301,12 @@ def test_operator_invariants_enforced():
 
 
 def test_degenerate_term_rejected():
-    from franel.hyperterm import HyperTerm
     bad = HyperTerm(RatFunc.zero(), RatFunc.one())
     with pytest.raises(ValueError):
         zeilberger(bad, 2)
 
 
 def _weighted_binomial_term():
-    from franel.hyperterm import from_quotients
     rho_n = RatFunc(N + 1, N + 1 - K)
     rho_k = RatFunc((N - K) * (K + 2), (K + 1) * (K + 1))
     return from_quotients(
@@ -348,18 +345,32 @@ def test_order_four_seventh_power(monkeypatch):
     assert_matches_frozen_document(7, op, cert, monkeypatch)
 
 
-def test_even_slice_binomial_has_nonzero_first_valid_row():
-    # a(n, k) = binom(2n, 2k): the row sums are 2^(2n-1) only from n = 1,
-    # and the certificate denominator announces that through its factor n
-    from franel.hyperterm import from_quotients
+def _even_slice_term():
     rho_n = RatFunc((2 * N + 1) * (2 * N + 2),
                     (2 * N + 1 - 2 * K) * (2 * N + 2 - 2 * K))
     rho_k = RatFunc((2 * N - 2 * K) * (2 * N - 2 * K - 1),
                     (2 * K + 1) * (2 * K + 2))
-    term = from_quotients(
+    return from_quotients(
         rho_n, rho_k, "binom(2n,2k)",
         lambda n, k: Fraction(comb(2 * n, 2 * k)) if 0 <= k <= n
         else Fraction(0))
+
+
+def _binomial_times_linear_term():
+    # a(n, k) = binom(n, k) (n+k+1): p(n, k) = (n+1)(n+k+2) shares the
+    # factor n+k+2 with q(n+1, k) = (n+2-k)(n+k+2)
+    rho_n = RatFunc((N + 1) * (N + K + 2), (N + 1 - K) * (N + K + 1))
+    rho_k = RatFunc((N - K) * (N + K + 2), (K + 1) * (N + K + 1))
+    return from_quotients(
+        rho_n, rho_k, "binom(n,k)*(n+k+1)",
+        lambda n, k: Fraction(comb(n, k) * (n + k + 1)) if 0 <= k <= n
+        else Fraction(0))
+
+
+def test_even_slice_binomial_has_nonzero_first_valid_row():
+    # a(n, k) = binom(2n, 2k): the row sums are 2^(2n-1) only from n = 1,
+    # and the certificate denominator announces that through its factor n
+    term = _even_slice_term()
     op, cert = zeilberger(term, 2)
     assert op.coeffs == (IntPoly.const(-4), IntPoly.const(1))
     assert assert_residual_matches_reference(term, op, cert, False).is_zero
@@ -567,3 +578,68 @@ def test_dispersion_determinants_are_univariate(monkeypatch):
     op, _ = zeilberger(binom_power_term(5), 3)
     assert op.order == 3
     assert calls
+
+
+def test_shift_quotient_products_of_quotient_terms_equal_the_reference():
+    for term in (_weighted_binomial_term(), _even_slice_term()):
+        for order in range(1, 4):
+            assert shift_quotient_products(term, order) == \
+                reference_shift_quotients(term, order)
+
+
+def test_product_denominator_may_exceed_the_lcm():
+    term = _binomial_times_linear_term()
+    d, us = shift_quotient_products(term, 2)
+    ref_d, ref_us = reference_shift_quotients(term, 2)
+    assert d.deg_n == 4 and ref_d.deg_n == 3
+    for order in range(1, 4):
+        d, us = shift_quotient_products(term, order)
+        ref_d, ref_us = reference_shift_quotients(term, order)
+        for u, ref_u in zip(us, ref_us):
+            assert u * ref_d == ref_u * d
+
+
+def test_binomial_times_linear_telescopes_as_before():
+    # sum_k binom(n, k)(n+k+1) = 2^(n-1) (3n+2)
+    term = _binomial_times_linear_term()
+    op, cert = zeilberger(term, 3)
+    assert op.coeffs == (IntPoly((-10, -6)), IntPoly((2, 3)))
+    assert cert.ratio == RatFunc(
+        -K * (3 * N * N + 3 * N * K + 5 * N + 5 * K + 1),
+        (N + 1 - K) * (N + 1 + K))
+    assert assert_residual_matches_reference(term, op, cert, True).is_zero
+    seq = [Fraction(2) ** (n - 1) * (3 * n + 2) for n in range(12)]
+    for n in range(11):
+        assert apply_operator(op, seq, n) == 0
+
+
+def test_gosper_ratio_is_the_reduced_product(monkeypatch):
+    # the ratio handed to the normal form at order r is rho_k d(k)/d(k+1)
+    # in lowest terms, d the common denominator of the shift quotients
+    seen = []
+    normal_form = telescoper._gosper_normal_form
+
+    def capture(q, r):
+        seen.append((BiPoly.from_kpoly(q), BiPoly.from_kpoly(r)))
+        return normal_form(q, r)
+
+    monkeypatch.setattr(telescoper, "_gosper_normal_form", capture)
+    terms = [binom_power_term(s) for s in range(1, 6)] + [
+        apery_zeta3_term(), _weighted_binomial_term(), _even_slice_term(),
+        _binomial_times_linear_term()]
+    for term in terms:
+        seen.clear()
+        op, _ = zeilberger(term, 3, verify=False)
+        assert len(seen) == op.order
+        for r, (q, rr) in enumerate(seen, start=1):
+            d, _ = shift_quotient_products(term, r)
+            expected = RatFunc(term.rho_k.num * d,
+                               term.rho_k.den * d.compose_shift(0, 1))
+            assert (q, rr) == (expected.num, expected.den)
+
+
+def test_incompatible_term_rejected():
+    bad = HyperTerm(RatFunc(N + 1, N + 1 - K), RatFunc(N + K, K + 1))
+    assert not bad.is_compatible()
+    with pytest.raises(ValueError):
+        zeilberger(bad, 2)
