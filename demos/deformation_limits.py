@@ -16,7 +16,7 @@ print(f"deformed sums for s = {s}:")
 for n in range(5):
     d = deformed(s, n, J=2)
     print(f"  n={n}: " + " + ".join(
-        f"({d.coefficient(j)}) t^{2 * j}" for j in range(3)))
+        f"({d[2 * j]}) t^{2 * j}" for j in range(3)))
 print("(odd coefficients are checked to vanish on every construction)\n")
 
 table = coefficient_table(s, n_max=8, J=1)

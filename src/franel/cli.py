@@ -109,8 +109,7 @@ def cmd_compute(args) -> int:
         print("error: --n-max and --J must be nonnegative", file=sys.stderr)
         return _EXIT_USAGE
     table = coefficient_table(args.s, args.n_max, args.J)
-    fmt = args.format or ("json" if args.json else "text")
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "schema_version": 1,
             "s": table.s,
@@ -218,9 +217,6 @@ def cmd_limits(args) -> int:
     if args.s < 1:
         print("error: --s must be a positive integer", file=sys.stderr)
         return _EXIT_USAGE
-    if args.precision_bits < 64:
-        print("error: --precision-bits must be at least 64", file=sys.stderr)
-        return _EXIT_USAGE
     if args.n_max < 2 or args.J < 0:
         print("error: --n-max must be at least 2 and --J nonnegative",
               file=sys.stderr)
@@ -275,9 +271,6 @@ def cmd_asym(args) -> int:
     if args.n < 1 or args.s < 1:
         print("error: --s and --n must be positive", file=sys.stderr)
         return _EXIT_USAGE
-    if args.precision_bits < 64:
-        print("error: --precision-bits must be at least 64", file=sys.stderr)
-        return _EXIT_USAGE
     ratio = asymptotic_ratio(args.s, args.n, args.precision_bits)
     deviation = abs(ratio - 1)
     print("ratio       %s" % ratio.decimal(30))
@@ -305,15 +298,32 @@ def cmd_demo_apery(args) -> int:
     return _EXIT_OK
 
 
+def _precision_bits(text: str) -> int:
+    """The parser type of --precision-bits: an integer of at least 64."""
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
+    if bits < 64:
+        raise argparse.ArgumentTypeError("must be at least 64, not %d" % bits)
+    return bits
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    common.add_argument("--out", help="write output to this path")
-    common.add_argument("--cache-dir",
-                        help="cache directory (default $FRANEL_CACHE_DIR "
-                             "or ~/.cache/franel)")
-    common.add_argument("--precision-bits", type=int, default=256)
+    # each subcommand takes only the flags it reads; argparse rejects the rest
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           help="machine-readable output")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to this path")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache-dir",
+                       help="cache directory (default $FRANEL_CACHE_DIR "
+                            "or ~/.cache/franel)")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision-bits", type=_precision_bits,
+                           default=256, help="at least 64 (default 256)")
 
     parser = argparse.ArgumentParser(
         prog="franel",
@@ -322,26 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", parents=[common],
+    p = sub.add_parser("compute", parents=[out],
                        help="tabulate the deformation coefficient sequences")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--J", type=int, default=0)
-    p.add_argument("--format", choices=["json", "text"])
+    p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("telescope", parents=[common],
+    p = sub.add_parser("telescope", parents=[json_flag, out, cache],
                        help="find and verify the telescoping operator")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--r-max", type=int, required=True)
     p.set_defaults(func=cmd_telescope)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="verify an operator document exactly")
+    p = sub.add_parser("verify", help="verify an operator document exactly")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("limits", parents=[common],
+    p = sub.add_parser("limits", parents=[json_flag, out, precision],
                        help="limit estimates against exact targets")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
@@ -350,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow J beyond the guaranteed range")
     p.set_defaults(func=cmd_limits)
 
-    p = sub.add_parser("asym", parents=[common],
+    p = sub.add_parser("asym", parents=[precision],
                        help="growth-formula ratio check")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_asym)
 
-    p = sub.add_parser("demo-apery", parents=[common],
+    p = sub.add_parser("demo-apery", parents=[precision],
                        help="the classical zeta(3) convergents")
     p.add_argument("--n-max", type=int, required=True)
     p.set_defaults(func=cmd_demo_apery)

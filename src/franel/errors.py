@@ -12,7 +12,7 @@ class ExactDivisionError(FranelError):
 
 
 class NonInvertibleSeriesError(FranelError):
-    """Series inversion attempted on a series with zero constant term."""
+    """Series inversion attempted on a series whose constant term is not 1."""
 
 
 class PoleError(FranelError):

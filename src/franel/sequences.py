@@ -11,9 +11,11 @@ over the one common scale L^span.  Over that scale, multiplying by (c + t)
 is out_i = c*g_i + g_{i-1} and dividing by (d - t) is
 h_i = (g_i + h_{i-1}) / d: steps by small integers only, each quotient
 exact and its remainder asserted, as is the final division of coefficient
-i back to L^i, which checks the L^i bound itself.  The even
-t-coefficients are the sequences whose ratios converge to the deformation
-limits; the odd ones must vanish identically and are asserted, not skipped.
+i back to L^i, which checks the L^i bound itself.  The bracket's power and
+inverse come from `franel.series`; its constant term is 1, so neither
+divides and both stay in the integers.  The even t-coefficients are the
+sequences whose ratios converge to the deformation limits; the odd ones
+must vanish identically and are asserted, not skipped.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .operators import RecurrenceOperator, apply_operator
-from .series import TruncSeries
+from .series import series_inv, series_pow
 
 
 def franel(s: int, n: int) -> int:
@@ -68,25 +70,8 @@ def _deformed_numerators(s: int, n: int, span: int):
     for j in range(1, n + 1):
         step = scale // j
         br = [b + step * prev for b, prev in zip(br, [0] + br[:-1])]
-    # g = bracket**(-s): power then invert (constant term is 1)
-    power = [0] * size
-    power[0] = 1
-    e = s
-    base = br
-    while e:
-        if e & 1:
-            power = _scaled_conv(power, base, size)
-        e >>= 1
-        if e:
-            base = _scaled_conv(base, base, size)
-    g = [0] * size
-    g[0] = 1
-    for i in range(1, size):
-        acc = 0
-        for m in range(1, i + 1):
-            if power[m]:
-                acc += power[m] * g[i - m]
-        g[i] = -acc
+    # g = bracket**(-s)
+    g = series_inv(series_pow(br, s))
     # lift coefficient i from L^i to the common scale L^span
     lift = [scale ** (span - i) for i in range(size)]
     g = [gi * li for gi, li in zip(g, lift)]
@@ -115,39 +100,12 @@ def _deformed_numerators(s: int, n: int, span: int):
     return acc, scale
 
 
-def _scaled_conv(a, b, size: int):
-    out = [0] * size
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(size - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-
-@dataclass(frozen=True)
-class DeformedSeries:
-    s: int
-    n: int
-    series: TruncSeries
-
-    def __post_init__(self):
-        for i in range(1, self.series.truncation_order + 1, 2):
-            if self.series[i] != 0:
-                raise AssertionError(
-                    "odd coefficient t^%d of the deformed sum is nonzero" % i)
-
-    def coefficient(self, j: int) -> Fraction:
-        """The coefficient of t^(2j)."""
-        return self.series[2 * j]
-
-
-def deformed(s: int, n: int, J: int) -> DeformedSeries:
-    """The deformed sum as a series through t^(2J+1).
+def deformed(s: int, n: int, J: int) -> tuple:
+    """The deformed sum's coefficients of t^0 .. t^(2J+1), as Fractions.
 
     The truncation order is odd on purpose: the slot past the last even
-    coefficient must come out exactly zero, which is checked on
-    construction along with the t^0 coefficient against the direct sum.
+    coefficient must come out exactly zero.  Every odd slot is asserted to
+    vanish, and the t^0 coefficient to equal the direct sum.
     """
     if s < 1:
         raise ValueError("the power s must be a positive integer")
@@ -155,17 +113,19 @@ def deformed(s: int, n: int, J: int) -> DeformedSeries:
         raise ValueError("n and J must be nonnegative")
     span = 2 * J + 1
     acc, scale = _deformed_numerators(s, n, span)
-    coeffs = [Fraction(acc[i], scale ** i) for i in range(span + 1)]
-    ds = DeformedSeries(s, n, TruncSeries(coeffs))
-    if ds.series[0] != franel(s, n):
+    coeffs = tuple(Fraction(acc[i], scale ** i) for i in range(span + 1))
+    for i in range(1, span + 1, 2):
+        if coeffs[i] != 0:
+            raise AssertionError(
+                "odd coefficient t^%d of the deformed sum is nonzero" % i)
+    if coeffs[0] != franel(s, n):
         raise AssertionError("constant term disagrees with the direct sum")
-    return ds
+    return coeffs
 
 
 def coefficient_row(s: int, n: int, J: int):
     """(A_0(n), .., A_J(n)): the even coefficients of deformed(s, n, J)."""
-    series = deformed(s, n, J).series
-    return tuple(series[2 * j] for j in range(J + 1))
+    return deformed(s, n, J)[::2]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
-"""Truncated power series in t with exact rational coefficients.
+"""Truncated power series in t as plain coefficient lists.
 
-A series carries coefficients for t^0 .. t^T where T is the truncation
-order; arithmetic never reads or produces coefficients beyond T.  Both even
-and odd slots are always stored, so parity claims about computed series are
-genuine checks rather than assumptions baked into the representation.
+A series is a list of its coefficients of t^0 .. t^T, ints or Fractions
+alike; every routine truncates at the length of its (first) argument, so it
+never reads or produces a coefficient beyond T.  Even and odd slots are
+both stored, so parity claims about computed series are genuine checks
+rather than assumptions baked into the representation.
+
+The inverse is taken only of a series with constant term 1: its recursion
+then never divides, so an integer series has an integer inverse.  The power
+and the inverse keep the type of the input's constant term.
 """
 
 from __future__ import annotations
@@ -14,129 +19,48 @@ from math import factorial
 from .errors import NonInvertibleSeriesError
 
 
-class TruncSeries:
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
-        if not cs:
-            raise ValueError("a truncated series needs at least the t^0 slot")
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls([Fraction(0)] * (order + 1))
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "TruncSeries(%s)" % ", ".join(str(c) for c in self.coeffs)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order >= self.truncation_order:
-            return self
-        return TruncSeries(self.coeffs[:order + 1])
-
-    # arithmetic; mixed orders truncate to the shorter operand
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            cs = list(self.coeffs)
-            cs[0] += other
-            return TruncSeries(cs)
-        t = min(self.truncation_order, other.truncation_order)
-        return TruncSeries([self.coeffs[i] + other.coeffs[i]
-                            for i in range(t + 1)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            cs = list(self.coeffs)
-            cs[0] -= other
-            return TruncSeries(cs)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries([c * other for c in self.coeffs])
-        t = min(self.truncation_order, other.truncation_order)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (t + 1)
-        for i in range(min(len(a) - 1, t) + 1):
-            ai = a[i]
-            if ai:
-                for j in range(min(len(b) - 1, t - i) + 1):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-        return TruncSeries(out)
-
-    __rmul__ = __mul__
+def series_mul(a, b):
+    """The product a*b truncated at len(a)."""
+    size = len(a)
+    out = [0] * size
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b[:size - i]):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
 
 
-def series_inv(f: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse up to the truncation order of f."""
-    if f.coeffs[0] == 0:
-        raise NonInvertibleSeriesError(
-            "series with zero constant term has no inverse")
-    t = f.truncation_order
-    c0 = f.coeffs[0]
-    out = [Fraction(0)] * (t + 1)
-    out[0] = 1 / c0
-    for i in range(1, t + 1):
-        acc = Fraction(0)
-        for m in range(1, i + 1):
-            if f.coeffs[m]:
-                acc += f.coeffs[m] * out[i - m]
-        out[i] = -acc / c0
-    return TruncSeries(out)
-
-
-def series_pow(f: TruncSeries, s: int) -> TruncSeries:
-    """f**s at the truncation order of f, for an integer s >= 0."""
-    if s < 0:
+def series_pow(a, e: int):
+    """a**e truncated at len(a), for an integer e >= 0, by squaring."""
+    if e < 0:
         raise ValueError("series_pow expects a nonnegative exponent")
-    result = TruncSeries.one(f.truncation_order)
-    base = f
-    e = s
+    result = [a[0] ** 0] + [0] * (len(a) - 1)
     while e:
         if e & 1:
-            result = result * base
+            result = series_mul(result, a)
         e >>= 1
         if e:
-            base = base * base
+            a = series_mul(a, a)
     return result
 
 
-def sin_t_over_t(order: int) -> TruncSeries:
-    """The series of sin(t)/t truncated at the given order."""
-    cs = [Fraction(0)] * (order + 1)
-    for i in range(0, order + 1, 2):
-        cs[i] = Fraction((-1) ** (i // 2), factorial(i + 1))
-    return TruncSeries(cs)
+def series_inv(a):
+    """1/a truncated at len(a), for a series with constant term 1."""
+    if a[0] != 1:
+        raise NonInvertibleSeriesError(
+            "series_inv needs constant term 1, not %s" % a[0])
+    g = [a[0]]
+    for i in range(1, len(a)):
+        acc = 0
+        for m in range(1, i + 1):
+            if a[m]:
+                acc += a[m] * g[i - m]
+        g.append(-acc)
+    return g
+
+
+def sin_t_over_t(order: int):
+    """The series of sin(t)/t through t^order, as Fractions."""
+    return [Fraction((-1) ** (i // 2), factorial(i + 1)) if i % 2 == 0
+            else Fraction(0) for i in range(order + 1)]

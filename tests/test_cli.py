@@ -207,6 +207,53 @@ def test_limits_bad_precision(env):
                 "--precision-bits", "16"]) == 2
 
 
+def test_precision_below_64_exits_2(env, capsys):
+    # one parser type checks the flag for all three subcommands
+    for argv in (["limits", "--s", "3", "--n-max", "30"],
+                 ["asym", "--s", "3", "--n", "10"],
+                 ["demo-apery", "--n-max", "5"]):
+        for bits in ("4", "0", "63", "many"):
+            assert run(argv + ["--precision-bits", bits]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "--precision-bits" in err
+
+
+# every (subcommand, flag) pair that the subcommand does not read
+_UNREAD_FLAGS = {
+    "compute": ["--json", "--cache-dir", "--precision-bits"],
+    "telescope": ["--precision-bits"],
+    "verify": ["--json", "--out", "--cache-dir", "--precision-bits"],
+    "limits": ["--cache-dir"],
+    "asym": ["--json", "--out", "--cache-dir"],
+    "demo-apery": ["--json", "--out", "--cache-dir"],
+}
+_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+_REQUIRED = {
+    "compute": ["--s", "3", "--n-max", "2"],
+    "telescope": ["--s", "1", "--r-max", "1"],
+    "verify": ["--in", str(_REFS / "operator-s1.json")],
+    "limits": ["--s", "3", "--n-max", "4"],
+    "asym": ["--s", "3", "--n", "10"],
+    "demo-apery": ["--n-max", "3"],
+}
+
+
+def test_unread_flags_exit_2(env, tmp_path, monkeypatch, capsys):
+    # a path-valued flag that were accepted would leave a file behind
+    monkeypatch.chdir(tmp_path)
+    values = {"--json": [], "--precision-bits": ["256"]}
+    for command, flags in _UNREAD_FLAGS.items():
+        for flag in flags:
+            argv = [command] + _REQUIRED[command] + [flag] \
+                + values.get(flag, ["x"])
+            assert run(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "unrecognized arguments: " + flag in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_asym(env, capsys):
     assert run(["asym", "--s", "1", "--n", "100"]) == 0
     out = capsys.readouterr().out

@@ -1,0 +1,43 @@
+"""Byte-for-byte outputs of the sequence commands, frozen in tests/golden/.
+
+Each file is the stdout of `python -m franel.cli` with the arguments listed
+next to its name; regenerate one with, for example,
+
+    PYTHONPATH=src python -m franel.cli asym --s 5 --n 2000 \\
+        > tests/golden/asym-s5-n2000.txt
+
+but only when an output is meant to change.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from franel import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "compute-s5-n40-J2.json":
+        "compute --s 5 --n-max 40 --J 2 --format json",
+    "compute-s5-n40-J2.txt":
+        "compute --s 5 --n-max 40 --J 2 --format text",
+    "limits-s5-n300-J2.json": "limits --s 5 --n-max 300 --J 2 --json",
+    "limits-s5-n300-J2.txt": "limits --s 5 --n-max 300 --J 2",
+    "limits-s5-n300-J3-force-1024.json":
+        "limits --s 5 --n-max 300 --J 3 --J-force --precision-bits 1024 "
+        "--json",
+    "asym-s5-n2000.txt": "asym --s 5 --n 2000",
+    "demo-apery-n40-512.txt": "demo-apery --n-max 40 --precision-bits 512",
+}
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_equals_golden(name, capsys):
+    assert cli.main(CASES[name].split()) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -1,10 +1,12 @@
 """Property tests: packed Kronecker products agree with schoolbook ones, the
 modular coprimality proof agrees with the integer gcd it replaced, the
 forward elimination agrees with the Gauss-Jordan and row-swapping
-determinant it replaced, and the document parser rejects a damaged
-document only with DocumentError."""
+determinant it replaced, the document parser rejects a damaged
+document only with DocumentError, and the truncated-series inverse and
+power agree with the product."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from franel.documents import parse_operator_document
 from franel.errors import DocumentError
 from franel.intpoly import IntPoly, mul_kronecker, poly_gcd_int
 from franel.linalg import bareiss_determinant, fraction_free_nullspace
+from franel.series import series_inv, series_mul, series_pow
 
 from reference_linalg import reference_determinant, reference_nullspace
 
@@ -192,3 +195,30 @@ def test_parser_raises_only_document_error(data):
         parse_operator_document(json.dumps(doc).encode())
     except DocumentError:
         pass
+
+
+# series with constant term 1, over the integers and over the rationals:
+# the two coefficient types the deformed sums and phi feed the routines
+unit_series = st.one_of(
+    st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=9).map(
+        lambda tail: [1] + tail),
+    st.lists(st.fractions(max_denominator=50).filter(lambda q: abs(q) < 100),
+             max_size=9).map(lambda tail: [Fraction(1)] + tail))
+
+
+@hypothesis.settings(deadline=None, max_examples=100)
+@hypothesis.given(unit_series)
+def test_series_inv_is_an_inverse(a):
+    inv = series_inv(a)
+    assert series_mul(a, inv) == [1] + [0] * (len(a) - 1)
+    assert type(inv[0]) is type(a[0])
+
+
+@hypothesis.settings(deadline=None, max_examples=100)
+@hypothesis.given(unit_series, st.integers(0, 9))
+def test_series_pow_is_repeated_mul(a, e):
+    by_mul = [a[0]] + [0] * (len(a) - 1)
+    for _ in range(e):
+        by_mul = series_mul(by_mul, a)
+    assert series_pow(a, e) == by_mul
+    assert type(series_pow(a, e)[0]) is type(a[0])
