@@ -21,9 +21,9 @@ from .limits import (LimitReport, PhiTable, apery_zeta3_limit,
                      asymptotic_ratio, limit_error_sequence, limit_estimate,
                      limit_report, phi, pi_sin_zeta_coeffs, zeta3_reference)
 from .operators import Certificate, RecurrenceOperator, apply_operator
-from .sequences import (AnnihilationReport, AperyPair, SequenceTable,
-                        annihilation_check, apery_zeta3, coefficient_row,
-                        coefficient_table, deformed, franel)
+from .sequences import (AperyPair, SequenceTable, apery_zeta3,
+                        coefficient_row, coefficient_rows, coefficient_table,
+                        deformed, franel)
 from .series import series_inv, series_mul, series_pow, sin_t_over_t
 from .telescoper import (StructureReport, analyze_structure,
                          certificate_residual, expected_coefficient_degree,
@@ -41,9 +41,9 @@ __all__ = [
     "apery_zeta3_limit", "asymptotic_ratio", "limit_error_sequence",
     "limit_estimate", "limit_report", "phi", "pi_sin_zeta_coeffs",
     "zeta3_reference", "Certificate", "RecurrenceOperator", "apply_operator",
-    "AnnihilationReport", "AperyPair", "SequenceTable", "annihilation_check",
-    "apery_zeta3", "coefficient_row", "coefficient_table", "deformed",
-    "franel", "series_inv", "series_mul", "series_pow", "sin_t_over_t",
+    "AperyPair", "SequenceTable", "apery_zeta3", "coefficient_row",
+    "coefficient_rows", "coefficient_table", "deformed", "franel",
+    "series_inv", "series_mul", "series_pow", "sin_t_over_t",
     "StructureReport", "analyze_structure", "certificate_residual",
     "expected_coefficient_degree", "expected_certificate_denominator",
     "expected_order", "first_valid_row", "verify_certificate", "zeilberger",

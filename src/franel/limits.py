@@ -15,7 +15,7 @@ from typing import Optional
 
 from .bernoulli import bernoulli
 from .bigfloat import BigFloat, pi
-from .sequences import coefficient_row, franel, apery_zeta3
+from .sequences import apery_zeta3, coefficient_rows, franel
 from .series import series_inv, series_pow, sin_t_over_t
 
 # Independent reference for zeta(3) = sum 1/k^3, computed before this
@@ -80,7 +80,8 @@ def limit_estimate(s: int, j: int, n: int,
     """A_j(n) / A_0(n) as an exact rational, rounded once at the end."""
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
-    return _row_ratio(coefficient_row(s, n, j), j, precision_bits)
+    (row,) = coefficient_rows(s, j, n, n)
+    return _row_ratio(row, j, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,7 @@ def limit_report(s: int, n_max: int, J: int, precision_bits: int = 256,
                          "not guaranteed")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    row_prev = coefficient_row(s, n_max - 1, J)
-    row_cur = coefficient_row(s, n_max, J)
+    row_prev, row_cur = coefficient_rows(s, J, n_max - 1, n_max)
     phis = phi(s, J)
     pi_val = pi(precision_bits)
     reports = []
@@ -142,11 +142,9 @@ def limit_error_sequence(s: int, j: int, n_from: int, n_to: int,
     """[(n, |A_j(n)/A_0(n) - phi_j pi^(2j)|)] over a window of n."""
     phis = phi(s, j)
     target = pi(precision_bits).pow_int(2 * j) * phis[j]
-    out = []
-    for n in range(n_from, n_to + 1):
-        est = _row_ratio(coefficient_row(s, n, j), j, precision_bits)
-        out.append((n, abs(est - target)))
-    return out
+    rows = coefficient_rows(s, j, n_from, n_to)
+    return [(n, abs(_row_ratio(row, j, precision_bits) - target))
+            for n, row in zip(range(n_from, n_to + 1), rows)]
 
 
 def asymptotic_ratio(s: int, n: int, precision_bits: int = 256) -> BigFloat:

@@ -16,16 +16,64 @@ inverse come from `franel.series`; its constant term is 1, so neither
 divides and both stay in the integers.  The even t-coefficients are the
 sequences whose ratios converge to the deformation limits; the odd ones
 must vanish identically and are asserted, not skipped.
+
+Rows by recursion.  A creative-telescoping operator for binom(n, k)^s also
+annihilates every A_j with 2j < s (arXiv 2112.09576, "Sums of powers of
+binomials, their Apery limits, and Franel's suspicions").  The argument,
+for one verified operator sum_i c_i(n) N^i of order r with certificate
+R = num/den:
+
+- Gamma(1-t) Gamma(1+t) = pi t / sin(pi t) turns the deformed term into
+  a(n, k, t) = (pi t / sin pi t)^s F(n, k-t), with
+  F(n, x) = (Gamma(n+1) / (Gamma(x+1) Gamma(n-x+1)))^s, which is
+  binom(n, x)^s through Gamma.  So A(n, t) = (pi t / sin pi t)^s
+  sum_{k=0..n} F(n, k-t).
+- The verified identity sum_i c_i(n) F(n+i, k) = G(n, k+1) - G(n, k),
+  G = R F, is a rational identity in the shift quotients of F, which F
+  obeys as a meromorphic function of x.  At an integer n where den(n, x)
+  is not identically zero in x it therefore holds at x = k - t for all
+  but finitely many t.  Summed over k = -1..n+r it telescopes to
+  sum_i c_i(n) sum_{k=-1..n+r} F(n+i, k-t)
+      = G(n, n+r+1-t) - G(n, -1-t),
+  an identity of functions analytic at t = 0 when the boundary terms
+  below have no pole there (F is entire in x), so of their t-series.
+- A term with k < 0 or k > n+i is O(t^s), because 1/Gamma vanishes at
+  the nonpositive integers: 1/Gamma(-t) = O(t), and 1/Gamma(n+i-k+1+t)
+  = O(t) for k > n+i.  The two boundary terms are O(t^s) for the same
+  reason, provided R has no pole there, that is den(n, -1) != 0 and
+  den(n, n+r+1) != 0.  A factor of den in n alone vanishes in both, so
+  these two also imply that den(n, x) is not identically zero, which is
+  what `first_valid_row` checks.
+- Hence sum_i c_i(n) A(n+i, t) = (pi t / sin pi t)^s O(t^s) = O(t^s),
+  and sum_i c_i(n) A_j(n+i) = 0 for every 2j < s at every n with
+  den(n, -1) den(n, n+r+1) != 0.
+
+`recursion_start` checks this per operator: it builds the two univariate
+polynomials den(n, -1) and den(n, n+r+1), takes their nonnegative integer
+roots, and adds those of c_r, so that every step past the start both holds
+and can be solved for its last row.  Annihilation is claimed only from
+where that check ran.
+
+Which path runs is one rule on the request alone, `recursion_pays`; no
+option selects it and nothing is remembered between calls.  Rows below
+the start plus r come from `deformed`; later rows come from forward
+recursion on the integers A_j(n) L^(2j), L = lcm(1..n_max), a scale the
+L^i bound above proves sufficient, with every division by c_r(n) exact and
+checked, and the last row's head checked against `franel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
-from .operators import RecurrenceOperator, apply_operator
+from .errors import TelescoperNotFoundError
+from .hyperterm import binom_power_term
+from .intpoly import IntPoly, integer_roots
+from .operators import Certificate, RecurrenceOperator
 from .series import series_inv, series_pow
+from .telescoper import zeilberger
 
 
 def franel(s: int, n: int) -> int:
@@ -145,54 +193,138 @@ class SequenceTable:
 def coefficient_table(s: int, n_max: int, J: int) -> SequenceTable:
     """Exact deformation coefficients for 0 <= n <= n_max, 0 <= j <= J.
 
-    Each row comes from :func:`deformed`, which checks its odd slots and
-    its head against the direct sum.
+    The rows come from :func:`coefficient_rows`.
     """
     if J < 0 or n_max < 0:
         raise ValueError("n_max and J must be nonnegative")
-    rows = tuple(coefficient_row(s, n, J) for n in range(n_max + 1))
-    return SequenceTable(s, J, rows)
+    return SequenceTable(s, J, tuple(coefficient_rows(s, J, 0, n_max)))
 
 
-@dataclass(frozen=True)
-class AnnihilationReport:
-    s: int
-    j_max: int
-    n_from: int
-    n_to: int
-    violations: tuple  # (j, n, exact residue) triples
-    first_zero_run_start: tuple  # per j: first n with zero residues onward
-
-    @property
-    def all_zero(self) -> bool:
-        return not self.violations
+# the modelled cost in seconds: a direct row n takes about
+# n (step + w (term + digit n)) with w = s (J+1), the k-steps times the
+# series work per step on numbers of about n digits; the order ceil(s/2)
+# solve for binom(n, k)^s takes about solve 3^s.  Fitted to one-run
+# timings of direct rows and of solves for s = 1..8 (2 cores, Python 3.11.7)
+_DIRECT_STEP_S = 2.2e-6
+_DIRECT_TERM_S = 1.9e-6
+_DIRECT_DIGIT_S = 1.2e-8
+_SOLVE_S = 4e-4
 
 
-def annihilation_check(s: int, op: RecurrenceOperator, j_max: int,
-                       n_from: int, n_to: int) -> AnnihilationReport:
-    """Apply the operator to every coefficient sequence A_j, j <= j_max.
+def recursion_pays(s: int, J: int, rows) -> bool:
+    """Whether the rows asked for are cheaper by recursion than directly.
 
-    Residues are exact rationals; any nonzero residue is reported as data
-    together with the first n from which the residues stay zero through
-    n_to (None when they never settle).
+    False when 2J >= s, where the operator need not annihilate A_J;
+    otherwise whether the modelled cost of computing each row directly
+    exceeds that of one solve.  A predicate on (s, J, rows) alone.
     """
-    if n_from < 0 or n_to < n_from:
-        raise ValueError("need 0 <= n_from <= n_to")
-    table = coefficient_table(s, n_to + op.order, j_max)
-    violations = []
-    first_zero = []
-    for j in range(j_max + 1):
-        seq = [table.entry(n, j) for n in range(n_to + op.order + 1)]
-        last_bad = None
-        for n in range(n_from, n_to + 1):
-            residue = apply_operator(op, seq, n)
-            if residue != 0:
-                violations.append((j, n, residue))
-                last_bad = n
-        first_zero.append(n_from if last_bad is None
-                          else (last_bad + 1 if last_bad < n_to else None))
-    return AnnihilationReport(s, j_max, n_from, n_to, tuple(violations),
-                              tuple(first_zero))
+    if 2 * J >= s:
+        return False
+    w = s * (J + 1)
+    direct = sum(n * (_DIRECT_STEP_S + w * (_DIRECT_TERM_S
+                                            + _DIRECT_DIGIT_S * n))
+                 for n in rows)
+    return direct > _SOLVE_S * 3 ** s
+
+
+def _at_k(den_kpoly, k: IntPoly) -> IntPoly:
+    """A k-poly with k replaced by a polynomial in n, by Horner's rule."""
+    acc = IntPoly()
+    for c in reversed(den_kpoly):
+        acc = acc * k + c
+    return acc
+
+
+def recursion_start(op: RecurrenceOperator,
+                    cert: Certificate) -> int | None:
+    """Least n0 such that, for every n >= n0, the operator annihilates
+    each A_j with 2j < s at n and c_r(n) != 0; None when a boundary
+    denominator vanishes identically in n.
+
+    The roots checked are those of den(n, -1), den(n, n+r+1) and c_r(n);
+    the module docstring gives the argument.
+    """
+    r = op.order
+    den = cert.ratio.den.coeffs
+    roots = []
+    for poly in (_at_k(den, IntPoly.const(-1)),
+                 _at_k(den, IntPoly([r + 1, 1])), op.coeffs[r]):
+        if poly.is_zero:
+            return None
+        roots.extend(x for x in integer_roots(poly) if x >= 0)
+    return max(roots) + 1 if roots else 0
+
+
+def recursion_rows(s: int, J: int, n_from: int, n_to: int,
+                   op: RecurrenceOperator, start: int):
+    """Rows n_from..n_to from a verified operator whose annihilation of
+    A_0..A_J is proved from n = start on (see `recursion_start`).
+
+    Rows below start + r come from :func:`coefficient_row`; each later row
+    m solves c_r(n) X(m) = -sum_{i<r} c_i(n) X(n+i), n = m - r, on the
+    integers X_j = A_j L^(2j), L = lcm(1..n_to).  Only the last r rows are
+    kept.
+    """
+    r = op.order
+    seed_end = start + r
+    scales = [lcm_upto(n_to) ** (2 * j) for j in range(J + 1)]
+    window = []
+    for m in range(min(seed_end, n_to + 1)):
+        if m < start and m < n_from:
+            continue
+        row = coefficient_row(s, m, J)
+        if m >= start:
+            ints = [a * sc for a, sc in zip(row, scales)]
+            if any(x.denominator != 1 for x in ints):
+                raise AssertionError("row %d is not integral over L^(2j)"
+                                     % m)
+            window.append([x.numerator for x in ints])
+        if m >= n_from:
+            yield row
+    for m in range(seed_end, n_to + 1):
+        n = m - r
+        cs = [c.eval_int(n) for c in op.coeffs]
+        lead = cs[r]
+        new = []
+        for j in range(J + 1):
+            acc = 0
+            for i in range(r):
+                acc -= cs[i] * window[i][j]
+            q, rem = divmod(acc, lead)
+            if rem:
+                raise AssertionError("inexact recursion step at n=%d" % m)
+            new.append(q)
+        window = window[1:] + [new]
+        if m == n_to and new[0] != franel(s, m):
+            raise AssertionError("recursion head disagrees with the direct "
+                                 "sum at n=%d" % m)
+        if m >= n_from:
+            yield tuple(Fraction(x, sc) for x, sc in zip(new, scales))
+
+
+def coefficient_rows(s: int, J: int, n_from: int, n_to: int):
+    """Rows (A_0(n), .., A_J(n)) for n = n_from..n_to: the one row source.
+
+    When `recursion_pays`, the order ceil(s/2) telescoper of binom(n, k)^s
+    is solved and verified, and `recursion_rows` runs from its proven
+    start; otherwise, or when the solve or the start check fails, every
+    row comes from :func:`coefficient_row`.  Returns an iterator, empty
+    when n_to < n_from.
+    """
+    if s < 1:
+        raise ValueError("the power s must be a positive integer")
+    if J < 0 or n_from < 0:
+        raise ValueError("n_from and J must be nonnegative")
+    if recursion_pays(s, J, range(n_from, n_to + 1)):
+        try:
+            op, cert = zeilberger(binom_power_term(s), (s + 1) // 2)
+        except TelescoperNotFoundError:
+            pass
+        else:
+            start = recursion_start(op, cert)
+            if start is not None:
+                return recursion_rows(s, J, n_from, n_to, op, start)
+    return (coefficient_row(s, n, J) for n in range(n_from, n_to + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +341,15 @@ class AperyPair:
 
 
 def _apery_a_direct(n: int) -> int:
-    return sum((comb(n, k) * comb(n + k, k)) ** 2 for k in range(n + 1))
+    """sum_k (binom(n, k) binom(n+k, k))^2, the product stepped by its
+    ratio (n-k)(n+k+1)/(k+1)^2, an exact division as the next product is
+    an integer."""
+    total = 0
+    p = 1
+    for k in range(n + 1):
+        total += p * p
+        p = p * (n - k) * (n + k + 1) // ((k + 1) * (k + 1))
+    return total
 
 
 def apery_zeta3(n_max: int) -> list:

@@ -12,11 +12,11 @@ from franel.hyperterm import binom_power_term
 from franel.limits import (ZETA3_REFERENCE_ERROR, ZETA3_REFERENCE_VALUE,
                            asymptotic_ratio, limit_error_sequence,
                            limit_report, phi, pi_sin_zeta_coeffs)
-from franel.sequences import (annihilation_check, apery_zeta3, deformed,
-                              franel)
+from franel.sequences import apery_zeta3, deformed, franel
 from franel.telescoper import (analyze_structure, expected_coefficient_degree,
                                expected_order, first_valid_row,
                                verify_certificate, zeilberger)
+from reference_sequences import annihilation_check
 
 
 def _report(num: int, ok: bool, detail: str):

@@ -5,10 +5,10 @@ from math import comb, lcm
 import pytest
 
 from franel.hyperterm import binom_power_term
-from franel.sequences import (annihilation_check, apery_zeta3,
-                              coefficient_row, coefficient_table, deformed,
-                              franel, lcm_upto)
+from franel.sequences import (apery_zeta3, coefficient_row,
+                              coefficient_table, deformed, franel, lcm_upto)
 from franel.telescoper import zeilberger
+from reference_sequences import annihilation_check
 
 
 def brute_deformed(s, n, J):
