@@ -22,9 +22,10 @@ from .documents import (TOOL_VERSION, document_bytes, operator_document,
 from .errors import DocumentError, TelescoperNotFoundError
 from .hyperterm import binom_power_term
 from .limits import asymptotic_ratio, limit_report, zeta3_reference
-from .sequences import apery_zeta3, coefficient_table
-from .telescoper import (analyze_structure, certificate_residual,
-                         first_valid_row, verify_certificate, zeilberger)
+from .sequences import apery_zeta3, coefficient_table, minimality_certificate
+from .telescoper import (analyze_structure, certificate_mismatch,
+                         expected_order, first_valid_row, solve_at_order,
+                         verify_certificate, zeilberger)
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
@@ -127,6 +128,15 @@ def cmd_compute(args) -> int:
     return _write_output(data, args.out)
 
 
+def _minimality_block(proof) -> dict | None:
+    """The `minimality` block of `telescope`; None when the order rests on
+    the ascending search."""
+    if proof is None:
+        return None
+    return {"m": proof.m, "N": proof.N, "roots": list(proof.roots),
+            "W": _frac_str(proof.W)}
+
+
 def cmd_telescope(args) -> int:
     if args.s < 1 or args.r_max < 1:
         print("error: --s and --r-max must be positive", file=sys.stderr)
@@ -135,28 +145,42 @@ def cmd_telescope(args) -> int:
     cache_path = cache_dir / ("telescope-s%d-v%s.json"
                               % (args.s, TOOL_VERSION))
     term = binom_power_term(args.s)
-    data = op = cert = None
+    data = op = cert = minimality = None
     if cache_path.exists():
         try:
             raw = cache_path.read_bytes()
             s_doc, op_c, cert_c, _ = parse_operator_document(raw)
+            # an entry is used only with its minimality certified
             if s_doc == args.s and op_c.order <= args.r_max \
                     and verify_certificate(term, op_c, cert_c):
-                data, op, cert = raw, op_c, cert_c
+                minimality = minimality_certificate(args.s, op_c, cert_c)
+                if minimality is not None:
+                    data, op, cert = raw, op_c, cert_c
         except (DocumentError, OSError) as exc:
             print("warning: ignoring corrupt cache entry: %s" % exc,
                   file=sys.stderr)
     if data is None:
-        try:
-            op, cert = zeilberger(term, args.r_max, verify=False)
-        except TelescoperNotFoundError as exc:
-            print("no telescoping operator up to order %d (tried %s)"
-                  % (args.r_max, list(exc.orders_tried)), file=sys.stderr)
-            return _EXIT_NOT_FOUND
-        if not verify_certificate(term, op, cert):
-            print("internal error: certificate failed exact verification",
-                  file=sys.stderr)
-            return _EXIT_INTERNAL
+        # order ceil(s/2) first; its Casoratian certificate makes the lower
+        # orders redundant.  Without the certificate the ascending search
+        # runs, and the minimality block is null.
+        m = expected_order(args.s)
+        found = solve_at_order(term, m) if args.r_max >= m else None
+        if found is not None and verify_certificate(term, *found):
+            minimality = minimality_certificate(args.s, *found)
+        if minimality is not None:
+            op, cert = found
+        else:
+            try:
+                op, cert = zeilberger(term, args.r_max, verify=False)
+            except TelescoperNotFoundError as exc:
+                print("no telescoping operator up to order %d (tried %s)"
+                      % (args.r_max, list(exc.orders_tried)),
+                      file=sys.stderr)
+                return _EXIT_NOT_FOUND
+            if not verify_certificate(term, op, cert):
+                print("internal error: certificate failed exact "
+                      "verification", file=sys.stderr)
+                return _EXIT_INTERNAL
         doc = operator_document(args.s, op, cert, args.r_max)
         data = document_bytes(doc)
         try:
@@ -181,6 +205,7 @@ def cmd_telescope(args) -> int:
         "denominator_integer_roots_in_n":
             list(report.integer_roots_of_denominator_in_n),
         "first_valid_row": first_valid_row(report),
+        "minimality": _minimality_block(minimality),
         "cached_document": str(cache_path),
     }
     if args.json:
@@ -203,13 +228,17 @@ def cmd_verify(args) -> int:
     except DocumentError as exc:
         print("error: invalid document: %s" % exc, file=sys.stderr)
         return _EXIT_USAGE
-    term = binom_power_term(s)
-    residual = certificate_residual(term, op, cert)
-    if residual.is_zero:
+    # the verdict of verify_certificate, with the degrees of a nonzero
+    # residual; the residual is never reduced
+    mismatch = certificate_mismatch(binom_power_term(s), op, cert)
+    if mismatch is None:
         print("certificate verifies exactly (s=%d, order %d)"
               % (s, op.order))
         return _EXIT_OK
-    print("certificate MISMATCH; residual = %r" % residual)
+    (num_n, num_k), (den_n, den_k) = mismatch
+    print("certificate MISMATCH; unreduced residual: numerator of degree "
+          "%d in n, %d in k; denominator of degree %d in n, %d in k"
+          % (num_n, num_k, den_n, den_k))
     return _EXIT_VERIFY_FAILED
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Optional
 
-from .bernoulli import bernoulli
 from .bigfloat import BigFloat, pi
 from .sequences import apery_zeta3, coefficient_rows, franel
 from .series import series_inv, series_pow, sin_t_over_t
@@ -50,24 +49,6 @@ def phi(s: int, J: int) -> PhiTable:
         raise ValueError("J must be nonnegative")
     series = series_pow(series_inv(sin_t_over_t(2 * J)), s)
     return PhiTable(s, tuple(series[2 * j] for j in range(J + 1)))
-
-
-def pi_sin_zeta_coeffs(J: int) -> tuple:
-    """Rationals r_j with [t^(2j)] (pi t / sin(pi t)) = r_j * pi^(2j).
-
-    The coefficient equals (2 - 2^(2-2j)) zeta(2j), and zeta(2j) is the
-    classical Bernoulli multiple of pi^(2j); combining the two yields an
-    exact rational.
-    """
-    if J < 0:
-        raise ValueError("J must be nonnegative")
-    table = bernoulli(2 * J)
-    out = [Fraction(1)]
-    for j in range(1, J + 1):
-        zeta_ratio = (Fraction((-1) ** (j + 1)) * table[2 * j]
-                      * 2 ** (2 * j) / (2 * factorial(2 * j)))
-        out.append((2 - Fraction(2) ** (2 - 2 * j)) * zeta_ratio)
-    return tuple(out)
 
 
 def _row_ratio(row, j: int, precision_bits: int) -> BigFloat:

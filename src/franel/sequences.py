@@ -68,12 +68,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import TelescoperNotFoundError
 from .hyperterm import binom_power_term
 from .intpoly import IntPoly, integer_roots
+from .linalg import bareiss_determinant
 from .operators import Certificate, RecurrenceOperator
 from .series import series_inv, series_pow
-from .telescoper import zeilberger
+from .telescoper import expected_order, solve_at_order, verify_certificate
 
 
 def franel(s: int, n: int) -> int:
@@ -255,6 +255,86 @@ def recursion_start(op: RecurrenceOperator,
     return max(roots) + 1 if roots else 0
 
 
+def _integer_row(row, scales, n: int) -> list:
+    """The row (A_0(n), .., A_J(n)) times scales[j] = L^(2j), L = lcm(1..M)
+    for some M >= n, as integers; the L^i bound says they are."""
+    ints = [a * sc for a, sc in zip(row, scales)]
+    if any(x.denominator != 1 for x in ints):
+        raise AssertionError("row %d is not integral over L^(2j)" % n)
+    return [x.numerator for x in ints]
+
+
+@dataclass(frozen=True)
+class MinimalityCertificate:
+    """W(N) != 0 and the Abel step at N, for the Casoratian
+    W(n) = det[A_j(n+i)]_{i,j<m}; see `minimality_certificate`."""
+
+    m: int
+    N: int
+    roots: tuple  # the nonnegative integer roots of c_0 c_m
+    W: Fraction  # W(N)
+
+
+def minimality_certificate(s: int, op: RecurrenceOperator,
+                           cert: Certificate) -> MinimalityCertificate | None:
+    """Certify that no creative-telescoping recurrence for sum_k
+    binom(n, k)^s has order below m = ceil(s/2), from one verified
+    telescoper (op, cert) of order m; None when the certificate fails.
+
+    arXiv 2112.09576 proves this weak Franel bound for recurrences
+    "obtained via creative telescoping": such a recurrence also annihilates
+    A_1, .., A_{m-1}, and the limits phi_j pi^(2j) of A_j(n)/A_0(n) are
+    linearly independent over Q because pi is transcendental, so the m
+    sequences are too.  Here their independence is certified instead from
+    the sequences and the operator, exactly and in finitely many steps:
+
+    - By `recursion_start`, op = sum_{i<=m} c_i(n) N^i annihilates
+      A_0, .., A_{m-1} (2j < s for j < m) at every n >= start.
+    - There the Casoratian obeys Abel's identity
+      c_m(n) W(n+1) = (-1)^m c_0(n) W(n): in W(n+1) the last row
+      A(n+m) is -sum_{i<m} c_i(n) A(n+i) / c_m(n), only i = 0 survives,
+      and moving that row to the top takes m - 1 swaps.
+    - With N >= start past every nonnegative integer root of c_0 c_m,
+      W(N) != 0 therefore gives W(n) != 0 for every n >= N, and the A_j
+      are linearly independent over Q on every tail.
+    - A recurrence of order r < m whose leading coefficient is nonzero on a
+      tail has an r-dimensional solution space there, so it cannot
+      annihilate all m of them on any tail.
+
+    The bound holds exactly as far as the module docstring's argument
+    reaches, which is its hypothesis: the recurrence comes from a
+    telescoper whose certificate den(n, k) is not identically zero on the
+    line k = -1 nor on the line k = n + r + 1, so that it annihilates the
+    A_j on a tail.  Recurrences that do not come from creative telescoping
+    (the full Franel conjecture) are not covered.
+
+    W(N) and W(N+1) are computed from `coefficient_row`, scaled to
+    integers column by column by L^(2j), at N = max(start, 1 + each root);
+    W(N) must be nonzero and the Abel step at N must hold exactly, which
+    rejects an operator that does not annihilate the rows there.
+    """
+    m = expected_order(s)
+    start = recursion_start(op, cert)
+    if op.order != m or start is None or op.coeffs[0].is_zero:
+        return None
+    c0, cm = op.coeffs[0], op.coeffs[m]
+    roots = tuple(sorted({x for c in (c0, cm) for x in integer_roots(c)
+                          if x >= 0}))
+    N = max((start,) + tuple(x + 1 for x in roots))
+    scale = lcm_upto(N + m)
+    scales = [scale ** (2 * j) for j in range(m)]
+    rows = [[IntPoly.const(x) for x in
+             _integer_row(coefficient_row(s, n, m - 1), scales, n)]
+            for n in range(N, N + m + 1)]
+    w_n = bareiss_determinant(rows[:m]).eval_int(0)
+    w_next = bareiss_determinant(rows[1:]).eval_int(0)
+    if w_n == 0 or cm.eval_int(N) * w_next != \
+            (-1) ** m * c0.eval_int(N) * w_n:
+        return None
+    return MinimalityCertificate(m, N, roots,
+                                 Fraction(w_n, scale ** (m * (m - 1))))
+
+
 def recursion_rows(s: int, J: int, n_from: int, n_to: int,
                    op: RecurrenceOperator, start: int):
     """Rows n_from..n_to from a verified operator whose annihilation of
@@ -274,11 +354,7 @@ def recursion_rows(s: int, J: int, n_from: int, n_to: int,
             continue
         row = coefficient_row(s, m, J)
         if m >= start:
-            ints = [a * sc for a, sc in zip(row, scales)]
-            if any(x.denominator != 1 for x in ints):
-                raise AssertionError("row %d is not integral over L^(2j)"
-                                     % m)
-            window.append([x.numerator for x in ints])
+            window.append(_integer_row(row, scales, m))
         if m >= n_from:
             yield row
     for m in range(seed_end, n_to + 1):
@@ -306,24 +382,22 @@ def coefficient_rows(s: int, J: int, n_from: int, n_to: int):
     """Rows (A_0(n), .., A_J(n)) for n = n_from..n_to: the one row source.
 
     When `recursion_pays`, the order ceil(s/2) telescoper of binom(n, k)^s
-    is solved and verified, and `recursion_rows` runs from its proven
-    start; otherwise, or when the solve or the start check fails, every
-    row comes from :func:`coefficient_row`.  Returns an iterator, empty
-    when n_to < n_from.
+    is solved at that order alone and verified, and `recursion_rows` runs
+    from its proven start; otherwise, or when the solve, the verification
+    or the start check fails, every row comes from :func:`coefficient_row`.
+    Returns an iterator, empty when n_to < n_from.
     """
     if s < 1:
         raise ValueError("the power s must be a positive integer")
     if J < 0 or n_from < 0:
         raise ValueError("n_from and J must be nonnegative")
     if recursion_pays(s, J, range(n_from, n_to + 1)):
-        try:
-            op, cert = zeilberger(binom_power_term(s), (s + 1) // 2)
-        except TelescoperNotFoundError:
-            pass
-        else:
-            start = recursion_start(op, cert)
+        term = binom_power_term(s)
+        found = solve_at_order(term, expected_order(s))
+        if found is not None and verify_certificate(term, *found):
+            start = recursion_start(*found)
             if start is not None:
-                return recursion_rows(s, J, n_from, n_to, op, start)
+                return recursion_rows(s, J, n_from, n_to, found[0], start)
     return (coefficient_row(s, n, J) for n in range(n_from, n_to + 1))
 
 

@@ -30,8 +30,8 @@ The shift quotients u_i/d and the linear system stay unreduced products.
 Everything is exact; verification never trusts the construction.  It adds
 (P a)/a and R(n, k) over one shared denominator, which for binom(n, k)^s is
 the certificate's own, and checks the identity (P a)/a + R(n, k) =
-R(n, k+1) rho_k by a single cross multiplication; no residual is reduced
-unless it is nonzero.
+R(n, k+1) rho_k by a single cross multiplication; the residual is never
+reduced, and a nonzero one is reported by its degrees.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from .operators import (Certificate, RecurrenceOperator,
                         normalize_operator_coeffs)
 
 __all__ = [
-    "zeilberger", "verify_certificate", "certificate_residual",
+    "zeilberger", "solve_at_order", "verify_certificate",
+    "certificate_mismatch", "certificate_residual",
     "analyze_structure", "StructureReport", "expected_order",
     "expected_coefficient_degree", "expected_certificate_denominator",
 ]
@@ -180,11 +181,12 @@ def _gosper_ratio(term: HyperTerm, r: int) -> RatFunc:
 
 
 
-def _solve_at_order(term: HyperTerm, r: int):
-    """Try to telescope at exactly order r.
+def solve_at_order(term: HyperTerm, r: int):
+    """Try to telescope at exactly order r: the one per-order solve.
 
-    Returns (operator, certificate) or None when the linear system has no
-    solution with a nonzero operator part.
+    Returns (operator, certificate), not yet verified, or None when the
+    linear system has no solution with a nonzero operator part.  The term
+    is taken as valid; `zeilberger` checks it.
     """
     d, u_polys = shift_quotient_products(term, r)
     ratio = _gosper_ratio(term, r)
@@ -256,7 +258,7 @@ def zeilberger(term: HyperTerm, r_max: int, *, verify: bool = True):
     tried = []
     for r in range(1, r_max + 1):
         tried.append(r)
-        found = _solve_at_order(term, r)
+        found = solve_at_order(term, r)
         if found is None:
             continue
         op, cert = found
@@ -273,48 +275,65 @@ def zeilberger(term: HyperTerm, r_max: int, *, verify: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def _identity_sides(term: HyperTerm, op: RecurrenceOperator,
+def _residual_parts(term: HyperTerm, op: RecurrenceOperator,
                     cert: Certificate):
-    """(left, right, bottom, rd1 * qd) with the identity valid iff left ==
-    right, and the residual (left - right) / (bottom * rd1 * qd)."""
+    """(numerator, denominator factors) of the residual, unreduced.
+
+    (P a)/a = lhs_num / lhs_den comes from operator_numerator, R = rn/rd and
+    rho_k = qn/qd.  The sum lhs_num/lhs_den + rn/rd is formed unreduced over
+    one denominator `bottom` (rd itself when lhs_den == rd, as for every
+    binom(n, k)^s and for the Apery term: both are the rising product), and
+    the identity (P a)/a + R(n, k) = R(n, k+1) rho_k becomes one cross
+    multiplication: the numerator top * rd(n, k+1) * qd - rn(n, k+1) * qn *
+    bottom over the denominator bottom * (rd(n, k+1) * qd), whose two
+    factors are returned unmultiplied.
+    """
     lhs_num, lhs_den = operator_numerator(op, term)
     rn, rd = cert.ratio.num, cert.ratio.den
-    # (P a)/a + R(n, k), unreduced; the two denominators are equal for every
-    # binom(n, k)^s and for the Apery term: both are the rising product
     if lhs_den == rd:
         top, bottom = lhs_num + rn, rd
     else:
         top, bottom = lhs_num * rd + rn * lhs_den, lhs_den * rd
     right_den = rd.compose_shift(0, 1) * term.rho_k.den
-    left = top * right_den
-    right = rn.compose_shift(0, 1) * term.rho_k.num * bottom
-    return left, right, bottom, right_den
+    num = top * right_den - rn.compose_shift(0, 1) * term.rho_k.num * bottom
+    return num, (bottom, right_den)
 
 
-def certificate_residual(term: HyperTerm, op: RecurrenceOperator,
-                         cert: Certificate) -> RatFunc:
-    """(P a)/a - (R(n, k+1) rho_k - R(n, k)), exactly; zero iff valid.
+def certificate_mismatch(term: HyperTerm, op: RecurrenceOperator,
+                         cert: Certificate):
+    """None when the telescoping relation holds exactly; otherwise the
+    ((deg_n, deg_k) of the numerator, (deg_n, deg_k) of the denominator) of
+    the residual (P a)/a - (R(n, k+1) rho_k - R(n, k)), unreduced.
 
-    (P a)/a = lhs_num / lhs_den comes from operator_numerator, R = rn/rd and
-    rho_k = qn/qd.  The sum lhs_num/lhs_den + rn/rd is formed unreduced over
-    one denominator `bottom` (rd itself when lhs_den == rd), and the identity
-    (P a)/a + R(n, k) = R(n, k+1) rho_k is checked by one cross
-    multiplication, top * rd(n, k+1) * qd == rn(n, k+1) * qn * bottom.  The
-    residual is brought to lowest terms only when it is nonzero, and its
-    normalized form is canonical, so it does not depend on the denominator
-    the check used.
+    Nothing is reduced and the denominator is never multiplied out: over
+    Z[n, k] the degrees of a product add.
     """
-    left, right, bottom, right_den = _identity_sides(term, op, cert)
-    if left == right:
-        return RatFunc.zero()
-    return RatFunc(left - right, bottom * right_den)
+    num, dens = _residual_parts(term, op, cert)
+    if num.is_zero:
+        return None
+    return ((num.deg_n, num.deg_k),
+            (sum(d.deg_n for d in dens), sum(d.deg_k for d in dens)))
 
 
 def verify_certificate(term: HyperTerm, op: RecurrenceOperator,
                        cert: Certificate) -> bool:
     """Exact identity check of the telescoping relation; never reduces."""
-    left, right, _, _ = _identity_sides(term, op, cert)
-    return left == right
+    return certificate_mismatch(term, op, cert) is None
+
+
+def certificate_residual(term: HyperTerm, op: RecurrenceOperator,
+                         cert: Certificate) -> RatFunc:
+    """(P a)/a - (R(n, k+1) rho_k - R(n, k)) in lowest terms; zero iff valid.
+
+    The test oracle for `certificate_mismatch`: the same unreduced residual
+    (see `_residual_parts`), brought to lowest terms when it is nonzero.
+    Its normalized form is canonical, so it does not depend on the
+    denominator the check used.
+    """
+    num, (bottom, right_den) = _residual_parts(term, op, cert)
+    if num.is_zero:
+        return RatFunc.zero()
+    return RatFunc(num, bottom * right_den)
 
 
 def expected_order(s: int) -> int:

@@ -1,4 +1,6 @@
-"""Bernoulli numbers as exact rationals.
+"""Bernoulli numbers as exact rationals, and the zeta-value route to the
+deformation limits; kept as oracles for `franel.limits.phi` and for the
+Euler-Maclaurin check of the frozen zeta(3).
 
 Convention: B_1 = -1/2 (the one under which sum_{i=0}^{m} C(m+1, i) B_i = 0
 for every m >= 1).
@@ -8,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 
 @dataclass(frozen=True)
@@ -39,3 +41,21 @@ def bernoulli(m_max: int) -> BernoulliTable:
                 acc += comb(m + 1, i) * values[i]
         values.append(-acc / (m + 1))
     return BernoulliTable(tuple(values))
+
+
+def pi_sin_zeta_coeffs(J: int) -> tuple:
+    """Rationals r_j with [t^(2j)] (pi t / sin(pi t)) = r_j * pi^(2j).
+
+    The coefficient equals (2 - 2^(2-2j)) zeta(2j), and zeta(2j) is the
+    classical Bernoulli multiple of pi^(2j); combining the two yields an
+    exact rational.
+    """
+    if J < 0:
+        raise ValueError("J must be nonnegative")
+    table = bernoulli(2 * J)
+    out = [Fraction(1)]
+    for j in range(1, J + 1):
+        zeta_ratio = (Fraction((-1) ** (j + 1)) * table[2 * j]
+                      * 2 ** (2 * j) / (2 * factorial(2 * j)))
+        out.append((2 - Fraction(2) ** (2 - 2 * j)) * zeta_ratio)
+    return tuple(out)

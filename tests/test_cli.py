@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import franel
 from franel import cli
+from franel.documents import bipoly_from_json, bipoly_to_json
 
 
 @pytest.fixture()
@@ -112,6 +114,64 @@ def test_verify_rejects_a_boolean_power(env, tmp_path, capsys):
 
 def test_telescope_not_found_exit_3(env):
     assert run(["telescope", "--s", "3", "--r-max", "1"]) == 3
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    """The r_max of each ascending search `telescope` starts."""
+    calls = []
+    search = cli.zeilberger
+
+    def spy(term, r_max, **kwargs):
+        calls.append(r_max)
+        return search(term, r_max, **kwargs)
+    monkeypatch.setattr(cli, "zeilberger", spy)
+    return calls
+
+
+def test_telescope_solves_order_m_first(env, searches, capsys):
+    want = {"m": 3, "N": 0, "roots": [], "W": "-2350"}
+    for _ in ("solved", "cached"):
+        assert run(["telescope", "--s", "5", "--r-max", "4", "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["order"], summary["minimality"]) == (3, want)
+    assert searches == []
+    # below the order the ascending search runs, as before
+    assert run(["telescope", "--s", "5", "--r-max", "2"]) == 3
+    assert searches == [2]
+
+
+def test_failed_certificate_runs_the_ascending_search(env, tmp_path, searches,
+                                                      monkeypatch, capsys):
+    out = tmp_path / "op.json"
+    assert run(["telescope", "--s", "3", "--r-max", "3",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "minimality_certificate", lambda *a: None)
+    # the cached entry is not used without its certificate either
+    assert run(["telescope", "--s", "3", "--r-max", "3", "--json",
+                "--out", str(tmp_path / "again.json")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["order"], summary["minimality"]) == (2, None)
+    assert searches == [3]
+    assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
+
+
+def test_verify_reports_an_unreduced_residual_quickly(env, tmp_path, capsys):
+    # the s=7 certificate numerator with its constant term lowered by 1;
+    # reducing this residual took about 18 s
+    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+    doc = json.loads((refs / "operator-s7.json").read_text())
+    num = bipoly_from_json(doc["certificate"]["num"])
+    doc["certificate"]["num"] = bipoly_to_json(num - 1)
+    bad = tmp_path / "residual-s7.json"
+    bad.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert run(["verify", "--in", str(bad)]) == 1
+    assert time.perf_counter() - t0 < 10
+    assert capsys.readouterr().out == (
+        "certificate MISMATCH; unreduced residual: numerator of degree 35 "
+        "in n, 35 in k; denominator of degree 56 in n, 63 in k\n")
 
 
 def test_telescope_internal_error_exit_4(env, monkeypatch):

@@ -7,8 +7,10 @@ from franel.bigfloat import pi
 from franel.limits import (ZETA3_REFERENCE_ERROR, ZETA3_REFERENCE_VALUE,
                            apery_zeta3_limit, asymptotic_ratio,
                            limit_error_sequence, limit_estimate, limit_report,
-                           phi, pi_sin_zeta_coeffs, zeta3_reference)
+                           phi, zeta3_reference)
 from franel.sequences import coefficient_row
+
+from reference_bernoulli import pi_sin_zeta_coeffs
 
 
 def test_phi_examples():

@@ -7,20 +7,12 @@ import pytest
 
 from franel import cli, limits, sequences
 from franel.bipoly import BiPoly, RatFunc
-from franel.errors import TelescoperNotFoundError
-from franel.hyperterm import binom_power_term
-from franel.operators import Certificate
+from franel.operators import Certificate, RecurrenceOperator
 from franel.sequences import (_apery_a_direct, coefficient_row,
                               coefficient_rows, recursion_pays,
                               recursion_rows, recursion_start)
-from franel.telescoper import analyze_structure, first_valid_row, zeilberger
-
-
-@pytest.fixture(scope="module")
-def operators():
-    """The verified order ceil(s/2) operator and certificate, s = 1..8."""
-    return {s: zeilberger(binom_power_term(s), (s + 1) // 2)
-            for s in range(1, 9)}
+from franel.telescoper import (analyze_structure, first_valid_row,
+                               solve_at_order)
 
 
 def _crossover(s, J, two_rows):
@@ -37,16 +29,16 @@ def solves(monkeypatch):
     """Counts the solves the row source starts."""
     calls = []
 
-    def spy(term, r_max, **kwargs):
-        calls.append(r_max)
-        return zeilberger(term, r_max, **kwargs)
-    monkeypatch.setattr(sequences, "zeilberger", spy)
+    def spy(term, r):
+        calls.append(r)
+        return solve_at_order(term, r)
+    monkeypatch.setattr(sequences, "solve_at_order", spy)
     return calls
 
 
-def test_recursion_rows_equal_direct_rows(operators):
+def test_recursion_rows_equal_direct_rows(order_m_operators):
     for s in range(1, 9):
-        op, cert = operators[s]
+        op, cert = order_m_operators[s]
         start = recursion_start(op, cert)
         assert start == 0
         r = op.order
@@ -69,8 +61,8 @@ def _crafted(cert, factor):
     return Certificate(RatFunc(cert.ratio.num, cert.ratio.den * factor))
 
 
-def test_start_past_a_boundary_root(operators, monkeypatch):
-    op, cert = operators[3]
+def test_start_past_a_boundary_root(order_m_operators, monkeypatch):
+    op, cert = order_m_operators[3]
     n, k = BiPoly.var_n(), BiPoly.var_k()
     # den(n, -1) gains the factor n - 5; den(n, n+3) gains -9
     crafted = _crafted(cert, n - k - 6)
@@ -87,31 +79,38 @@ def test_start_past_a_boundary_root(operators, monkeypatch):
     assert rows == [coefficient_row(3, m, 1) for m in range(31)]
 
 
-def test_start_covers_first_valid_row(operators):
-    op, cert = operators[3]
+def test_start_covers_first_valid_row(order_m_operators):
+    op, cert = order_m_operators[3]
     crafted = _crafted(cert, BiPoly.var_n() - 3)
     assert first_valid_row(analyze_structure(op, crafted, 3)) == 4
     assert recursion_start(op, crafted) == 4
 
 
-def test_start_refused_when_a_boundary_pole_is_identical(operators,
-                                                        monkeypatch):
-    op, cert = operators[3]
+def test_start_refused_when_a_boundary_pole_is_identical(
+        order_m_operators, monkeypatch):
+    op, cert = order_m_operators[3]
     crafted = _crafted(cert, BiPoly.var_k() + 1)
     assert recursion_start(op, crafted) is None
-    monkeypatch.setattr(sequences, "zeilberger",
-                        lambda term, r_max: (op, crafted))
+    # the crafted certificate is no telescoper; only the start check is
+    # exercised here
+    monkeypatch.setattr(sequences, "solve_at_order",
+                        lambda term, r: (op, crafted))
+    monkeypatch.setattr(sequences, "verify_certificate", lambda *a: True)
     assert list(coefficient_rows(3, 1, 199, 200)) == \
         [coefficient_row(3, n, 1) for n in (199, 200)]
 
 
-def test_failed_solve_falls_back_to_direct_rows(monkeypatch):
-    def fail(term, r_max):
-        raise TelescoperNotFoundError([1])
-    monkeypatch.setattr(sequences, "zeilberger", fail)
+def test_failed_solve_falls_back_to_direct_rows(order_m_operators,
+                                                monkeypatch):
+    # no solution at order m, then one that fails verification
+    op, cert = order_m_operators[3]
+    bumped = RecurrenceOperator((op.coeffs[0] + 1,) + op.coeffs[1:])
     assert recursion_pays(3, 1, [199, 200])
-    assert list(coefficient_rows(3, 1, 199, 200)) == \
-        [coefficient_row(3, n, 1) for n in (199, 200)]
+    for found in (None, (bumped, cert)):
+        monkeypatch.setattr(sequences, "solve_at_order",
+                            lambda term, r, found=found: found)
+        assert list(coefficient_rows(3, 1, 199, 200)) == \
+            [coefficient_row(3, n, 1) for n in (199, 200)]
 
 
 def test_rule_pinned_on_both_sides():

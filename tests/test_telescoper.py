@@ -164,6 +164,7 @@ def test_not_found_carries_orders():
 
 
 def test_minimality_below_expected_order():
+    # cross-checks of `minimality_certificate`, by the ascending search
     for s in (3, 4):
         m = expected_order(s)
         with pytest.raises(TelescoperNotFoundError):
@@ -172,7 +173,8 @@ def test_minimality_below_expected_order():
 
 def test_minimality_survives_a_raised_degree_bound(monkeypatch):
     # "no telescoper below order ceil(s/2)" must not hinge on the Gosper
-    # degree bound: three more degrees of freedom still find nothing
+    # degree bound: three more degrees of freedom still find nothing.  The
+    # certificate proves it without any bound; this search cross-checks it
     bound = telescoper._gosper_degree_bound
 
     def raised(*args):
@@ -185,9 +187,14 @@ def test_minimality_survives_a_raised_degree_bound(monkeypatch):
             zeilberger(binom_power_term(s), (s + 1) // 2 - 1)
 
 
-def test_documents_match_frozen_references(telescoped, monkeypatch):
+def test_documents_match_frozen_references(telescoped, order_m_operators,
+                                           monkeypatch):
     for s in range(1, 7):
         op, cert, _ = telescoped[s]
+        assert_matches_frozen_document(s, op, cert, monkeypatch)
+    # the order-m solve alone, as `telescope` runs it, writes the same
+    for s in range(1, 8):
+        op, cert = order_m_operators[s]
         assert_matches_frozen_document(s, op, cert, monkeypatch)
 
 
@@ -518,7 +525,7 @@ def _generic_dispersion_set(a_kp, b_kp):
 
 
 def _recorded_dispersion_pairs(monkeypatch, terms_and_orders):
-    """The (qhat, rhat) pairs _solve_at_order hands to _dispersion_set."""
+    """The (qhat, rhat) pairs solve_at_order hands to _dispersion_set."""
     pairs = []
     real = telescoper._dispersion_set
 
@@ -529,7 +536,7 @@ def _recorded_dispersion_pairs(monkeypatch, terms_and_orders):
     with monkeypatch.context() as patch:
         patch.setattr(telescoper, "_dispersion_set", record)
         for term, r in terms_and_orders:
-            telescoper._solve_at_order(term, r)
+            telescoper.solve_at_order(term, r)
     return pairs
 
 
