@@ -5,12 +5,50 @@ its pivot among the rows not yet used, and only those rows are updated, by
 (pivot * entry - row_entry * pivot_row_entry) / previous_pivot with the
 division exact by Sylvester's identity.  Rows are never swapped and the
 rows above a pivot are never touched again.  The determinant is the last
-pivot, signed by the order in which rows became pivots; nullspace vectors
-are read off the echelon rows by fraction-free back substitution.
+pivot, signed by the order in which rows became pivots.
+
+The nullspace first removes a triangular block of leading columns by
+substitution, so Bareiss runs only on what is left.
+
+- The prefix.  Take the leading columns 0..b-1 whose last nonzero rows
+  t_0 < t_1 < .. strictly increase; the prefix ends at the first zero
+  column or the first last row that does not rise.  Column i < j is zero
+  below its last row t_i < t_j, so row t_j is zero left of column j: on
+  the rows t_j these columns form a triangular block with the nonzero
+  diagonal l_j = M[t_j][j].  In a Gosper system
+  A(k) f(k+1) - B(k-1) f(k) = C(k) sum_i c_i u_i(k) the column of f_j has
+  k-degree deg(A) + j, or one less when the leading terms cancel, so the
+  prefix is the f-block; l_j is a leading coefficient of A, a constant for
+  binom(n, k)^s with s odd and linear in n for s even.
+- Substitution.  Write y for the unknowns of columns b.. and
+  P_j = prod_{i >= j} l_i.  From j = b-1 down, row t_j gives
+  x_j = Phi_j . y / P_j with Phi_j = -(P_{j+1} M[t_j][b..] + H_{j+1}), where
+  the mixed sum H_a = sum_{i >= a} e_i Phi_i prod_{a <= i' < i} l_i' of the
+  row's entries e_i is formed by Horner's rule over the pivots,
+  H_a = e_a Phi_a + l_a H_{a+1}, so no step divides.
+- The Schur block.  Every other row r, with a its first nonzero entry in
+  the prefix, becomes P_a M[r][b..] + H_a: the row with x_0..x_{b-1}
+  substituted, times P_a.  Stripped of its integer content it is a row of
+  the Schur complement up to a nonzero factor, and `_eliminate` plus
+  fraction-free back substitution give that block's nullspace.  A vector
+  c of it, made primitive, lifts to (prod_{i<j} l_i Phi_j . c for j < b,
+  P_0 c), whose gcd divides P_0, so the strip of the lift starts from P_0.
+  For b = 0 this is plain Bareiss.
+- Rank profile.  The prefix columns are independent, so column b + c of M
+  lies in the span of the columns left of it exactly when column c of the
+  Schur block does.  The free columns are therefore those of Bareiss on M
+  itself: the vector of free column fc is zero at every other free column
+  and right of fc, which fixes it up to a factor in Q(n).  Made primitive
+  in Z[n] it is unique up to sign, and the sign is a contract: the entry
+  at fc, the vector's last nonzero entry, has a positive leading
+  coefficient.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
+from .errors import ExactDivisionError
 from .intpoly import IntPoly, poly_gcd_int
 
 
@@ -60,43 +98,139 @@ def _eliminate(M, ncols):
     return pivots, free, prev
 
 
+def _triangular_prefix(matrix, ncols):
+    """The last nonzero rows t_0 < t_1 < .. of the leading columns."""
+    rows = []
+    for j in range(ncols):
+        t = len(matrix) - 1
+        while t >= 0 and matrix[t][j].is_zero:
+            t -= 1
+        if t < 0 or (rows and t <= rows[-1]):
+            break
+        rows.append(t)
+    return rows
+
+
+def _horner(row, phi, ells, a, width):
+    """H_a = sum_{i >= a} row[i] phi[i] prod_{a <= i' < i} ells[i']."""
+    acc = [IntPoly()] * width
+    for i in range(len(phi) - 1, a - 1, -1):
+        e, ell, vec = row[i], ells[i], phi[i]
+        if e.is_zero:
+            acc = [ell * h for h in acc]
+        else:
+            acc = [ell * h + e * v for h, v in zip(acc, vec)]
+    return acc
+
+
+def _int_content(vec):
+    g = 0
+    for v in vec:
+        g = gcd(g, v.content())
+        if g == 1:
+            break
+    return g
+
+
+def _over_int(vec, c):
+    """vec with every entry divided by the integer c > 0, which divides it."""
+    if c == 1:
+        return vec
+    return [IntPoly(tuple(x // c for x in v.coeffs)) for v in vec]
+
+
+def _primitive(vec, g=IntPoly()):
+    """vec over the gcd in Z[n] of its entries and g, content included.
+
+    The gcd g is built from the entries of least degree up.  An entry that
+    g already divides, by a test division whose quotient is kept, leaves g
+    as it is; once g is a constant only the integer contents of the rest
+    are folded in.  So g divides every entry and the gcd of those it was
+    built from, which makes it the gcd of all.
+    """
+    order = sorted((i for i, v in enumerate(vec) if not v.is_zero),
+                   key=lambda i: vec[i].degree)
+    quotients = {}
+    for pos, i in enumerate(order):
+        if g.degree > 0:
+            try:
+                quotients[i] = vec[i].divexact(g)
+                continue
+            except ExactDivisionError:
+                quotients.clear()  # taken over a g that now shrinks
+        g = poly_gcd_int(g, vec[i])
+        if g.degree == 0:
+            return _over_int(vec, gcd(g.lc, _int_content(
+                vec[j] for j in order[pos + 1:])))
+    return [quotients[i] if i in quotients else v.divexact(g)
+            for i, v in enumerate(vec)]
+
+
 def fraction_free_nullspace(matrix):
     """Right-nullspace basis of a matrix of IntPoly entries over Q(n).
 
-    Returns one content-stripped integer-polynomial vector per free column
-    of the echelon form.  Columns are processed left to right, so the caller
-    controls which unknowns become free by ordering the columns.
+    Returns one primitive integer-polynomial vector per free column of the
+    echelon form, in the order of those columns.  Columns are processed
+    left to right, so the caller controls which unknowns become free by
+    ordering the columns.  The vector of free column fc is zero at the
+    other free columns and right of fc, and its entry at fc has a positive
+    leading coefficient.  The leading triangular block is substituted away
+    first and Bareiss runs on the Schur block (see the module docstring).
 
-    For a free column fc the vector has x_fc = the last pivot, which is the
-    minor det M[R, P] on the pivot rows R and pivot columns P, and zero at
-    the other free columns.  By Cramer's rule every entry of that vector is
-    a minor of M, so it has polynomial entries.  Each echelon row is a
-    combination of rows of M and so vanishes on it; from the last pivot
-    row up, x_p = -(sum_{j>p} U[row][j] x_j) / U[row][p] is therefore an
-    exact division.
+    In the Schur block, with x_fc = the last pivot, every entry is a minor
+    by Cramer's rule.  Each echelon row is a combination of rows and so
+    vanishes on the vector; from the last pivot row up,
+    x_p = -(sum_{j>p} U[row][j] x_j) / U[row][p] is therefore exact.
     """
     if not matrix:
         return []
     ncols = len(matrix[0])
-    M = [list(row) for row in matrix]
-    pivots, free, last = _eliminate(M, ncols)
+    tri = _triangular_prefix(matrix, ncols)
+    b, width = len(tri), ncols - len(tri)
+    ells = [matrix[t][j] for j, t in enumerate(tri)]
+    # dens[j] = P_j = prod_{i >= j} ells[i], with dens[b] = 1
+    dens = [IntPoly.const(1)] * (b + 1)
+    phi = [None] * b
+    for j in range(b - 1, -1, -1):
+        row = matrix[tri[j]]
+        h = _horner(row, phi, ells, j + 1, width)
+        phi[j] = [-(dens[j + 1] * m + x) for m, x in zip(row[b:], h)]
+        dens[j] = dens[j + 1] * ells[j]
+    pivot_rows = set(tri)
+    schur = []
+    for r, row in enumerate(matrix):
+        if r in pivot_rows:
+            continue
+        a = next((i for i in range(b) if not row[i].is_zero), b)
+        h = _horner(row, phi, ells, a, width)
+        srow = [dens[a] * m + x for m, x in zip(row[b:], h)]
+        schur.append(_over_int(srow, _int_content(srow) or 1))
+
+    pivots, free, last = _eliminate(schur, width)
+    # lows[j] = prod_{i < j} ells[i], the factor lifting x_j over P_0
+    lows = [IntPoly.const(1)]
+    for ell in ells:
+        lows.append(lows[-1] * ell)
     basis = []
     for fc in free:
-        vec = [IntPoly() for _ in range(ncols)]
-        vec[fc] = last
+        c = [IntPoly() for _ in range(width)]
+        c[fc] = last
         for prow, pcol in reversed(pivots):
-            row = M[prow]
+            row = schur[prow]
             acc = IntPoly()
-            for j in range(pcol + 1, ncols):
-                if not vec[j].is_zero and not row[j].is_zero:
-                    acc = acc + row[j] * vec[j]
+            for j in range(pcol + 1, width):
+                if not c[j].is_zero and not row[j].is_zero:
+                    acc = acc + row[j] * c[j]
             if not acc.is_zero:
-                vec[pcol] = (-acc).divexact(row[pcol])
-        g = IntPoly()
-        for v in vec:
-            g = poly_gcd_int(g, v)
-        if not (g.degree == 0 and g.lc == 1):
-            vec = [v.divexact(g) for v in vec]
+                c[pcol] = (-acc).divexact(row[pcol])
+        c = _primitive(c)
+        # the gcd of the lift divides that of P_0 c, which is P_0
+        lift = [lows[j] * sum((p * x for p, x in zip(phi[j], c)
+                               if not x.is_zero), IntPoly())
+                for j in range(b)]
+        vec = _primitive(lift + [dens[0] * x for x in c], dens[0])
+        if vec[b + fc].lc < 0:
+            vec = [-v for v in vec]
         basis.append(vec)
     return basis
 

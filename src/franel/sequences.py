@@ -204,11 +204,14 @@ def coefficient_table(s: int, n_max: int, J: int) -> SequenceTable:
 # n (step + w (term + digit n)) with w = s (J+1), the k-steps times the
 # series work per step on numbers of about n digits; the order ceil(s/2)
 # solve for binom(n, k)^s takes about solve 3^s.  Fitted to one-run
-# timings of direct rows and of solves for s = 1..8 (2 cores, Python 3.11.7)
+# timings of direct rows and of solves for s = 1..8 (2 cores, Python 3.11.7);
+# the solve constant was refitted when the nullspace began substituting
+# away the triangular f-block, which made the s = 5..8 solves 0.31-0.36 of
+# their earlier times on one host
 _DIRECT_STEP_S = 2.2e-6
 _DIRECT_TERM_S = 1.9e-6
 _DIRECT_DIGIT_S = 1.2e-8
-_SOLVE_S = 4e-4
+_SOLVE_S = 1.3e-4
 
 
 def recursion_pays(s: int, J: int, rows) -> bool:

@@ -17,9 +17,11 @@ compare coefficients of k in
 which is linear in the c_i and the coefficients of f.  The shifts j that
 the normal form must examine come from a resultant in k taken at one integer
 n; any extra shift it yields is harmless (see _dispersion_set).  The
-resulting system over Z[n] is solved by one forward fraction-free
-elimination and back substitution; a solution with nonzero (c_0, .., c_r)
-yields the operator and the certificate
+resulting system over Z[n] is triangular in the coefficients of f, so the
+nullspace substitutes them away from f_D down and runs fraction-free
+elimination only on the few conditions left on the c_i (see franel.linalg);
+a solution with nonzero (c_0, .., c_r) yields the operator and the
+certificate
 
     R(n, k) = B(k-1) f(k) / (C(k) d(k)).
 

@@ -1,6 +1,8 @@
 """The linear algebra before the shared forward elimination, kept as the
 oracle: a full fraction-free Gauss-Jordan for the nullspace, and a Bareiss
-determinant that pivots on the first nonzero entry and swaps rows."""
+determinant that pivots on the first nonzero entry and swaps rows.  The
+Gauss-Jordan vectors carry the sign of the last pivot; `canonical_signs`
+puts them in the sign `fraction_free_nullspace` promises."""
 
 from franel.intpoly import IntPoly, poly_gcd_int
 
@@ -68,6 +70,16 @@ def reference_nullspace(matrix):
             vec = [v.divexact(g) for v in vec]
         basis.append(vec)
     return basis
+
+
+def canonical_signs(basis):
+    """Each vector negated where the entry at its free column, its last
+    nonzero entry, has a negative leading coefficient."""
+    out = []
+    for vec in basis:
+        last = max(i for i, v in enumerate(vec) if not v.is_zero)
+        out.append(vec if vec[last].lc > 0 else [-v for v in vec])
+    return out
 
 
 def reference_determinant(matrix, one, zero):

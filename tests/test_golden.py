@@ -41,6 +41,15 @@ DIGESTS = {
 }
 
 
+# `telescope --s S --r-max 5 --out FILE` with SOURCE_DATE_EPOCH=0, frozen
+# as the SHA-256 of FILE (112 KB for s=8, 279 KB for s=9).  Tier-1 re-solves
+# s=8; CI re-solves s=9 and verifies the document.
+OPERATOR_DIGESTS = {
+    8: "15c4b10663f82d04dec3e78003dab6f648ffd4826ef63c4357ddf43e74fdd301",
+    9: "e5052705f864d2821d3c6f6b8597d1ab6b9094d8be6a6e4cfedf3642e8d90105",
+}
+
+
 def test_every_golden_file_has_a_case():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
 
@@ -57,3 +66,13 @@ def test_output_digest_equals_golden(argv, capsys):
     assert cli.main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[argv]
+
+
+def test_operator_document_digest_s8(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    out = tmp_path / "operator-s8.json"
+    assert cli.main(["telescope", "--s", "8", "--r-max", "5", "--cache-dir",
+                     str(tmp_path / "cache"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        OPERATOR_DIGESTS[8]

@@ -6,11 +6,13 @@ import pytest
 import franel.telescoper as telescoper
 from franel.bipoly import BiPoly
 from franel.errors import TelescoperNotFoundError
-from franel.hyperterm import binom_power_term
+from franel.hyperterm import apery_zeta3_term, binom_power_term
 from franel.intpoly import IntPoly
-from franel.linalg import bareiss_determinant, fraction_free_nullspace
+from franel.linalg import (_triangular_prefix, bareiss_determinant,
+                           fraction_free_nullspace)
 
-from reference_linalg import reference_determinant, reference_nullspace
+from reference_linalg import (canonical_signs, reference_determinant,
+                              reference_nullspace)
 
 
 def rand_poly(rng, maxdeg=2, maxc=5):
@@ -162,28 +164,75 @@ def test_nullspace_matches_reference_on_structured_matrices():
             nr = nc + rng.randint(1, 3)  # more rows than columns
         matrix = structured_matrix(rng, nr, nc)
         basis = fraction_free_nullspace(matrix)
-        assert basis == reference_nullspace(matrix)
+        assert basis == canonical_signs(reference_nullspace(matrix))
         nullities.add(len(basis))
     assert {0, 1, 2, 3} <= nullities
 
 
-def test_nullspace_matches_reference_on_gosper_systems(monkeypatch):
+def _record_gosper_systems(monkeypatch):
+    """Patches the solver's nullspace to record (order, matrix) pairs."""
     systems = []
     real = telescoper.fraction_free_nullspace
+    order = telescoper.solve_at_order
+
+    def solve(term, r):
+        systems.append((r, None))
+        return order(term, r)
 
     def record(matrix):
-        systems.append([list(row) for row in matrix])
+        systems[-1] = (systems[-1][0], [list(row) for row in matrix])
         return real(matrix)
 
+    monkeypatch.setattr(telescoper, "solve_at_order", solve)
     monkeypatch.setattr(telescoper, "fraction_free_nullspace", record)
+    return systems
+
+
+def test_nullspace_matches_reference_on_gosper_systems(monkeypatch):
+    systems = _record_gosper_systems(monkeypatch)
     for s in range(1, 7):
         telescoper.zeilberger(binom_power_term(s), 4, verify=False)
     with pytest.raises(TelescoperNotFoundError):
         telescoper.zeilberger(binom_power_term(6), 2, verify=False)
-    # the orders 1..ceil(s/2) tried for s = 1..6, then orders 1 and 2 again
-    assert len(systems) == 1 + 1 + 2 + 2 + 3 + 3 + 2
-    for matrix in systems:
-        assert real(matrix) == reference_nullspace(matrix)
+    telescoper.solve_at_order(binom_power_term(7), 4)
+    for r in (1, 2):
+        telescoper.solve_at_order(apery_zeta3_term(), r)
+    # the orders 1..ceil(s/2) tried for s = 1..6, then orders 1 and 2
+    # again, the order-4 system of s=7 and Apery's orders 1 and 2
+    assert [r for r, _ in systems] == [1, 1, 1, 2, 1, 2, 1, 2, 3, 1, 2, 3,
+                                       1, 2, 4, 1, 2]
+    for _, matrix in systems:
+        assert fraction_free_nullspace(matrix) == \
+            canonical_signs(reference_nullspace(matrix))
+
+
+def test_triangular_prefix_is_the_f_block(monkeypatch):
+    # columns f_0..f_D come first, then c_0..c_r; the prefix must take all
+    # D+1 f-columns at every order the search tries, or the Gosper systems
+    # would slide back into Bareiss on the whole matrix
+    systems = _record_gosper_systems(monkeypatch)
+    for s in range(1, 9):
+        for r in range(1, telescoper.expected_order(s) + 1):
+            telescoper.solve_at_order(binom_power_term(s), r)
+    assert len(systems) == 20
+    for r, matrix in systems:
+        ncols = len(matrix[0])
+        assert len(_triangular_prefix(matrix, ncols)) == ncols - (r + 1)
+
+
+def test_nullspace_sign_contract():
+    n = IntPoly.variable()
+    one, zero = IntPoly.const(1), IntPoly()
+    # one pivot -n: the Gauss-Jordan vector is (-(n+1), -n)
+    matrix = [[-n, n + 1]]
+    assert reference_nullspace(matrix) == [[-(n + 1), -n]]
+    assert fraction_free_nullspace(matrix) == [[n + 1, n]]
+    # no triangular prefix (column 0 is zero), a last pivot of -1: free
+    # columns 0 and 2, each vector positive at its own free column
+    matrix = [[zero, -one, one]]
+    assert _triangular_prefix(matrix, 3) == []
+    assert fraction_free_nullspace(matrix) == [[one, zero, zero],
+                                               [zero, one, one]]
 
 
 def test_determinant_matches_reference():

@@ -17,10 +17,12 @@ from franel.bipoly import (_KP_KRONECKER_CUTOFF, SPECIALIZATION_POINTS,
 from franel.documents import parse_operator_document
 from franel.errors import DocumentError
 from franel.intpoly import IntPoly, mul_kronecker, poly_gcd_int
-from franel.linalg import bareiss_determinant, fraction_free_nullspace
+from franel.linalg import (_triangular_prefix, bareiss_determinant,
+                           fraction_free_nullspace)
 from franel.series import series_inv, series_mul, series_pow
 
-from reference_linalg import reference_determinant, reference_nullspace
+from reference_linalg import (canonical_signs, reference_determinant,
+                              reference_nullspace)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -150,7 +152,61 @@ def poly_matrices(draw, square=False):
 @hypothesis.settings(deadline=None, max_examples=150)
 @hypothesis.given(poly_matrices())
 def test_forward_elimination_nullspace_matches_gauss_jordan(matrix):
-    assert fraction_free_nullspace(matrix) == reference_nullspace(matrix)
+    assert fraction_free_nullspace(matrix) == \
+        canonical_signs(reference_nullspace(matrix))
+
+
+@st.composite
+def planted_prefix_matrices(draw):
+    """b leading columns with strictly rising last nonzero rows t_j, then
+    w >= 2 more columns, on b + q rows with q <= w - 2: the block left
+    after the prefix has at most w - 2 rows, so the nullity is >= 2."""
+    b = draw(st.integers(1, 4))
+    w = draw(st.integers(2, 4))
+    q = draw(st.integers(0, w - 2))
+    nr = b + q
+    tri = sorted(draw(st.lists(st.integers(0, nr - 1), min_size=b,
+                               max_size=b, unique=True)))
+    nonzero = int_polys().filter(lambda p: not p.is_zero)
+    matrix = [[None] * (b + w) for _ in range(nr)]
+    for j, t in enumerate(tri):
+        for r in range(nr):
+            if r < t:
+                matrix[r][j] = draw(int_polys())
+            else:
+                matrix[r][j] = draw(nonzero) if r == t else IntPoly()
+    for r in range(nr):
+        for j in range(b, b + w):
+            matrix[r][j] = draw(int_polys())
+    return b, matrix
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(planted_prefix_matrices())
+def test_nullspace_with_a_planted_triangular_prefix(case):
+    b, matrix = case
+    ncols = len(matrix[0])
+    assert len(_triangular_prefix(matrix, ncols)) >= b
+    basis = fraction_free_nullspace(matrix)
+    assert len(basis) >= 2
+    free = []
+    for vec in basis:
+        for row in matrix:
+            acc = IntPoly()
+            for p, x in zip(row, vec):
+                acc = acc + p * x
+            assert acc.is_zero
+        g = IntPoly()
+        for v in vec:
+            g = poly_gcd_int(g, v)
+        assert g == IntPoly.const(1)
+        fc = max(i for i, v in enumerate(vec) if not v.is_zero)
+        assert vec[fc].lc > 0
+        free.append(fc)
+    # each vector is zero at the free columns of the others
+    for vec, fc in zip(basis, free):
+        assert all(vec[c].is_zero for c in free if c != fc)
+    assert basis == canonical_signs(reference_nullspace(matrix))
 
 
 @hypothesis.settings(deadline=None, max_examples=150)

@@ -117,11 +117,11 @@ def test_rule_pinned_on_both_sides():
     # 2J >= s: never, however large the request
     assert not recursion_pays(5, 3, range(5000))
     assert not recursion_pays(4, 2, [9999, 10000])
-    tables = {(3, 1): 37, (5, 2): 70, (6, 2): 106, (7, 3): 142, (8, 3): 212}
+    tables = {(3, 1): 22, (5, 2): 42, (6, 2): 64, (7, 3): 87, (8, 3): 133}
     for (s, J), N in tables.items():
         assert not recursion_pays(s, J, range(N))
         assert recursion_pays(s, J, range(N + 1))
-    two_rows = {(3, 1): 196, (5, 2): 442, (6, 2): 743, (8, 3): 1769}
+    two_rows = {(3, 1): 89, (5, 2): 224, (6, 2): 393, (8, 3): 976}
     for (s, J), n in two_rows.items():
         assert not recursion_pays(s, J, [n - 2, n - 1])
         assert recursion_pays(s, J, [n - 1, n])
