@@ -32,8 +32,12 @@ The shift quotients u_i/d and the linear system stay unreduced products.
 Everything is exact; verification never trusts the construction.  It adds
 (P a)/a and R(n, k) over one shared denominator, which for binom(n, k)^s is
 the certificate's own, and checks the identity (P a)/a + R(n, k) =
-R(n, k+1) rho_k by a single cross multiplication; the residual is never
-reduced, and a nonzero one is reported by its degrees.
+R(n, k+1) rho_k with R(n, k+1)'s denominator cancelled first.  Since R is
+in lowest terms, that denominator must divide rho_k's numerator times the
+shared one when the identity holds, so a failed division refutes it and a
+successful one leaves a cross multiplication in which each product has a
+small factor (see _ResidualParts).  The residual is never reduced, and a
+nonzero one is reported by its degrees, which add over Z[n, k].
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_content,
                      kp_deg, kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly,
@@ -277,18 +282,56 @@ def zeilberger(term: HyperTerm, r_max: int, *, verify: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def _residual_parts(term: HyperTerm, op: RecurrenceOperator,
-                    cert: Certificate):
-    """(numerator, denominator factors) of the residual, unreduced.
+class _ResidualParts(NamedTuple):
+    """The residual (P a)/a - (R(n, k+1) rho_k - R(n, k)), unreduced, as
 
-    (P a)/a = lhs_num / lhs_den comes from operator_numerator, R = rn/rd and
-    rho_k = qn/qd.  The sum lhs_num/lhs_den + rn/rd is formed unreduced over
-    one denominator `bottom` (rd itself when lhs_den == rd, as for every
-    binom(n, k)^s and for the Apery term: both are the rising product), and
-    the identity (P a)/a + R(n, k) = R(n, k+1) rho_k becomes one cross
-    multiplication: the numerator top * rd(n, k+1) * qd - rn(n, k+1) * qn *
-    bottom over the denominator bottom * (rd(n, k+1) * qd), whose two
-    factors are returned unmultiplied.
+        (top rd1 qd - rn1 qn bottom) / (bottom rd1 qd),
+
+    where top/bottom = (P a)/a + R(n, k), rn1/rd1 = R(n, k+1) and
+    rho_k = qn/qd.
+    """
+
+    top: BiPoly
+    bottom: BiPoly
+    rn1: BiPoly
+    rd1: BiPoly
+    qn: BiPoly
+    qd: BiPoly
+
+    def full_numerator(self) -> BiPoly:
+        """top rd1 qd - rn1 qn bottom, by the full cross multiplication."""
+        return (self.top * (self.rd1 * self.qd)
+                - self.rn1 * self.qn * self.bottom)
+
+    def small_numerator(self):
+        """small = top qd - rn1 cof with cof = qn bottom / rd1, so that the
+        full numerator is small rd1; None when rd1 does not divide
+        qn bottom, which proves the certificate invalid.
+
+        The lemma: a certificate is a RatFunc, so gcd(rn, rd) = 1 in
+        Z[n, k], integer content included, and since the shift k -> k+1 is
+        a ring automorphism, gcd(rn1, rd1) = 1 too.  If the identity holds,
+        top rd1 qd = rn1 (qn bottom), so rd1 divides rn1 (qn bottom) in the
+        UFD Z[n, k], hence divides qn bottom; the quotient is unique and
+        lies in Z[n][k], so every step of the long division is exact.  A
+        failed division therefore already refutes the identity.  Each product here has one small factor: qd = (k+1)^s,
+        qn = (n-k)^s and, for binom(n, k)^s at order m, cof = (n-k+m)^s.
+        """
+        try:
+            cof = (self.qn * self.bottom).divexact(self.rd1)
+        except ExactDivisionError:
+            return None
+        return self.top * self.qd - self.rn1 * cof
+
+
+def _residual_parts(term: HyperTerm, op: RecurrenceOperator,
+                    cert: Certificate) -> _ResidualParts:
+    """The residual's parts, none of them multiplied together.
+
+    (P a)/a = lhs_num / lhs_den comes from operator_numerator and R = rn/rd.
+    The sum lhs_num/lhs_den + rn/rd is top/bottom over one denominator: rd
+    itself when lhs_den == rd, as for every binom(n, k)^s and for the Apery
+    term (both are the rising product), else lhs_den rd.
     """
     lhs_num, lhs_den = operator_numerator(op, term)
     rn, rd = cert.ratio.num, cert.ratio.den
@@ -296,9 +339,9 @@ def _residual_parts(term: HyperTerm, op: RecurrenceOperator,
         top, bottom = lhs_num + rn, rd
     else:
         top, bottom = lhs_num * rd + rn * lhs_den, lhs_den * rd
-    right_den = rd.compose_shift(0, 1) * term.rho_k.den
-    num = top * right_den - rn.compose_shift(0, 1) * term.rho_k.num * bottom
-    return num, (bottom, right_den)
+    return _ResidualParts(top, bottom, rn.compose_shift(0, 1),
+                          rd.compose_shift(0, 1), term.rho_k.num,
+                          term.rho_k.den)
 
 
 def certificate_mismatch(term: HyperTerm, op: RecurrenceOperator,
@@ -307,35 +350,53 @@ def certificate_mismatch(term: HyperTerm, op: RecurrenceOperator,
     ((deg_n, deg_k) of the numerator, (deg_n, deg_k) of the denominator) of
     the residual (P a)/a - (R(n, k+1) rho_k - R(n, k)), unreduced.
 
-    Nothing is reduced and the denominator is never multiplied out: over
-    Z[n, k] the degrees of a product add.
+    Nothing is reduced and nothing large is multiplied out.  Over the
+    integral domain Z[n, k] the degrees in n and in k each add under
+    products, so the denominator bottom rd1 qd has the sum of its factors'
+    degrees, and the numerator small rd1 (see `_ResidualParts`) those of
+    small plus rd1.  Only when rd1 does not divide qn bottom, so the
+    certificate is invalid, is the full numerator formed, for its degrees.
     """
-    num, dens = _residual_parts(term, op, cert)
-    if num.is_zero:
+    parts = _residual_parts(term, op, cert)
+    small = parts.small_numerator()
+    if small is None:
+        num = parts.full_numerator()
+        num_degrees = (num.deg_n, num.deg_k)
+    elif small.is_zero:
         return None
-    return ((num.deg_n, num.deg_k),
+    else:
+        num_degrees = (small.deg_n + parts.rd1.deg_n,
+                       small.deg_k + parts.rd1.deg_k)
+    dens = (parts.bottom, parts.rd1, parts.qd)
+    return (num_degrees,
             (sum(d.deg_n for d in dens), sum(d.deg_k for d in dens)))
 
 
 def verify_certificate(term: HyperTerm, op: RecurrenceOperator,
                        cert: Certificate) -> bool:
-    """Exact identity check of the telescoping relation; never reduces."""
-    return certificate_mismatch(term, op, cert) is None
+    """Exact identity check of the telescoping relation; never reduces.
+
+    The verdict is small == 0 (see `_ResidualParts.small_numerator`); a
+    failed division returns False at once, with no cross multiplication.
+    """
+    small = _residual_parts(term, op, cert).small_numerator()
+    return small is not None and small.is_zero
 
 
 def certificate_residual(term: HyperTerm, op: RecurrenceOperator,
                          cert: Certificate) -> RatFunc:
     """(P a)/a - (R(n, k+1) rho_k - R(n, k)) in lowest terms; zero iff valid.
 
-    The test oracle for `certificate_mismatch`: the same unreduced residual
-    (see `_residual_parts`), brought to lowest terms when it is nonzero.
-    Its normalized form is canonical, so it does not depend on the
-    denominator the check used.
+    The test oracle for `certificate_mismatch` and `verify_certificate`: the
+    same residual by the full cross multiplication, no cofactor cancelled,
+    brought to lowest terms when it is nonzero.  Its normalized form is
+    canonical, so it does not depend on the denominator the check used.
     """
-    num, (bottom, right_den) = _residual_parts(term, op, cert)
+    parts = _residual_parts(term, op, cert)
+    num = parts.full_numerator()
     if num.is_zero:
         return RatFunc.zero()
-    return RatFunc(num, bottom * right_den)
+    return RatFunc(num, parts.bottom * (parts.rd1 * parts.qd))
 
 
 def expected_order(s: int) -> int:

@@ -9,7 +9,10 @@ import pytest
 
 import franel
 from franel import cli
+from franel.bipoly import BiPoly
 from franel.documents import bipoly_from_json, bipoly_to_json
+
+_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
 
 
 @pytest.fixture()
@@ -103,8 +106,7 @@ def test_telescope_verify_cycle(env, tmp_path, capsys):
 
 def test_verify_rejects_a_boolean_power(env, tmp_path, capsys):
     # read as s = 1, the s = 3 document would fail with MISMATCH (exit 1)
-    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
-    doc = json.loads((refs / "operator-s3.json").read_text())
+    doc = json.loads((_REFS / "operator-s3.json").read_text())
     doc["s"] = True
     bad = tmp_path / "bool-s.json"
     bad.write_text(json.dumps(doc))
@@ -157,21 +159,64 @@ def test_failed_certificate_runs_the_ascending_search(env, tmp_path, searches,
     assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
 
 
+# `verify` stdout, byte for byte, on the frozen documents and on altered
+# copies (see _verify_document); a certificate check must leave them as
+# they are
+VERIFY_STDOUT = {
+    "frozen-s1": "certificate verifies exactly (s=1, order 1)\n",
+    "frozen-s2": "certificate verifies exactly (s=2, order 1)\n",
+    "frozen-s3": "certificate verifies exactly (s=3, order 2)\n",
+    "frozen-s4": "certificate verifies exactly (s=4, order 2)\n",
+    "frozen-s5": "certificate verifies exactly (s=5, order 3)\n",
+    "frozen-s6": "certificate verifies exactly (s=6, order 3)\n",
+    "frozen-s7": "certificate verifies exactly (s=7, order 4)\n",
+    "c0+1-s5":
+        "certificate MISMATCH; unreduced residual: numerator of degree 30 "
+        "in n, 35 in k; denominator of degree 30 in n, 35 in k\n",
+    "num-1-s7":
+        "certificate MISMATCH; unreduced residual: numerator of degree 35 "
+        "in n, 35 in k; denominator of degree 56 in n, 63 in k\n",
+    "den*(n+k+2)-s5":
+        "certificate MISMATCH; unreduced residual: numerator of degree 53 "
+        "in n, 52 in k; denominator of degree 47 in n, 52 in k\n",
+}
+
+
+def _verify_document(tmp_path, case):
+    """The document of a VERIFY_STDOUT case, written to a file: the frozen
+    one, or a copy with the constant term of c_0 raised by 1, the
+    certificate numerator lowered by 1, or its denominator multiplied by
+    n + k + 2."""
+    kind, s = case.rsplit("-s", 1)
+    doc = json.loads((_REFS / ("operator-s%s.json" % s)).read_text())
+    cert = doc["certificate"]
+    if kind == "c0+1":
+        doc["coeffs"][0][0] = str(int(doc["coeffs"][0][0]) + 1)
+    elif kind == "num-1":
+        cert["num"] = bipoly_to_json(bipoly_from_json(cert["num"]) - 1)
+    elif kind == "den*(n+k+2)":
+        cert["den"] = bipoly_to_json(bipoly_from_json(cert["den"])
+                                     * (BiPoly.var_n() + BiPoly.var_k() + 2))
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_STDOUT))
+def test_verify_stdout_is_pinned(env, tmp_path, capsys, case):
+    code = run(["verify", "--in", str(_verify_document(tmp_path, case))])
+    assert code == (0 if case.startswith("frozen") else 1)
+    assert capsys.readouterr().out == VERIFY_STDOUT[case]
+
+
 def test_verify_reports_an_unreduced_residual_quickly(env, tmp_path, capsys):
     # the s=7 certificate numerator with its constant term lowered by 1;
     # reducing this residual took about 18 s
-    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
-    doc = json.loads((refs / "operator-s7.json").read_text())
-    num = bipoly_from_json(doc["certificate"]["num"])
-    doc["certificate"]["num"] = bipoly_to_json(num - 1)
-    bad = tmp_path / "residual-s7.json"
-    bad.write_text(json.dumps(doc))
+    bad = _verify_document(tmp_path, "num-1-s7")
     t0 = time.perf_counter()
     assert run(["verify", "--in", str(bad)]) == 1
     assert time.perf_counter() - t0 < 10
-    assert capsys.readouterr().out == (
-        "certificate MISMATCH; unreduced residual: numerator of degree 35 "
-        "in n, 35 in k; denominator of degree 56 in n, 63 in k\n")
+    assert capsys.readouterr().out == VERIFY_STDOUT["num-1-s7"]
 
 
 def test_telescope_internal_error_exit_4(env, monkeypatch):
@@ -288,7 +333,6 @@ _UNREAD_FLAGS = {
     "asym": ["--json", "--out", "--cache-dir"],
     "demo-apery": ["--json", "--out", "--cache-dir"],
 }
-_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
 _REQUIRED = {
     "compute": ["--s", "3", "--n-max", "2"],
     "telescope": ["--s", "1", "--r-max", "1"],

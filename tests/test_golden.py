@@ -42,11 +42,13 @@ DIGESTS = {
 
 
 # `telescope --s S --r-max 5 --out FILE` with SOURCE_DATE_EPOCH=0, frozen
-# as the SHA-256 of FILE (112 KB for s=8, 279 KB for s=9).  Tier-1 re-solves
-# s=8; CI re-solves s=9 and verifies the document.
+# as the SHA-256 of FILE (112 KB for s=8, 279 KB for s=9, 398 KB for
+# s=10).  Tier-1 re-solves s=8; CI re-solves s=9 and s=10 and verifies the
+# documents.
 OPERATOR_DIGESTS = {
     8: "15c4b10663f82d04dec3e78003dab6f648ffd4826ef63c4357ddf43e74fdd301",
     9: "e5052705f864d2821d3c6f6b8597d1ab6b9094d8be6a6e4cfedf3642e8d90105",
+    10: "378a56f33a941b727adbb2077582511f41e37d0c5fb046a9558d4f935d312283",
 }
 
 

@@ -2,8 +2,9 @@
 modular coprimality proof agrees with the integer gcd it replaced, the
 forward elimination agrees with the Gauss-Jordan and row-swapping
 determinant it replaced, the document parser rejects a damaged
-document only with DocumentError, and the truncated-series inverse and
-power agree with the product."""
+document only with DocumentError, the certificate check agrees with the
+full cross multiplication on perturbed certificates, and the
+truncated-series inverse and power agree with the product."""
 
 import json
 from fractions import Fraction
@@ -12,17 +13,21 @@ from pathlib import Path
 import pytest
 
 from franel.bipoly import (_KP_KRONECKER_CUTOFF, SPECIALIZATION_POINTS,
-                           _coprime_by_specialization, kp_deg, kp_gcd,
-                           kp_mul)
+                           BiPoly, RatFunc, _coprime_by_specialization,
+                           kp_deg, kp_gcd, kp_mul)
 from franel.documents import parse_operator_document
 from franel.errors import DocumentError
+from franel.hyperterm import binom_power_term
 from franel.intpoly import IntPoly, mul_kronecker, poly_gcd_int
 from franel.linalg import (_triangular_prefix, bareiss_determinant,
                            fraction_free_nullspace)
+from franel.operators import Certificate, RecurrenceOperator
 from franel.series import series_inv, series_mul, series_pow
+from franel.telescoper import certificate_mismatch, verify_certificate
 
 from reference_linalg import (canonical_signs, reference_determinant,
                               reference_nullspace)
+from reference_telescoper import reference_difference, reference_mismatch
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -251,6 +256,52 @@ def test_parser_raises_only_document_error(data):
         parse_operator_document(json.dumps(doc).encode())
     except DocumentError:
         pass
+
+
+@st.composite
+def perturbed_certificates(draw):
+    """(term, operator, certificate) from a frozen s <= 4 document, left as
+    it is or with one part moved: a coefficient of the operator, the
+    certificate numerator or its denominator plus c n^a k^b, or the
+    denominator times n + k + c."""
+    s = draw(st.integers(1, 4))
+    _, op, cert, _ = parse_operator_document(
+        (REFS / ("operator-s%d.json" % s)).read_bytes())
+    num, den = cert.ratio.num, cert.ratio.den
+    part = draw(st.sampled_from(("none", "op", "num", "den", "den factor")))
+    c = draw(st.integers(-3, 3).filter(bool))
+    a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    N, K = BiPoly.var_n(), BiPoly.var_k()
+    if part == "op":
+        coeffs = list(op.coeffs)
+        i = draw(st.integers(0, op.order))
+        coeffs[i] = coeffs[i] + IntPoly([0] * a + [c])
+        try:
+            op = RecurrenceOperator(tuple(coeffs))
+        except ValueError:
+            hypothesis.assume(False)
+    elif part == "num":
+        num = num + c * N ** a * K ** b
+    elif part == "den":
+        den = den + c * N ** a * K ** b
+        hypothesis.assume(not den.is_zero)
+    elif part == "den factor":
+        den = den * (N + K + c)
+    return binom_power_term(s), op, Certificate(RatFunc(num, den))
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(perturbed_certificates())
+def test_certificate_check_matches_the_full_cross_multiplication(case):
+    # the oracle's verdict is its residual's numerator being zero, the test
+    # `reference_residual` makes before it reduces; reducing a residual
+    # with a perturbed denominator took up to 17 s at s = 4 (2 cores,
+    # Python 3.11)
+    term, op, cert = case
+    diff, _ = reference_difference(term, op, cert)
+    assert verify_certificate(term, op, cert) is diff.is_zero
+    assert certificate_mismatch(term, op, cert) == \
+        reference_mismatch(term, op, cert)
 
 
 # series with constant term 1, over the integers and over the rationals:

@@ -16,7 +16,8 @@ from franel.intpoly import IntPoly, integer_roots
 from franel.operators import (Certificate, RecurrenceOperator,
                               apply_operator, normalize_operator_coeffs)
 from franel.sequences import franel
-from franel.telescoper import (analyze_structure, certificate_residual,
+from franel.telescoper import (analyze_structure, certificate_mismatch,
+                               certificate_residual,
                                expected_certificate_denominator,
                                expected_coefficient_degree, expected_order,
                                first_valid_row, verify_certificate,
@@ -24,6 +25,7 @@ from franel.telescoper import (analyze_structure, certificate_residual,
 
 from reference_hyperterm import reference_shift_quotients
 from reference_linalg import reference_determinant
+from reference_telescoper import reference_mismatch, reference_residual
 
 N = BiPoly.var_n()
 K = BiPoly.var_k()
@@ -36,23 +38,6 @@ def assert_matches_frozen_document(s, op, cert, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     frozen = (REFS / ("operator-s%d.json" % s)).read_bytes()
     assert document_bytes(operator_document(s, op, cert, 4)) == frozen
-
-
-def reference_residual(term, op, cert):
-    """The certificate check before the shared denominator, kept as the
-    oracle: (P a)/a and R(n, k+1) rho_k - R(n, k) each over its own full
-    denominator, compared by one cross multiplication."""
-    lhs_num, lhs_den = operator_numerator(op, term)
-    rn, rd = cert.ratio.num, cert.ratio.den
-    rn1 = rn.compose_shift(0, 1)
-    rd1 = rd.compose_shift(0, 1)
-    qn, qd = term.rho_k.num, term.rho_k.den
-    rhs_num = rn1 * qn * rd - rn * qd * rd1
-    rhs_den = rd1 * qd * rd
-    diff = lhs_num * rhs_den - rhs_num * lhs_den
-    if diff.is_zero:
-        return RatFunc.zero()
-    return RatFunc(diff, lhs_den * rhs_den)
 
 
 def assert_residual_matches_reference(term, op, cert, shared):
@@ -148,6 +133,43 @@ def test_residual_matches_reference_on_frozen_documents():
             bad = Certificate(RatFunc(cert.ratio.num - 1, cert.ratio.den))
             assert not assert_residual_matches_reference(term, op, bad,
                                                          True).is_zero
+
+
+def test_mismatch_matches_the_full_numerator():
+    # the frozen document, every bumped operator and a bumped certificate
+    # numerator: rd(n, k+1) divides qn bottom in each, so the degrees come
+    # from the cofactor's small numerator plus rd(n, k+1)
+    for s in range(1, 8):
+        term = binom_power_term(s)
+        op, cert = frozen_document(s)
+        bad_num = Certificate(RatFunc(cert.ratio.num + 1, cert.ratio.den))
+        cases = ([(op, cert), (op, bad_num)]
+                 + [(bad, cert) for bad in bumped_operators(op)])
+        for case_op, case_cert in cases:
+            parts = telescoper._residual_parts(term, case_op, case_cert)
+            assert parts.small_numerator() is not None
+            mismatch = certificate_mismatch(term, case_op, case_cert)
+            assert mismatch == reference_mismatch(term, case_op, case_cert)
+            assert (mismatch is None) is (case_cert is cert
+                                          and case_op is op)
+
+
+def test_failed_division_refutes_and_reports_the_full_numerator():
+    # an altered certificate denominator: rd(n, k+1) does not divide
+    # qn bottom, so the verdict needs no cross multiplication and the
+    # degrees come from the full product
+    for s in (3, 4, 5):
+        term = binom_power_term(s)
+        op, cert = frozen_document(s)
+        num, den = cert.ratio.num, cert.ratio.den
+        for bad_den in (den + 1, den * (N + K + 2)):
+            bad = Certificate(RatFunc(num, bad_den))
+            parts = telescoper._residual_parts(term, op, bad)
+            assert parts.small_numerator() is None
+            assert not verify_certificate(term, op, bad)
+            mismatch = certificate_mismatch(term, op, bad)
+            assert mismatch is not None
+            assert mismatch == reference_mismatch(term, op, bad)
 
 
 def test_verify_rejects_perturbed_certificate():
