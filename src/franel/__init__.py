@@ -13,8 +13,7 @@ from .bipoly import BiPoly, RatFunc, poly_gcd
 from .errors import (DocumentError, ExactDivisionError, FranelError,
                      NonInvertibleSeriesError, PoleError,
                      TelescoperNotFoundError)
-from .hyperterm import (HyperTerm, apery_zeta3_term, binom_power_term,
-                        from_quotients, operator_ratio, term_eval)
+from .hyperterm import HyperTerm, apery_zeta3_term, binom_power_term
 from .intpoly import IntPoly
 from .limits import (LimitReport, PhiTable, apery_zeta3_limit,
                      asymptotic_ratio, limit_error_sequence, limit_estimate,
@@ -38,10 +37,9 @@ __all__ = [
     "BigFloat", "pi", "BiPoly", "RatFunc", "poly_gcd", "DocumentError",
     "ExactDivisionError", "FranelError", "NonInvertibleSeriesError",
     "PoleError", "TelescoperNotFoundError", "HyperTerm", "apery_zeta3_term",
-    "binom_power_term", "from_quotients", "operator_ratio", "term_eval",
-    "IntPoly", "LimitReport", "PhiTable", "apery_zeta3_limit",
-    "asymptotic_ratio", "limit_error_sequence", "limit_estimate",
-    "limit_report", "phi", "zeta3_reference", "Certificate",
+    "binom_power_term", "IntPoly", "LimitReport", "PhiTable",
+    "apery_zeta3_limit", "asymptotic_ratio", "limit_error_sequence",
+    "limit_estimate", "limit_report", "phi", "zeta3_reference", "Certificate",
     "RecurrenceOperator", "apply_operator", "AperyPair",
     "MinimalityCertificate", "SequenceTable", "apery_zeta3",
     "coefficient_row", "coefficient_rows", "coefficient_table", "deformed",

@@ -19,13 +19,13 @@ from pathlib import Path
 from .bigfloat import BigFloat
 from .documents import (TOOL_VERSION, document_bytes, operator_document,
                         parse_operator_document)
-from .errors import DocumentError, TelescoperNotFoundError
+from .errors import DocumentError
 from .hyperterm import binom_power_term
 from .limits import asymptotic_ratio, limit_report, zeta3_reference
 from .sequences import apery_zeta3, coefficient_table, minimality_certificate
 from .telescoper import (analyze_structure, certificate_mismatch,
                          expected_order, first_valid_row, solve_at_order,
-                         verify_certificate, zeilberger)
+                         verify_certificate)
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
@@ -129,8 +129,8 @@ def cmd_compute(args) -> int:
 
 
 def _minimality_block(proof) -> dict | None:
-    """The `minimality` block of `telescope`; None when the order rests on
-    the ascending search."""
+    """The `minimality` block of `telescope`; None when the first solution
+    lies above m, so the search alone proves the order."""
     if proof is None:
         return None
     return {"m": proof.m, "N": proof.N, "roots": list(proof.roots),
@@ -160,26 +160,33 @@ def cmd_telescope(args) -> int:
             print("warning: ignoring corrupt cache entry: %s" % exc,
                   file=sys.stderr)
     if data is None:
-        # order ceil(s/2) first; its Casoratian certificate makes the lower
-        # orders redundant.  Without the certificate the ascending search
-        # runs, and the minimality block is null.
+        # one upward search from r0 = min(m, --r-max), m = ceil(s/2).  By
+        # the padding lemma (see solve_at_order) no solution at r0 rules out
+        # every lower order.  A solution at r0 must be the order-m operator
+        # with its Casoratian certificate; anything else contradicts the
+        # weak Franel bound.
         m = expected_order(args.s)
-        found = solve_at_order(term, m) if args.r_max >= m else None
-        if found is not None and verify_certificate(term, *found):
-            minimality = minimality_certificate(args.s, *found)
-        if minimality is not None:
-            op, cert = found
+        r0 = min(m, args.r_max)
+        for r in range(r0, args.r_max + 1):
+            found = solve_at_order(term, r)
+            if found is not None:
+                break
         else:
-            try:
-                op, cert = zeilberger(term, args.r_max, verify=False)
-            except TelescoperNotFoundError as exc:
-                print("no telescoping operator up to order %d (tried %s)"
-                      % (args.r_max, list(exc.orders_tried)),
+            print("no telescoping operator up to order %d (tried %s)"
+                  % (args.r_max, list(range(r0, args.r_max + 1))),
+                  file=sys.stderr)
+            return _EXIT_NOT_FOUND
+        op, cert = found
+        if not verify_certificate(term, op, cert):
+            print("internal error: certificate failed exact verification",
+                  file=sys.stderr)
+            return _EXIT_INTERNAL
+        if r == r0:
+            minimality = minimality_certificate(args.s, op, cert)
+            if minimality is None:
+                print("internal error: the operator of order %d has no "
+                      "minimality certificate of order %d" % (op.order, m),
                       file=sys.stderr)
-                return _EXIT_NOT_FOUND
-            if not verify_certificate(term, op, cert):
-                print("internal error: certificate failed exact "
-                      "verification", file=sys.stderr)
                 return _EXIT_INTERNAL
         doc = operator_document(args.s, op, cert, args.r_max)
         data = document_bytes(doc)
@@ -217,6 +224,16 @@ def cmd_telescope(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Check an operator document exactly: exit 0, or 1 on a mismatch.
+
+    The k-degree check comes first.  For binom(n, k)^s the Gosper form at
+    every order r is A = (n+r-k)^s, B = (k+1)^s, C = 1, because the
+    dispersion set is empty.  So the certificate B(k-1) f(k)/(C d(k)) has
+    k^s in its numerator, and d has no factor k.  A certificate is unique
+    for its operator, so k^s divides every valid numerator in lowest
+    terms.  A k-degree below s is refuted before the term of power s is
+    built, which a wrong "s" would make huge.
+    """
     try:
         raw = Path(args.infile).read_bytes()
     except OSError as exc:
@@ -228,6 +245,11 @@ def cmd_verify(args) -> int:
     except DocumentError as exc:
         print("error: invalid document: %s" % exc, file=sys.stderr)
         return _EXIT_USAGE
+    k_degree = cert.ratio.num.deg_k
+    if k_degree < s:
+        print("certificate MISMATCH; numerator of degree %d in k, but "
+              "k^%d divides every valid one" % (k_degree, s))
+        return _EXIT_VERIFY_FAILED
     # the verdict of verify_certificate, with the degrees of a nonzero
     # residual; the residual is never reduced
     mismatch = certificate_mismatch(binom_power_term(s), op, cert)

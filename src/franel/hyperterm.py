@@ -1,22 +1,19 @@
 """Bivariate hypergeometric terms given by their two shift quotients.
 
-A term a(n, k) is represented by the rational functions
+A term a(n, k) is nothing but the pair of rational functions
 rho_n = a(n+1, k)/a(n, k) and rho_k = a(n, k+1)/a(n, k), each in lowest
-terms.  What the telescoper builds from them, the shift quotients
-a(n+i, k)/a(n, k), stays a plain numerator over a common denominator; no
-gcd is taken until a canonical form is read.  Concrete values are only used
-for boundary and spot checks.
+terms; the solver needs no values of a.  What the telescoper builds from
+them, the shift quotients a(n+i, k)/a(n, k), stays a plain numerator over a
+common denominator; no gcd is taken until a canonical form is read.
+`zeilberger` rejects a zero quotient or a pair that fails mixed-shift
+compatibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 from .bipoly import BiPoly, RatFunc
-from .errors import PoleError
 from .operators import RecurrenceOperator
 
 
@@ -24,9 +21,6 @@ from .operators import RecurrenceOperator
 class HyperTerm:
     rho_n: RatFunc
     rho_k: RatFunc
-    label: str = ""
-    direct_eval: Optional[Callable[[int, int], Fraction]] = field(
-        default=None, compare=False, repr=False)
 
     def is_compatible(self) -> bool:
         """Mixed-shift consistency of the two quotients.
@@ -41,72 +35,22 @@ class HyperTerm:
                 == pk.compose_shift(1, 0) * pn * qn.compose_shift(0, 1) * qk)
 
 
-def from_quotients(rho_n: RatFunc, rho_k: RatFunc, label: str = "",
-                   direct_eval=None) -> HyperTerm:
-    """Build a term from its shift quotients, checking consistency."""
-    term = HyperTerm(rho_n, rho_k, label, direct_eval)
-    if not term.is_compatible():
-        raise ValueError("shift quotients fail mixed-shift compatibility")
-    return term
-
-
 def binom_power_term(s: int) -> HyperTerm:
     """The term binom(n, k)**s, zero outside 0 <= k <= n."""
     if s < 1:
         raise ValueError("the power s must be a positive integer")
     n = BiPoly.var_n()
     k = BiPoly.var_k()
-    rho_k = RatFunc((n - k) ** s, (k + 1) ** s)
-    rho_n = RatFunc((n + 1) ** s, (n + 1 - k) ** s)
-
-    def evaluate(nn: int, kk: int) -> Fraction:
-        if nn < 0:
-            raise ValueError("binomial power terms need n >= 0")
-        if kk < 0 or kk > nn:
-            return Fraction(0)
-        return Fraction(comb(nn, kk) ** s)
-
-    return HyperTerm(rho_n, rho_k, "binom(n,k)^%d" % s, evaluate)
+    return HyperTerm(RatFunc((n + 1) ** s, (n + 1 - k) ** s),
+                     RatFunc((n - k) ** s, (k + 1) ** s))
 
 
 def apery_zeta3_term() -> HyperTerm:
     """The term binom(n, k)**2 binom(n+k, k)**2."""
     n = BiPoly.var_n()
     k = BiPoly.var_k()
-    rho_n = RatFunc((n + k + 1) ** 2, (n + 1 - k) ** 2)
-    rho_k = RatFunc(((n - k) * (n + k + 1)) ** 2, (k + 1) ** 4)
-
-    def evaluate(nn: int, kk: int) -> Fraction:
-        if nn < 0:
-            raise ValueError("term needs n >= 0")
-        if kk < 0 or kk > nn:
-            return Fraction(0)
-        return Fraction((comb(nn, kk) * comb(nn + kk, kk)) ** 2)
-
-    return HyperTerm(rho_n, rho_k, "binom(n,k)^2*binom(n+k,k)^2", evaluate)
-
-
-def term_eval(term: HyperTerm, n: int, k: int) -> Fraction:
-    """Exact value a(n, k), via the direct evaluator when the term has one.
-
-    Terms without a direct evaluator are normalized to a(0, 0) = 1 and
-    evaluated along the staircase (0,0) -> (n,0) -> (n,k); hitting a pole of
-    a quotient on the way raises PoleError.
-    """
-    if term.direct_eval is not None:
-        return term.direct_eval(n, k)
-    if n < 0 or k < 0:
-        raise ValueError("staircase evaluation needs n >= 0 and k >= 0")
-    value = Fraction(1)
-    try:
-        for i in range(n):
-            value *= term.rho_n.eval(i, 0)
-        for j in range(k):
-            value *= term.rho_k.eval(n, j)
-    except PoleError as exc:
-        raise PoleError("staircase to (%d, %d) crosses a pole: %s"
-                        % (n, k, exc)) from exc
-    return value
+    return HyperTerm(RatFunc((n + k + 1) ** 2, (n + 1 - k) ** 2),
+                     RatFunc(((n - k) * (n + k + 1)) ** 2, (k + 1) ** 4))
 
 
 def shift_quotient_products(term: HyperTerm, order: int):
@@ -136,8 +80,3 @@ def operator_numerator(op: RecurrenceOperator, term: HyperTerm):
         if not c.is_zero:
             total = total + BiPoly.from_intpoly_n(c) * u
     return total, d
-
-
-def operator_ratio(op: RecurrenceOperator, term: HyperTerm) -> RatFunc:
-    """(P a)(n, k) / a(n, k) = sum_i c_i(n) a(n+i, k)/a(n, k), normalized."""
-    return RatFunc(*operator_numerator(op, term))

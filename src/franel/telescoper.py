@@ -194,6 +194,14 @@ def solve_at_order(term: HyperTerm, r: int):
     Returns (operator, certificate), not yet verified, or None when the
     linear system has no solution with a nonzero operator part.  The term
     is taken as valid; `zeilberger` checks it.
+
+    The padding lemma: a telescoper of order r' < r, with zero top
+    coefficients, also solves the order-r system.  Its sum C sum_i c_i u_i
+    is a polynomial factor for which Gosper's algorithm is complete with
+    this order's A, B and C, and `_gosper_degree_bound` is monotone in
+    deg p, so its f lies within D.  So None at order r rules out every
+    lower order too, and in an upward loop that starts with None the first
+    order with a solution is the least one.
     """
     d, u_polys = shift_quotient_products(term, r)
     ratio = _gosper_ratio(term, r)
@@ -220,22 +228,15 @@ def solve_at_order(term: HyperTerm, r: int):
     c_cols = [[-e for e in col] for col in cu]
     all_cols = f_cols + c_cols
     n_eqs = max(len(col) for col in all_cols)
-    matrix = []
-    for e in range(n_eqs):
-        matrix.append([col[e] if e < len(col) else IntPoly()
-                       for col in all_cols])
-    basis = fraction_free_nullspace(matrix)
+    matrix = [[col[e] if e < len(col) else IntPoly() for col in all_cols]
+              for e in range(n_eqs)]
     n_f = D + 1
-    solutions = []
-    for vec in basis:
-        c_part = vec[n_f:]
-        if any(not c.is_zero for c in c_part):
-            solutions.append(vec)
+    solutions = [vec for vec in fraction_free_nullspace(matrix)
+                 if any(not c.is_zero for c in vec[n_f:])]
     if not solutions:
         return None
-    solutions.sort(key=lambda v: (max(c.degree for c in v[n_f:]),
-                                  sum(c.degree for c in v[n_f:])))
-    vec = solutions[0]
+    vec = min(solutions, key=lambda v: (max(c.degree for c in v[n_f:]),
+                                        sum(c.degree for c in v[n_f:])))
     f_kp = kp_strip(list(vec[:n_f]))
     c_raw = list(vec[n_f:])
     while c_raw and c_raw[-1].is_zero:
@@ -247,14 +248,14 @@ def solve_at_order(term: HyperTerm, r: int):
     return op, cert
 
 
-def zeilberger(term: HyperTerm, r_max: int, *, verify: bool = True):
+def zeilberger(term: HyperTerm, r_max: int):
     """Least-order telescoping operator and certificate for a term.
 
     Orders 1..r_max are tried in turn; raises TelescoperNotFoundError when
-    none admits a telescoper.  With verify=True (the default) the returned
-    pair has already passed the exact certificate identity check.  A term
-    with a zero quotient, or with quotients that fail mixed-shift
-    compatibility (which _gosper_ratio relies on), raises ValueError.
+    none admits a telescoper.  The returned pair has already passed the
+    exact certificate identity check.  A term with a zero quotient, or with
+    quotients that fail mixed-shift compatibility (which _gosper_ratio
+    relies on), raises ValueError.
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
@@ -262,19 +263,17 @@ def zeilberger(term: HyperTerm, r_max: int, *, verify: bool = True):
         raise ValueError("degenerate term: a shift quotient is zero")
     if not term.is_compatible():
         raise ValueError("shift quotients fail mixed-shift compatibility")
-    tried = []
     for r in range(1, r_max + 1):
-        tried.append(r)
         found = solve_at_order(term, r)
         if found is None:
             continue
         op, cert = found
-        if verify and not verify_certificate(term, op, cert):
+        if not verify_certificate(term, op, cert):
             raise AssertionError(
                 "internal error: certificate failed verification at order %d"
                 % r)
         return op, cert
-    raise TelescoperNotFoundError(tried)
+    raise TelescoperNotFoundError(range(1, r_max + 1))
 
 
 # ---------------------------------------------------------------------------

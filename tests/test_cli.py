@@ -120,14 +120,14 @@ def test_telescope_not_found_exit_3(env):
 
 @pytest.fixture()
 def searches(monkeypatch):
-    """The r_max of each ascending search `telescope` starts."""
+    """The order of each `solve_at_order` that `telescope` runs."""
     calls = []
-    search = cli.zeilberger
+    solve = cli.solve_at_order
 
-    def spy(term, r_max, **kwargs):
-        calls.append(r_max)
-        return search(term, r_max, **kwargs)
-    monkeypatch.setattr(cli, "zeilberger", spy)
+    def spy(term, r):
+        calls.append(r)
+        return solve(term, r)
+    monkeypatch.setattr(cli, "solve_at_order", spy)
     return calls
 
 
@@ -137,26 +137,38 @@ def test_telescope_solves_order_m_first(env, searches, capsys):
         assert run(["telescope", "--s", "5", "--r-max", "4", "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert (summary["order"], summary["minimality"]) == (3, want)
-    assert searches == []
-    # below the order the ascending search runs, as before
-    assert run(["telescope", "--s", "5", "--r-max", "2"]) == 3
+    assert searches == [3]
+
+
+def test_below_the_bound_one_solve_and_no_document(env, tmp_path, searches,
+                                                   capsys):
+    # by the padding lemma one solve at --r-max rules out every lower order
+    out = tmp_path / "op.json"
+    assert run(["telescope", "--s", "6", "--r-max", "2",
+                "--out", str(out)]) == 3
     assert searches == [2]
+    assert "no telescoping operator up to order 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "cache").exists()
 
 
-def test_failed_certificate_runs_the_ascending_search(env, tmp_path, searches,
-                                                      monkeypatch, capsys):
+def test_failed_certificate_exits_4(env, tmp_path, searches, monkeypatch,
+                                    capsys):
     out = tmp_path / "op.json"
     assert run(["telescope", "--s", "3", "--r-max", "3",
                 "--out", str(out)]) == 0
     capsys.readouterr()
     monkeypatch.setattr(cli, "minimality_certificate", lambda *a: None)
-    # the cached entry is not used without its certificate either
+    # the cached entry is not used without its certificate, and a solution
+    # at order m without one contradicts the bound
+    again = tmp_path / "again.json"
     assert run(["telescope", "--s", "3", "--r-max", "3", "--json",
-                "--out", str(tmp_path / "again.json")]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert (summary["order"], summary["minimality"]) == (2, None)
-    assert searches == [3]
-    assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
+                "--out", str(again)]) == 4
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert "no minimality certificate" in err
+    assert searches == [2, 2]
+    assert not again.exists()
 
 
 # `verify` stdout, byte for byte, on the frozen documents and on altered
@@ -217,6 +229,20 @@ def test_verify_reports_an_unreduced_residual_quickly(env, tmp_path, capsys):
     assert run(["verify", "--in", str(bad)]) == 1
     assert time.perf_counter() - t0 < 10
     assert capsys.readouterr().out == VERIFY_STDOUT["num-1-s7"]
+
+
+def test_verify_rejects_a_power_beyond_the_certificate_quickly(env, tmp_path,
+                                                              capsys):
+    # the s=3 document read with s=200: building that term and checking it
+    # ran for minutes; the k-degree of the numerator refutes it at once
+    doc = json.loads((_REFS / "operator-s3.json").read_text())
+    doc["s"] = 200
+    bad = tmp_path / "s200.json"
+    bad.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert run(["verify", "--in", str(bad)]) == 1
+    assert time.perf_counter() - t0 < 5
+    assert capsys.readouterr().out.startswith("certificate MISMATCH")
 
 
 def test_telescope_internal_error_exit_4(env, monkeypatch):

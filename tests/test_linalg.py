@@ -191,9 +191,9 @@ def _record_gosper_systems(monkeypatch):
 def test_nullspace_matches_reference_on_gosper_systems(monkeypatch):
     systems = _record_gosper_systems(monkeypatch)
     for s in range(1, 7):
-        telescoper.zeilberger(binom_power_term(s), 4, verify=False)
+        telescoper.zeilberger(binom_power_term(s), 4)
     with pytest.raises(TelescoperNotFoundError):
-        telescoper.zeilberger(binom_power_term(6), 2, verify=False)
+        telescoper.zeilberger(binom_power_term(6), 2)
     telescoper.solve_at_order(binom_power_term(7), 4)
     for r in (1, 2):
         telescoper.solve_at_order(apery_zeta3_term(), r)

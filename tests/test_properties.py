@@ -1,5 +1,6 @@
 """Property tests: packed Kronecker products agree with schoolbook ones, the
-modular coprimality proof agrees with the integer gcd it replaced, the
+modular coprimality proof agrees with the integer gcd it replaced, exact
+division undoes a product and a gcd keeps a common factor, the
 forward elimination agrees with the Gauss-Jordan and row-swapping
 determinant it replaced, the document parser rejects a damaged
 document only with DocumentError, the certificate check agrees with the
@@ -14,7 +15,7 @@ import pytest
 
 from franel.bipoly import (_KP_KRONECKER_CUTOFF, SPECIALIZATION_POINTS,
                            BiPoly, RatFunc, _coprime_by_specialization,
-                           kp_deg, kp_gcd, kp_mul)
+                           kp_deg, kp_divexact, kp_gcd, kp_mul, kp_primitive)
 from franel.documents import parse_operator_document
 from franel.errors import DocumentError
 from franel.hyperterm import binom_power_term
@@ -138,6 +139,21 @@ def test_modular_coprimality_proof_implies_integer_gcd_is_constant(
     if shared and kp_deg(factor) >= 1:
         assert not proved
         assert kp_deg(kp_gcd(a, b)) >= kp_deg(factor)
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(k_polys(min_k_degree=0), k_polys(min_k_degree=0))
+def test_exact_division_undoes_the_product(a, b):
+    assert kp_divexact(kp_mul(a, b), b) == a
+
+
+@hypothesis.settings(deadline=None, max_examples=100)
+@hypothesis.given(k_polys(min_k_degree=0), k_polys(min_k_degree=0),
+                  k_polys(min_k_degree=0))
+def test_gcd_keeps_a_common_factor(g, a, b):
+    # kp_gcd leaves out contents in Z[n], so it is divisible by the
+    # primitive part of g; kp_divexact raises if it is not
+    kp_divexact(kp_gcd(kp_mul(g, a), kp_mul(g, b)), kp_primitive(g))
 
 
 def int_polys():

@@ -10,8 +10,7 @@ from franel.documents import (document_bytes, operator_document,
                               parse_operator_document)
 from franel.errors import TelescoperNotFoundError
 from franel.hyperterm import (HyperTerm, apery_zeta3_term, binom_power_term,
-                              from_quotients, operator_numerator,
-                              operator_ratio, shift_quotient_products)
+                              operator_numerator, shift_quotient_products)
 from franel.intpoly import IntPoly, integer_roots
 from franel.operators import (Certificate, RecurrenceOperator,
                               apply_operator, normalize_operator_coeffs)
@@ -102,7 +101,7 @@ def test_order_two_franel_golden():
 def test_round_trip_verification():
     for s in (1, 2, 3, 4):
         term = binom_power_term(s)
-        op, cert = zeilberger(term, 3, verify=False)
+        op, cert = zeilberger(term, 3)
         assert verify_certificate(term, op, cert)
 
 
@@ -209,6 +208,26 @@ def test_minimality_survives_a_raised_degree_bound(monkeypatch):
             zeilberger(binom_power_term(s), (s + 1) // 2 - 1)
 
 
+def test_padding_lemma_one_order_above(order_m_operators, monkeypatch):
+    # the order-m telescoper and its shift N P, both padded, span the
+    # order-(m+1) nullspace; the solve there returns the order-m operator
+    # and its certificate, which is unique for the operator
+    bases = []
+    nullspace = telescoper.fraction_free_nullspace
+
+    def record(matrix):
+        bases.append(nullspace(matrix))
+        return bases[-1]
+
+    monkeypatch.setattr(telescoper, "fraction_free_nullspace", record)
+    for s in range(1, 5):
+        m = expected_order(s)
+        bases.clear()
+        assert telescoper.solve_at_order(binom_power_term(s), m + 1) == \
+            order_m_operators[s]
+        assert [len(basis) for basis in bases] == [2]
+
+
 def test_documents_match_frozen_references(telescoped, order_m_operators,
                                            monkeypatch):
     for s in range(1, 7):
@@ -226,7 +245,7 @@ def test_operator_ratio_is_the_certificate_difference(telescoped):
     for s in range(1, 6):
         op, cert, _ = telescoped[s]
         term = binom_power_term(s)
-        lhs = operator_ratio(op, term)
+        lhs = RatFunc(*operator_numerator(op, term))
         rn, rd = cert.ratio.num, cert.ratio.den
         rn1, rd1 = rn.compose_shift(0, 1), rd.compose_shift(0, 1)
         qn, qd = term.rho_k.num, term.rho_k.den
@@ -338,10 +357,7 @@ def test_degenerate_term_rejected():
 def _weighted_binomial_term():
     rho_n = RatFunc(N + 1, N + 1 - K)
     rho_k = RatFunc((N - K) * (K + 2), (K + 1) * (K + 1))
-    return from_quotients(
-        rho_n, rho_k, "binom*(k+1)",
-        lambda n, k: Fraction(comb(n, k) * (k + 1)) if 0 <= k <= n
-        else Fraction(0))
+    return HyperTerm(rho_n, rho_k)
 
 
 def test_weighted_binomial_exercises_nontrivial_normal_form():
@@ -364,7 +380,7 @@ def test_weighted_binomial_exercises_nontrivial_normal_form():
 def test_order_four_seventh_power(monkeypatch):
     # one size beyond the release gate: order floor((7+1)/2) = 4 with the
     # predicted coefficient degree and certificate shape
-    op, cert = zeilberger(binom_power_term(7), 4, verify=False)
+    op, cert = zeilberger(binom_power_term(7), 4)
     assert op.order == 4
     assert op.coefficient_degree() == expected_coefficient_degree(7) == 16
     rep = analyze_structure(op, cert, 7)
@@ -379,10 +395,7 @@ def _even_slice_term():
                     (2 * N + 1 - 2 * K) * (2 * N + 2 - 2 * K))
     rho_k = RatFunc((2 * N - 2 * K) * (2 * N - 2 * K - 1),
                     (2 * K + 1) * (2 * K + 2))
-    return from_quotients(
-        rho_n, rho_k, "binom(2n,2k)",
-        lambda n, k: Fraction(comb(2 * n, 2 * k)) if 0 <= k <= n
-        else Fraction(0))
+    return HyperTerm(rho_n, rho_k)
 
 
 def _binomial_times_linear_term():
@@ -390,10 +403,7 @@ def _binomial_times_linear_term():
     # factor n+k+2 with q(n+1, k) = (n+2-k)(n+k+2)
     rho_n = RatFunc((N + 1) * (N + K + 2), (N + 1 - K) * (N + K + 1))
     rho_k = RatFunc((N - K) * (N + K + 2), (K + 1) * (N + K + 1))
-    return from_quotients(
-        rho_n, rho_k, "binom(n,k)*(n+k+1)",
-        lambda n, k: Fraction(comb(n, k) * (n + k + 1)) if 0 <= k <= n
-        else Fraction(0))
+    return HyperTerm(rho_n, rho_k)
 
 
 def test_even_slice_binomial_has_nonzero_first_valid_row():
@@ -658,7 +668,7 @@ def test_gosper_ratio_is_the_reduced_product(monkeypatch):
         _binomial_times_linear_term()]
     for term in terms:
         seen.clear()
-        op, _ = zeilberger(term, 3, verify=False)
+        op, _ = zeilberger(term, 3)
         assert len(seen) == op.order
         for r, (q, rr) in enumerate(seen, start=1):
             d, _ = shift_quotient_products(term, r)
