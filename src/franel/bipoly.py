@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import ExactDivisionError, PoleError
-from .intpoly import (IntPoly, mul_kronecker, poly_gcd_int, pseudo_rem_coeffs,
-                      taylor_shift_coeffs)
+from .intpoly import (IntPoly, int_content, mul_kronecker, poly_content,
+                      pseudo_rem_coeffs, taylor_shift_coeffs)
 
 # ---------------------------------------------------------------------------
 # k-recursive view: list of IntPoly coefficients, index = power of k
@@ -136,23 +136,6 @@ def kp_divexact(a, b):
     return kp_strip(q)
 
 
-def kp_content(a) -> IntPoly:
-    """Gcd in Z[n] of the k-coefficients, positive leading coefficient."""
-    g = IntPoly()
-    for c in a:
-        g = poly_gcd_int(g, c)
-        if g.degree == 0 and g.lc == 1:
-            break
-    return g
-
-
-def kp_primitive(a):
-    g = kp_content(a)
-    if g.is_zero or (g.degree == 0 and g.lc == 1):
-        return list(a)
-    return [c.divexact(g) for c in a]
-
-
 # integers substituted for n where one good point settles a question in k;
 # large, so that a leading coefficient in k rarely vanishes at any of them
 SPECIALIZATION_POINTS = (1000003, 1016003, 1032003)
@@ -213,8 +196,8 @@ def kp_gcd(a, b):
     loop.  A one-point specialization modulo a prime settles the common
     coprime case before any pseudo-division happens.
     """
-    a = kp_primitive(kp_strip(list(a)))
-    b = kp_primitive(kp_strip(list(b)))
+    _, a = poly_content(kp_strip(list(a)))
+    _, b = poly_content(kp_strip(list(b)))
     if kp_is_zero(a):
         return b
     if kp_is_zero(b):
@@ -231,7 +214,7 @@ def kp_gcd(a, b):
         delta = kp_deg(a) - kp_deg(b)
         r = kp_strip(pseudo_rem_coeffs(a, b))
         if kp_is_zero(r):
-            return kp_primitive(b)
+            return poly_content(b)[1]
         divisor = g * h ** delta
         a = b
         b = [c.divexact(divisor) for c in r]
@@ -297,9 +280,6 @@ class BiPoly:
         object.__setattr__(p, "coeffs", tuple(kp_strip(list(kp))))
         return p
 
-    def to_kpoly(self):
-        return list(self.coeffs)
-
     @property
     def terms(self) -> dict:
         """A new map {(deg_n, deg_k): c} of the nonzero coefficients."""
@@ -335,12 +315,7 @@ class BiPoly:
         return lead[1] if lead else 0
 
     def content_int(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = int_gcd(g, c.content())
-            if g == 1:
-                return 1
-        return g
+        return int_content(self.coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -450,16 +425,11 @@ def poly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
         g = (b if a.is_zero else a)
         g = g.divexact(BiPoly.const(g.content_int()))
         return g if g.lc_grlex() > 0 else -g
-    ka, kb = a.coeffs, b.coeffs
-    cont_a, cont_b = kp_content(ka), kp_content(kb)
-    cont_g = poly_gcd_int(cont_a, cont_b)
-    pp_a = [c.divexact(cont_a) for c in ka]
-    pp_b = [c.divexact(cont_b) for c in kb]
-    pp_g = kp_gcd(pp_a, pp_b)
-    g = BiPoly.from_kpoly(kp_mul_intpoly(pp_g, cont_g))
-    c = g.content_int()
-    if c > 1:
-        g = g.divexact(BiPoly.const(c))
+    # kp_gcd leaves out the content in Z[n] of the gcd, which is the gcd of
+    # all k-coefficients of a and b together; its integer content goes
+    cont, _ = poly_content(a.coeffs + b.coeffs)
+    g = BiPoly.from_kpoly(kp_mul_intpoly(kp_gcd(a.coeffs, b.coeffs),
+                                         cont.primitive()))
     return g if g.lc_grlex() > 0 else -g
 
 

@@ -188,7 +188,11 @@ def cmd_telescope(args) -> int:
                       "minimality certificate of order %d" % (op.order, m),
                       file=sys.stderr)
                 return _EXIT_INTERNAL
-        doc = operator_document(args.s, op, cert, args.r_max)
+        try:
+            doc = operator_document(args.s, op, cert, args.r_max)
+        except DocumentError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return _EXIT_USAGE
         data = document_bytes(doc)
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)

@@ -24,10 +24,18 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _timestamp() -> str:
-    """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible output."""
+    """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible output.
+
+    Raises DocumentError when SOURCE_DATE_EPOCH is set but is not a Unix
+    time that a timestamp can spell.
+    """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        t = time.gmtime(int(epoch) if epoch else int(time.time()))
+    except (ValueError, OverflowError, OSError) as exc:
+        raise DocumentError("SOURCE_DATE_EPOCH=%r is not a Unix time: %s"
+                            % (epoch, exc)) from exc
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", t)
 
 
 def _is_int(value) -> bool:
@@ -133,8 +141,11 @@ def parse_operator_document(raw: bytes):
     cert_data = doc.get("certificate")
     if not isinstance(cert_data, dict):
         raise DocumentError("certificate must be an object")
-    num = bipoly_from_json(cert_data.get("num", []))
-    den = bipoly_from_json(cert_data.get("den", []))
+    for part in ("num", "den"):
+        if part not in cert_data:
+            raise DocumentError("certificate lacks the field %s" % part)
+    num = bipoly_from_json(cert_data["num"])
+    den = bipoly_from_json(cert_data["den"])
     if den.is_zero:
         raise DocumentError("certificate denominator is zero")
     cert = Certificate(RatFunc(num, den))

@@ -33,4 +33,5 @@ class TelescoperNotFoundError(FranelError):
 
 
 class DocumentError(FranelError):
-    """An operator document failed schema validation or parsing."""
+    """An operator document failed schema validation or parsing, or could
+    not be built."""

@@ -366,6 +366,64 @@ def poly_gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
+# contents of lists of polynomials
+# ---------------------------------------------------------------------------
+
+
+def int_content(polys) -> int:
+    """Nonnegative gcd of the integer coefficients of every entry."""
+    g = 0
+    for p in polys:
+        g = int_gcd(g, p.content())
+        if g == 1:
+            break
+    return g
+
+
+def over_int(polys: list, c: int) -> list:
+    """The entries divided by the integer c, which divides each of them;
+    a c of 0 or 1 returns the list itself."""
+    if c <= 1:
+        return polys
+    return [IntPoly(tuple(x // c for x in p.coeffs)) for p in polys]
+
+
+def poly_content(polys, g=IntPoly()):
+    """(gcd, quotients): the gcd in Z[x] of the entries and the seed g,
+    content included and with a positive leading coefficient, and the
+    entries divided by it.
+
+    The gcd is built from the entries of least degree up.  An entry that
+    it already divides, by a test division whose quotient is kept, leaves
+    it as it is; once it is a constant only the integer contents of the
+    rest are folded in.  So it divides every entry and the gcd of those it
+    was built from, which makes it the gcd of all.  With every entry and
+    the seed zero the gcd is zero and the entries come back as they are.
+    """
+    polys = list(polys)
+    if g.lc < 0:
+        g = -g
+    order = sorted((i for i, p in enumerate(polys) if p),
+                   key=lambda i: polys[i].degree)
+    quotients = {}
+    for pos, i in enumerate(order):
+        if g.degree > 0:
+            try:
+                quotients[i] = polys[i].divexact(g)
+                continue
+            except ExactDivisionError:
+                quotients.clear()  # taken over a g that now shrinks
+        g = poly_gcd_int(g, polys[i])
+        if g.degree == 0:
+            c = int_gcd(g.lc, int_content(polys[j] for j in order[pos + 1:]))
+            return IntPoly.const(c), over_int(polys, c)
+    if g.is_zero:
+        return g, polys
+    return g, [quotients[i] if i in quotients else p.divexact(g)
+               for i, p in enumerate(polys)]
+
+
+# ---------------------------------------------------------------------------
 # integer roots via Sturm sequences
 # ---------------------------------------------------------------------------
 

@@ -46,10 +46,7 @@ substitution, so Bareiss runs only on what is left.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .errors import ExactDivisionError
-from .intpoly import IntPoly, poly_gcd_int
+from .intpoly import IntPoly, int_content, over_int, poly_content
 
 
 def _eliminate(M, ncols):
@@ -123,49 +120,6 @@ def _horner(row, phi, ells, a, width):
     return acc
 
 
-def _int_content(vec):
-    g = 0
-    for v in vec:
-        g = gcd(g, v.content())
-        if g == 1:
-            break
-    return g
-
-
-def _over_int(vec, c):
-    """vec with every entry divided by the integer c > 0, which divides it."""
-    if c == 1:
-        return vec
-    return [IntPoly(tuple(x // c for x in v.coeffs)) for v in vec]
-
-
-def _primitive(vec, g=IntPoly()):
-    """vec over the gcd in Z[n] of its entries and g, content included.
-
-    The gcd g is built from the entries of least degree up.  An entry that
-    g already divides, by a test division whose quotient is kept, leaves g
-    as it is; once g is a constant only the integer contents of the rest
-    are folded in.  So g divides every entry and the gcd of those it was
-    built from, which makes it the gcd of all.
-    """
-    order = sorted((i for i, v in enumerate(vec) if not v.is_zero),
-                   key=lambda i: vec[i].degree)
-    quotients = {}
-    for pos, i in enumerate(order):
-        if g.degree > 0:
-            try:
-                quotients[i] = vec[i].divexact(g)
-                continue
-            except ExactDivisionError:
-                quotients.clear()  # taken over a g that now shrinks
-        g = poly_gcd_int(g, vec[i])
-        if g.degree == 0:
-            return _over_int(vec, gcd(g.lc, _int_content(
-                vec[j] for j in order[pos + 1:])))
-    return [quotients[i] if i in quotients else v.divexact(g)
-            for i, v in enumerate(vec)]
-
-
 def fraction_free_nullspace(matrix):
     """Right-nullspace basis of a matrix of IntPoly entries over Q(n).
 
@@ -204,7 +158,7 @@ def fraction_free_nullspace(matrix):
         a = next((i for i in range(b) if not row[i].is_zero), b)
         h = _horner(row, phi, ells, a, width)
         srow = [dens[a] * m + x for m, x in zip(row[b:], h)]
-        schur.append(_over_int(srow, _int_content(srow) or 1))
+        schur.append(over_int(srow, int_content(srow)))
 
     pivots, free, last = _eliminate(schur, width)
     # lows[j] = prod_{i < j} ells[i], the factor lifting x_j over P_0
@@ -223,12 +177,12 @@ def fraction_free_nullspace(matrix):
                     acc = acc + row[j] * c[j]
             if not acc.is_zero:
                 c[pcol] = (-acc).divexact(row[pcol])
-        c = _primitive(c)
+        _, c = poly_content(c)
         # the gcd of the lift divides that of P_0 c, which is P_0
         lift = [lows[j] * sum((p * x for p, x in zip(phi[j], c)
                                if not x.is_zero), IntPoly())
                 for j in range(b)]
-        vec = _primitive(lift + [dens[0] * x for x in c], dens[0])
+        _, vec = poly_content(lift + [dens[0] * x for x in c], dens[0])
         if vec[b + fc].lc < 0:
             vec = [-v for v in vec]
         basis.append(vec)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import RatFunc
-from .intpoly import IntPoly, poly_gcd_int
+from .intpoly import IntPoly, poly_content
 
 
 @dataclass(frozen=True)
@@ -26,17 +26,9 @@ class RecurrenceOperator:
             raise ValueError("leading coefficient must be nonzero")
         if self.coeffs[-1].lc < 0:
             raise ValueError("leading coefficient must have positive sign")
-        g = IntPoly()
-        for c in self.coeffs:
-            g = poly_gcd_int(g, c)
-        if not (g.degree == 0 and g.lc == 1):
+        g, _ = poly_content(self.coeffs)
+        if g != 1:
             raise ValueError("coefficients share the common factor %r" % g)
-
-    @classmethod
-    def from_raw(cls, coeffs) -> "RecurrenceOperator":
-        """Build from unnormalized coefficients, stripping common factors."""
-        op, _ = normalize_operator_coeffs(coeffs)
-        return op
 
     @property
     def order(self) -> int:
@@ -58,12 +50,9 @@ def normalize_operator_coeffs(coeffs):
         cs.pop()
     if not cs:
         raise ValueError("all coefficients are zero")
-    g = IntPoly()
-    for c in cs:
-        g = poly_gcd_int(g, c)
+    g, cs = poly_content(cs)
     if cs[-1].lc < 0:
-        g = -g
-    cs = [c.divexact(g) for c in cs]
+        g, cs = -g, [-c for c in cs]
     return RecurrenceOperator(tuple(cs)), g
 
 

@@ -47,13 +47,13 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_content,
-                     kp_deg, kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly,
-                     kp_shift_k, kp_strip, kp_sub)
+from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_deg,
+                     kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly, kp_shift_k,
+                     kp_strip, kp_sub)
 from .errors import ExactDivisionError, TelescoperNotFoundError
 from .hyperterm import (HyperTerm, operator_numerator,
                         shift_quotient_products)
-from .intpoly import IntPoly, integer_roots
+from .intpoly import IntPoly, integer_roots, poly_content
 from .linalg import bareiss_determinant, fraction_free_nullspace
 from .operators import (Certificate, RecurrenceOperator,
                         normalize_operator_coeffs)
@@ -472,7 +472,7 @@ def analyze_structure(op: RecurrenceOperator, cert: Certificate,
             divides = True
         except ExactDivisionError:
             divides = False
-    cont = kp_content(den.coeffs)
+    cont, _ = poly_content(den.coeffs)
     if cont.degree >= 1:
         roots = tuple(j for j in integer_roots(cont) if j >= 0)
     else:

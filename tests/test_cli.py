@@ -114,6 +114,32 @@ def test_verify_rejects_a_boolean_power(env, tmp_path, capsys):
     assert "error: invalid document" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part", ["num", "den"])
+def test_verify_rejects_a_certificate_without_a_part(env, tmp_path, capsys,
+                                                     part):
+    # read as zero, a missing num failed verification (exit 1) and a
+    # missing den was reported as a zero denominator
+    doc = json.loads((_REFS / "operator-s3.json").read_text())
+    del doc["certificate"][part]
+    bad = tmp_path / ("no-%s.json" % part)
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--in", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid document: certificate lacks "
+                            "the field %s\n" % part)
+
+
+def test_telescope_rejects_a_malformed_source_date_epoch(env, monkeypatch,
+                                                         capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    assert run(["telescope", "--s", "2", "--r-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SOURCE_DATE_EPOCH='abc' ")
+    assert not (env / "cache").exists()
+
+
 def test_telescope_not_found_exit_3(env):
     assert run(["telescope", "--s", "3", "--r-max", "1"]) == 3
 

@@ -12,7 +12,7 @@ from franel.documents import (bipoly_from_json, bipoly_to_json,
 from franel.errors import DocumentError
 from franel.hyperterm import binom_power_term
 from franel.intpoly import IntPoly
-from franel.operators import Certificate, RecurrenceOperator
+from franel.operators import Certificate, normalize_operator_coeffs
 from franel.telescoper import zeilberger
 
 REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
@@ -26,7 +26,7 @@ def rand_operator(rng):
         if coeffs[-1].is_zero:
             continue
         try:
-            return RecurrenceOperator.from_raw(coeffs)
+            return normalize_operator_coeffs(coeffs)[0]
         except ValueError:
             continue
 

@@ -7,7 +7,7 @@ from franel.bipoly import BiPoly, RatFunc
 from franel.hyperterm import (apery_zeta3_term, binom_power_term,
                               operator_numerator, shift_quotient_products)
 from franel.intpoly import IntPoly
-from franel.operators import RecurrenceOperator
+from franel.operators import RecurrenceOperator, normalize_operator_coeffs
 
 from reference_hyperterm import reference_shift_quotients
 
@@ -105,8 +105,8 @@ def test_operator_ratio_linearity():
     term = binom_power_term(2)
     p1 = RecurrenceOperator((IntPoly((1, 2)), IntPoly.const(1)))
     p2 = RecurrenceOperator((IntPoly((0, 0, 3)), IntPoly((5,), ),))
-    combined = RecurrenceOperator.from_raw(
-        (p1.coeffs[0] + p2.coeffs[0], p1.coeffs[1] + p2.coeffs[1]))
+    combined = normalize_operator_coeffs(
+        (p1.coeffs[0] + p2.coeffs[0], p1.coeffs[1] + p2.coeffs[1]))[0]
     lhs = RatFunc(*operator_numerator(combined, term))
     a = RatFunc(*operator_numerator(p1, term))
     b = RatFunc(*operator_numerator(p2, term))

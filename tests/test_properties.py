@@ -1,11 +1,12 @@
 """Property tests: packed Kronecker products agree with schoolbook ones, the
 modular coprimality proof agrees with the integer gcd it replaced, exact
-division undoes a product and a gcd keeps a common factor, the
-forward elimination agrees with the Gauss-Jordan and row-swapping
-determinant it replaced, the document parser rejects a damaged
-document only with DocumentError, the certificate check agrees with the
-full cross multiplication on perturbed certificates, and the
-truncated-series inverse and power agree with the product."""
+division undoes a product and a gcd keeps a common factor, the content
+routine agrees with the gcd fold it replaced, the forward elimination
+agrees with the Gauss-Jordan and row-swapping determinant it replaced, the
+document parser rejects a damaged document only with DocumentError, the
+certificate check agrees with the full cross multiplication on perturbed
+certificates, and the truncated-series inverse and power agree with the
+product."""
 
 import json
 from fractions import Fraction
@@ -15,11 +16,11 @@ import pytest
 
 from franel.bipoly import (_KP_KRONECKER_CUTOFF, SPECIALIZATION_POINTS,
                            BiPoly, RatFunc, _coprime_by_specialization,
-                           kp_deg, kp_divexact, kp_gcd, kp_mul, kp_primitive)
+                           kp_deg, kp_divexact, kp_gcd, kp_mul)
 from franel.documents import parse_operator_document
 from franel.errors import DocumentError
 from franel.hyperterm import binom_power_term
-from franel.intpoly import IntPoly, mul_kronecker, poly_gcd_int
+from franel.intpoly import IntPoly, mul_kronecker, poly_content, poly_gcd_int
 from franel.linalg import (_triangular_prefix, bareiss_determinant,
                            fraction_free_nullspace)
 from franel.operators import Certificate, RecurrenceOperator
@@ -153,13 +154,57 @@ def test_exact_division_undoes_the_product(a, b):
 def test_gcd_keeps_a_common_factor(g, a, b):
     # kp_gcd leaves out contents in Z[n], so it is divisible by the
     # primitive part of g; kp_divexact raises if it is not
-    kp_divexact(kp_gcd(kp_mul(g, a), kp_mul(g, b)), kp_primitive(g))
+    kp_divexact(kp_gcd(kp_mul(g, a), kp_mul(g, b)), poly_content(g)[1])
 
 
 def int_polys():
     """Small IntPolys, zero about a quarter of the time."""
     return st.one_of(st.just(IntPoly()), st.lists(
         st.integers(-6, 6), min_size=1, max_size=3).map(IntPoly))
+
+
+def fold_gcd(polys):
+    """The gcd of a list by one poly_gcd_int step per entry, the fold that
+    the content routine replaced, kept as its oracle."""
+    g = IntPoly()
+    for p in polys:
+        g = poly_gcd_int(g, p)
+    return g
+
+
+@st.composite
+def content_cases(draw):
+    """A list f * h_i with f nonconstant, a constant above 1, or 1 and
+    either sign, h_i zero about a quarter of the time, and a seed that is
+    zero or a multiple of f."""
+    f = draw(st.one_of(
+        st.lists(st.integers(-6, 6), min_size=2, max_size=3).map(IntPoly),
+        st.integers(2, 12).map(IntPoly.const),
+        st.sampled_from((IntPoly.const(1), IntPoly.const(-1)))))
+    hypothesis.assume(not f.is_zero)
+    polys = [f * h for h in draw(st.lists(int_polys(), max_size=6))]
+    seed = draw(st.one_of(st.just(IntPoly()),
+                           int_polys().map(lambda h: f * h)))
+    return polys, seed
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(content_cases())
+@hypothesis.example(([], IntPoly()))
+@hypothesis.example(([IntPoly(), IntPoly()], IntPoly()))
+@hypothesis.example(([], IntPoly.const(-2)))
+@hypothesis.example(([IntPoly(), IntPoly()], IntPoly((0, -6))))
+@hypothesis.example(([IntPoly((4, -6)), IntPoly(), IntPoly((-2, 0, -2))],
+                     IntPoly()))
+@hypothesis.example(([IntPoly((3, 3)), IntPoly((-1, 0, 1)), IntPoly()],
+                     IntPoly((-2, 0, 2))))
+@hypothesis.example(([IntPoly((-2, -2)), IntPoly((1, 2, 1)), IntPoly()],
+                     IntPoly((0, -3, -3))))
+def test_content_routine_matches_the_gcd_fold(case):
+    polys, seed = case
+    g = fold_gcd([seed] + polys)
+    assert poly_content(polys, seed) == (
+        g, [p.divexact(g) for p in polys] if g else polys)
 
 
 @st.composite
@@ -217,10 +262,7 @@ def test_nullspace_with_a_planted_triangular_prefix(case):
             for p, x in zip(row, vec):
                 acc = acc + p * x
             assert acc.is_zero
-        g = IntPoly()
-        for v in vec:
-            g = poly_gcd_int(g, v)
-        assert g == IntPoly.const(1)
+        assert fold_gcd(vec) == IntPoly.const(1)
         fc = max(i for i, v in enumerate(vec) if not v.is_zero)
         assert vec[fc].lc > 0
         free.append(fc)

@@ -537,7 +537,8 @@ def _generic_dispersion_set(a_kp, b_kp):
     """
     if kp_deg(a_kp) < 1 or kp_deg(b_kp) < 1:
         return []
-    rows = _resultant_in_k_shifted(a_kp, b_kp).to_kpoly()  # h-poly over Z[n]
+    # h-poly over Z[n]
+    rows = list(_resultant_in_k_shifted(a_kp, b_kp).coeffs)
     max_n_deg = max(p.degree for p in rows)
     slice_poly = None
     for delta in range(max_n_deg + 1):
