@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bigfloat import BigFloat
 from .documents import (TOOL_VERSION, document_bytes, operator_document,
-                        parse_operator_document)
+                        parse_operator_document, timestamp)
 from .errors import DocumentError
 from .hyperterm import binom_power_term
 from .limits import asymptotic_ratio, limit_report, zeta3_reference
@@ -160,6 +160,13 @@ def cmd_telescope(args) -> int:
             print("warning: ignoring corrupt cache entry: %s" % exc,
                   file=sys.stderr)
     if data is None:
+        # the document's timestamp is read before the search, so a bad
+        # SOURCE_DATE_EPOCH ends the run before any solving
+        try:
+            stamp = timestamp()
+        except DocumentError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return _EXIT_USAGE
         # one upward search from r0 = min(m, --r-max), m = ceil(s/2).  By
         # the padding lemma (see solve_at_order) no solution at r0 rules out
         # every lower order.  A solution at r0 must be the order-m operator
@@ -188,12 +195,8 @@ def cmd_telescope(args) -> int:
                       "minimality certificate of order %d" % (op.order, m),
                       file=sys.stderr)
                 return _EXIT_INTERNAL
-        try:
-            doc = operator_document(args.s, op, cert, args.r_max)
-        except DocumentError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return _EXIT_USAGE
-        data = document_bytes(doc)
+        data = document_bytes(operator_document(args.s, op, cert, args.r_max,
+                                                stamp))
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
             _replace_file(cache_path, data)

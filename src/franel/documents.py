@@ -23,7 +23,7 @@ TOOL_VERSION = "0.1.0"
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def _timestamp() -> str:
+def timestamp() -> str:
     """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible output.
 
     Raises DocumentError when SOURCE_DATE_EPOCH is set but is not a Unix
@@ -89,7 +89,8 @@ def bipoly_from_json(data) -> BiPoly:
 
 
 def operator_document(s: int, op: RecurrenceOperator, cert: Certificate,
-                      r_max: int) -> dict:
+                      r_max: int, stamp: str) -> dict:
+    """The document of an operator; `stamp` is its `timestamp()`."""
     return {
         "schema_version": SCHEMA_VERSION,
         "s": s,
@@ -101,7 +102,7 @@ def operator_document(s: int, op: RecurrenceOperator, cert: Certificate,
         },
         "provenance": {
             "tool_version": TOOL_VERSION,
-            "timestamp": _timestamp(),
+            "timestamp": stamp,
             "r_max": r_max,
         },
     }

@@ -58,17 +58,33 @@ def shift_quotient_products(term: HyperTerm, order: int):
 
     With rho_n = p/q, a(n+i, k)/a(n, k) = prod_{j<i} p(n+j, k)/q(n+j, k), so
     d = prod_{j<order} q(n+j, k) and u_i = prod_{j<i} p(n+j, k) *
-    prod_{i<=j<order} q(n+j, k), built from prefix and suffix products.  d is
-    a common denominator but not always the least one: p(n+j, k) may share a
-    factor with a later q(n+j', k).  For binom(n, k)^s and the Apery term
-    nothing cancels, and d is the rising product.
+    prod_{i<=j<order} q(n+j, k) (see `quotient_products`).  d is a common
+    denominator but not always the least one: p(n+j, k) may share a factor
+    with a later q(n+j', k).  For binom(n, k)^s and the Apery term nothing
+    cancels, and d is the rising product.
     """
+    return quotient_products(*rho_n_shifts(term, order), BiPoly.const(1))
+
+
+def rho_n_shifts(term: HyperTerm, order: int):
+    """([p(n+j, k)], [q(n+j, k)]) for j < order, with rho_n = p/q."""
     p, q = term.rho_n.num, term.rho_n.den
-    prefix = [BiPoly.const(1)]
-    suffix = [BiPoly.const(1)]  # suffix[t] = prod_{order-t <= j < order}
-    for j in range(order):
-        prefix.append(prefix[-1] * p.compose_shift(j, 0))
-        suffix.append(suffix[-1] * q.compose_shift(order - 1 - j, 0))
+    return ([p.compose_shift(j, 0) for j in range(order)],
+            [q.compose_shift(j, 0) for j in range(order)])
+
+
+def quotient_products(ps, qs, one):
+    """(prod_j qs[j], [u_0, .., u_r]) with u_i = prod_{j<i} ps[j] *
+    prod_{i<=j<r} qs[j], r = len(ps), from prefix and suffix products.
+
+    The entries need only *, so BiPolys, their images in Z[k] and integer
+    norm bounds all work; `one` is the unit of their ring.
+    """
+    prefix = [one]
+    suffix = [one]  # suffix[t] = prod_{r-t <= j < r} qs[j]
+    for j in range(len(ps)):
+        prefix.append(prefix[-1] * ps[j])
+        suffix.append(suffix[-1] * qs[-1 - j])
     return suffix[-1], [a * b for a, b in zip(prefix, reversed(suffix))]
 
 

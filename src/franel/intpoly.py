@@ -433,6 +433,11 @@ def derivative(p: IntPoly) -> IntPoly:
                    if p.degree >= 1 else ())
 
 
+def squarefree_part(p: IntPoly) -> IntPoly:
+    """p over its gcd with p': the same roots, each of multiplicity one."""
+    return p.divexact(poly_gcd_int(p, derivative(p)))
+
+
 def _sturm_chain(p: IntPoly):
     """Sturm chain of a squarefree polynomial, up to positive rescaling."""
     chain = [p, derivative(p)]
@@ -474,7 +479,7 @@ def integer_roots(p: IntPoly):
     q = IntPoly(coeffs)
     if q.degree <= 0:
         return sorted(roots)
-    sf = q.divexact(poly_gcd_int(q, derivative(q)))
+    sf = squarefree_part(q)
     if sf.degree == 0:
         return sorted(roots)
     chain = _sturm_chain(sf)

@@ -36,8 +36,15 @@ R(n, k+1) rho_k with R(n, k+1)'s denominator cancelled first.  Since R is
 in lowest terms, that denominator must divide rho_k's numerator times the
 shared one when the identity holds, so a failed division refutes it and a
 successful one leaves a cross multiplication in which each product has a
-small factor (see _ResidualParts).  The residual is never reduced, and a
-nonzero one is reported by its degrees, which add over Z[n, k].
+small factor (see _ResidualParts).  The check runs in the image of the
+ring map Z[n][k] -> Z[k], n -> X = 2**(8*stride): each coefficient in n
+becomes one integer, so it is big-integer arithmetic on polynomials in k.
+X/2 exceeds a bound on the 1-norm of the full residual numerator, built
+from ||p(n+a, k+b)||_1 <= |p|(1+|a|, 1+|b|), and balanced base-X digits
+make the map injective below X/2, so the image's verdict is the
+polynomial one (see _residual_image).  The residual is never reduced, and
+a nonzero one is reported by its degrees, taken from its parts in
+Z[n][k], which add over Z[n, k].
 """
 
 from __future__ import annotations
@@ -51,9 +58,10 @@ from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_deg,
                      kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly, kp_shift_k,
                      kp_strip, kp_sub)
 from .errors import ExactDivisionError, TelescoperNotFoundError
-from .hyperterm import (HyperTerm, operator_numerator,
-                        shift_quotient_products)
-from .intpoly import IntPoly, integer_roots, poly_content
+from .hyperterm import (HyperTerm, operator_numerator, quotient_products,
+                        rho_n_shifts, shift_quotient_products)
+from .intpoly import (IntPoly, integer_roots, pack_signed, poly_content,
+                      squarefree_part)
 from .linalg import bareiss_determinant, fraction_free_nullspace
 from .operators import (Certificate, RecurrenceOperator,
                         normalize_operator_coeffs)
@@ -90,15 +98,19 @@ def _dispersion_set(a_kp, b_kp):
       no-op for the caller: gcd(A(k), B(k+j)) is constant in k, and stays so
       for the divisors of A and B the normal form works with, so its exact
       gcd loop leaves A, B and C untouched.
+    - a(n0, k) and b(n0, k) are replaced by their squarefree parts, which
+      have the same roots, so the resultant vanishes at the same h.
     """
-    da, db = kp_deg(a_kp), kp_deg(b_kp)
-    if da < 1 or db < 1:
+    if kp_deg(a_kp) < 1 or kp_deg(b_kp) < 1:
         return []
     for n0 in SPECIALIZATION_POINTS:
         if a_kp[-1].eval_int(n0) == 0 or b_kp[-1].eval_int(n0) == 0:
             continue
-        a0 = [IntPoly.const(c.eval_int(n0)) for c in a_kp]
-        b0 = [c.eval_int(n0) for c in b_kp]
+        a0, b0 = (squarefree_part(IntPoly([c.eval_int(n0) for c in kp]))
+                  for kp in (a_kp, b_kp))
+        da, db = a0.degree, b0.degree
+        a0 = [IntPoly.const(c) for c in a0.coeffs]
+        b0 = b0.coeffs
         # coefficient of k^m in b(k+h): sum_{i>=m} C(i,m) b_i h^(i-m)
         b_shift = [IntPoly([comb(i, m) * b0[i] for i in range(m, db + 1)])
                    for m in range(db + 1)]
@@ -287,7 +299,8 @@ class _ResidualParts(NamedTuple):
         (top rd1 qd - rn1 qn bottom) / (bottom rd1 qd),
 
     where top/bottom = (P a)/a + R(n, k), rn1/rd1 = R(n, k+1) and
-    rho_k = qn/qd.
+    rho_k = qn/qd.  The parts are BiPolys, or their images in Z[k] (see
+    `_residual_image`); the arithmetic below serves both.
     """
 
     top: BiPoly
@@ -313,8 +326,9 @@ class _ResidualParts(NamedTuple):
         top rd1 qd = rn1 (qn bottom), so rd1 divides rn1 (qn bottom) in the
         UFD Z[n, k], hence divides qn bottom; the quotient is unique and
         lies in Z[n][k], so every step of the long division is exact.  A
-        failed division therefore already refutes the identity.  Each product here has one small factor: qd = (k+1)^s,
-        qn = (n-k)^s and, for binom(n, k)^s at order m, cof = (n-k+m)^s.
+        failed division therefore already refutes the identity.  Each
+        product here has one small factor: qd = (k+1)^s, qn = (n-k)^s and,
+        for binom(n, k)^s at order m, cof = (n-k+m)^s.
         """
         try:
             cof = (self.qn * self.bottom).divexact(self.rd1)
@@ -323,24 +337,101 @@ class _ResidualParts(NamedTuple):
         return self.top * self.qd - self.rn1 * cof
 
 
+def _over_one_denominator(lhs_num, lhs_den, rn, rd):
+    """(top, bottom) with top/bottom = lhs_num/lhs_den + rn/rd: bottom is rd
+    itself when lhs_den == rd, as for every binom(n, k)^s and for the Apery
+    term (both are the rising product), else lhs_den rd."""
+    if lhs_den == rd:
+        return lhs_num + rn, rd
+    return lhs_num * rd + rn * lhs_den, lhs_den * rd
+
+
 def _residual_parts(term: HyperTerm, op: RecurrenceOperator,
                     cert: Certificate) -> _ResidualParts:
-    """The residual's parts, none of them multiplied together.
-
-    (P a)/a = lhs_num / lhs_den comes from operator_numerator and R = rn/rd.
-    The sum lhs_num/lhs_den + rn/rd is top/bottom over one denominator: rd
-    itself when lhs_den == rd, as for every binom(n, k)^s and for the Apery
-    term (both are the rising product), else lhs_den rd.
-    """
+    """The residual's parts in Z[n][k], none of them multiplied together;
+    (P a)/a = lhs_num / lhs_den comes from operator_numerator and
+    R = rn/rd."""
     lhs_num, lhs_den = operator_numerator(op, term)
     rn, rd = cert.ratio.num, cert.ratio.den
-    if lhs_den == rd:
-        top, bottom = lhs_num + rn, rd
-    else:
-        top, bottom = lhs_num * rd + rn * lhs_den, lhs_den * rd
+    top, bottom = _over_one_denominator(lhs_num, lhs_den, rn, rd)
     return _ResidualParts(top, bottom, rn.compose_shift(0, 1),
                           rd.compose_shift(0, 1), term.rho_k.num,
                           term.rho_k.den)
+
+
+def _norm(kp, dk: int = 0) -> int:
+    """A bound on the 1-norm of p(n, k + dk), p given by its k-poly: p with
+    its coefficients' absolute values at n = 1, k = 1 + |dk|, by Horner's
+    rule, and at least 1, so that a bound built from such bounds by sums
+    and products also bounds each of them."""
+    acc = 0
+    for c in reversed(kp):
+        acc = acc * (1 + abs(dk)) + sum(abs(a) for a in c.coeffs)
+    return max(1, acc)
+
+
+def _image(p: BiPoly, stride: int) -> IntPoly:
+    """p(X, k) in Z[k] for X = 2**(8*stride)."""
+    return IntPoly([pack_signed(c.coeffs, stride) for c in p.coeffs])
+
+
+def _residual_image(term: HyperTerm, op: RecurrenceOperator,
+                    cert: Certificate):
+    """(stride, small_X): `_residual_parts` and their small numerator in
+    the image of the ring map Z[n][k] -> Z[k], n -> X = 2**(8*stride);
+    small_X is None when the division in Z[k] fails.
+
+    The verdict small_X == 0 is exact.  Write F = top rd1 qd - rn1 qn bottom
+    for the full numerator, which is zero iff the identity holds.
+
+    - Evaluation at n = X is a ring map, so each part's image is the image
+      of the part, and the shift k -> k+1 commutes with it.
+    - A polynomial in n whose integer coefficients lie below X/2 in
+      absolute value is its own balanced base-X digits, so it is zero iff
+      its value at X is.  `stride` is taken so that X/2 exceeds a bound B
+      on the 1-norm of F, of d - rd (so the test lhs_den == rd is the
+      polynomial one) and of every input packed (so each packs whole).
+      B comes from ||p(n+a, k+b)||_1 <= |p|(1+|a|, 1+|b|) (see `_norm`),
+      with sums and products of 1-norms bounding those of sums and
+      products; the shifts in n are made on the polynomials first.
+    - If rd1 divides qn bottom in Z[n][k], then rd1_X divides qn_X bottom_X
+      in Z[k], and rd1_X = rd_X(k+1) is nonzero, so the long division
+      over the integers is exact.  A failed division in Z[k] therefore
+      refutes the identity (see `_ResidualParts.small_numerator`).
+    - When it is exact, rd1_X small_X = F_X with rd1_X nonzero, so
+      small_X == 0 iff F_X == 0 iff F == 0.
+
+    Nothing is unpacked, so the images' coefficients may grow past X.
+    """
+    ps, qs = rho_n_shifts(term, op.order)
+    rn, rd = cert.ratio.num, cert.ratio.den
+    qn, qd = term.rho_k.num, term.rho_k.den
+    d_b, u_b = quotient_products([_norm(f.coeffs) for f in ps],
+                                 [_norm(f.coeffs) for f in qs], 1)
+    lhs_b = sum(_norm([c]) * u for c, u in zip(op.coeffs, u_b))
+    rn_b, rd_b = _norm(rn.coeffs), _norm(rd.coeffs)
+    rd1_qd_b = _norm(rd.coeffs, 1) * _norm(qd.coeffs)
+    rn1_qn_b = _norm(rn.coeffs, 1) * _norm(qn.coeffs)
+    # the shared denominator's bounds hold when d == rd, which the images
+    # decide at that stride; otherwise the product's are taken
+    for top_b, bottom_b in ((lhs_b + rn_b, rd_b),
+                            (lhs_b * rd_b + rn_b * d_b, d_b * rd_b)):
+        bound = max(top_b * rd1_qd_b + rn1_qn_b * bottom_b, d_b + rd_b)
+        stride = (bound.bit_length() + 8) // 8  # bound < 2**(8*stride-1)
+        d_x, u_x = quotient_products([_image(f, stride) for f in ps],
+                                     [_image(f, stride) for f in qs],
+                                     IntPoly.const(1))
+        rd_x = _image(rd, stride)
+        if d_x == rd_x:
+            break
+    rn_x = _image(rn, stride)
+    lhs_x = sum((pack_signed(c.coeffs, stride) * u
+                 for c, u in zip(op.coeffs, u_x)), IntPoly())
+    top, bottom = _over_one_denominator(lhs_x, d_x, rn_x, rd_x)
+    parts = _ResidualParts(top, bottom, rn_x.compose_shift(1),
+                           rd_x.compose_shift(1), _image(qn, stride),
+                           _image(qd, stride))
+    return stride, parts.small_numerator()
 
 
 def certificate_mismatch(term: HyperTerm, op: RecurrenceOperator,
@@ -349,20 +440,23 @@ def certificate_mismatch(term: HyperTerm, op: RecurrenceOperator,
     ((deg_n, deg_k) of the numerator, (deg_n, deg_k) of the denominator) of
     the residual (P a)/a - (R(n, k+1) rho_k - R(n, k)), unreduced.
 
-    Nothing is reduced and nothing large is multiplied out.  Over the
-    integral domain Z[n, k] the degrees in n and in k each add under
-    products, so the denominator bottom rd1 qd has the sum of its factors'
-    degrees, and the numerator small rd1 (see `_ResidualParts`) those of
-    small plus rd1.  Only when rd1 does not divide qn bottom, so the
-    certificate is invalid, is the full numerator formed, for its degrees.
+    The verdict is `verify_certificate`'s.  Only a refuted certificate
+    has its parts formed in Z[n][k], for the degrees, and nothing is
+    reduced.  Over the integral domain Z[n, k] the degrees in n and in k
+    each add under products, so the denominator bottom rd1 qd has the sum
+    of its factors' degrees, and the numerator small rd1 (see
+    `_ResidualParts`) those of small plus rd1.  Only when rd1 does not
+    divide qn bottom is the full numerator formed, for its degrees; a
+    division that fails in the image fails in Z[n][k] too.
     """
+    _, small_x = _residual_image(term, op, cert)
+    if small_x is not None and small_x.is_zero:
+        return None
     parts = _residual_parts(term, op, cert)
-    small = parts.small_numerator()
+    small = None if small_x is None else parts.small_numerator()
     if small is None:
         num = parts.full_numerator()
         num_degrees = (num.deg_n, num.deg_k)
-    elif small.is_zero:
-        return None
     else:
         num_degrees = (small.deg_n + parts.rd1.deg_n,
                        small.deg_k + parts.rd1.deg_k)
@@ -375,10 +469,11 @@ def verify_certificate(term: HyperTerm, op: RecurrenceOperator,
                        cert: Certificate) -> bool:
     """Exact identity check of the telescoping relation; never reduces.
 
-    The verdict is small == 0 (see `_ResidualParts.small_numerator`); a
-    failed division returns False at once, with no cross multiplication.
+    The verdict is small_X == 0 in the image n -> 2**(8*stride) (see
+    `_residual_image`); a failed division returns False at once, with no
+    cross multiplication.
     """
-    small = _residual_parts(term, op, cert).small_numerator()
+    small = _residual_image(term, op, cert)[1]
     return small is not None and small.is_zero
 
 

@@ -140,6 +140,19 @@ def test_telescope_rejects_a_malformed_source_date_epoch(env, monkeypatch,
     assert not (env / "cache").exists()
 
 
+def test_telescope_reads_source_date_epoch_before_the_search(
+        env, monkeypatch, capsys):
+    # read after the search, the timestamp would end the run only after
+    # the s=10 solve, about 10 s
+    def solve(term, r):
+        raise AssertionError("solve_at_order called")
+    monkeypatch.setattr(cli, "solve_at_order", solve)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    assert run(["telescope", "--s", "10", "--r-max", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: SOURCE_DATE_EPOCH=")
+    assert not (env / "cache").exists()
+
+
 def test_telescope_not_found_exit_3(env):
     assert run(["telescope", "--s", "3", "--r-max", "1"]) == 3
 

@@ -8,7 +8,7 @@ from franel.bipoly import BiPoly, RatFunc
 from franel.documents import (bipoly_from_json, bipoly_to_json,
                               document_bytes, intpoly_from_json,
                               intpoly_to_json, operator_document,
-                              parse_operator_document)
+                              parse_operator_document, timestamp)
 from franel.errors import DocumentError
 from franel.hyperterm import binom_power_term
 from franel.intpoly import IntPoly
@@ -48,7 +48,7 @@ def test_roundtrip_random():
     for _ in range(100):
         op = rand_operator(rng)
         cert = rand_certificate(rng)
-        doc = operator_document(3, op, cert, r_max=4)
+        doc = operator_document(3, op, cert, 4, timestamp())
         s, op2, cert2, prov = parse_operator_document(document_bytes(doc))
         assert s == 3
         assert op2.coeffs == op.coeffs
@@ -69,22 +69,24 @@ def test_document_bytes_stable():
     import os
     os.environ["SOURCE_DATE_EPOCH"] = "1700000000"
     try:
-        d1 = document_bytes(operator_document(2, op, cert, 1))
-        d2 = document_bytes(operator_document(2, op, cert, 1))
+        d1 = document_bytes(
+            operator_document(2, op, cert, 1, timestamp()))
+        d2 = document_bytes(
+            operator_document(2, op, cert, 1, timestamp()))
     finally:
         del os.environ["SOURCE_DATE_EPOCH"]
     assert d1 == d2
     assert d1.endswith(b"\n")
     # parse back and re-serialize: lossless
     s, op2, cert2, prov = parse_operator_document(d1)
-    doc2 = operator_document(s, op2, cert2, prov["r_max"])
+    doc2 = operator_document(s, op2, cert2, prov["r_max"], timestamp())
     doc2["provenance"]["timestamp"] = json.loads(d1)["provenance"]["timestamp"]
     assert document_bytes(doc2) == d1
 
 
 def _valid_doc_bytes():
     op, cert = zeilberger(binom_power_term(1), 1)
-    return document_bytes(operator_document(1, op, cert, 1))
+    return document_bytes(operator_document(1, op, cert, 1, timestamp()))
 
 
 def test_parse_rejects_bad_documents():

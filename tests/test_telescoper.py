@@ -7,7 +7,7 @@ import pytest
 import franel.telescoper as telescoper
 from franel.bipoly import BiPoly, RatFunc, kp_deg
 from franel.documents import (document_bytes, operator_document,
-                              parse_operator_document)
+                              parse_operator_document, timestamp)
 from franel.errors import TelescoperNotFoundError
 from franel.hyperterm import (HyperTerm, apery_zeta3_term, binom_power_term,
                               operator_numerator, shift_quotient_products)
@@ -36,7 +36,8 @@ def assert_matches_frozen_document(s, op, cert, monkeypatch):
     """The r_max = 4 document is byte-identical to the frozen reference."""
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     frozen = (REFS / ("operator-s%d.json" % s)).read_bytes()
-    assert document_bytes(operator_document(s, op, cert, 4)) == frozen
+    assert document_bytes(operator_document(s, op, cert, 4,
+                                             timestamp())) == frozen
 
 
 def assert_residual_matches_reference(term, op, cert, shared):
@@ -112,6 +113,12 @@ def test_verify_rejects_wrong_certificate():
     cert = Certificate(RatFunc.zero())
     residual = assert_residual_matches_reference(term, op, cert, shared=True)
     assert residual == RatFunc.one()
+    # (10^6)^k binom(n, k): R = 0 drops rho_k's numerator from F, but its
+    # image must still fit the stride
+    big = HyperTerm(RatFunc(N + 1, N + 1 - K),
+                    RatFunc(10 ** 6 * (N - K), K + 1))
+    assert not assert_residual_matches_reference(big, op, cert,
+                                                 shared=True).is_zero
 
 
 def test_residual_matches_reference_on_frozen_documents():
@@ -165,10 +172,57 @@ def test_failed_division_refutes_and_reports_the_full_numerator():
             bad = Certificate(RatFunc(num, bad_den))
             parts = telescoper._residual_parts(term, op, bad)
             assert parts.small_numerator() is None
+            assert telescoper._residual_image(term, op, bad)[1] is None
             assert not verify_certificate(term, op, bad)
             mismatch = certificate_mismatch(term, op, bad)
             assert mismatch is not None
             assert mismatch == reference_mismatch(term, op, bad)
+
+
+def test_image_stride_bounds_the_full_numerator():
+    # X/2 = 2**(8*stride - 1) exceeds every coefficient of F and of its two
+    # products, which are equal on a valid document, on each frozen
+    # document, on its copy with c_0 moved and on its copy with the
+    # certificate denominator plus 1, which takes the general branch
+    for s in range(1, 8):
+        term = binom_power_term(s)
+        op, cert = frozen_document(s)
+        den_1 = Certificate(RatFunc(cert.ratio.num, cert.ratio.den + 1))
+        for case_op, case_cert in ((op, cert),
+                                   (next(bumped_operators(op)), cert),
+                                   (op, den_1)):
+            stride, _ = telescoper._residual_image(term, case_op, case_cert)
+            parts = telescoper._residual_parts(term, case_op, case_cert)
+            for p in (parts.full_numerator(),
+                      parts.top * parts.rd1 * parts.qd,
+                      parts.rn1 * parts.qn * parts.bottom):
+                bits = max((c.max_coeff_bits() for c in p.coeffs), default=0)
+                assert bits < 8 * stride - 1
+
+
+def _binomial_product_term(a, b):
+    """binom(n, k)^a binom(n+k, k)^b; a = b = 2 is the Apery term."""
+    return HyperTerm(
+        RatFunc((N + 1) ** a * (N + K + 1) ** b,
+                (N + 1 - K) ** a * (N + 1) ** b),
+        RatFunc((N - K) ** a * (N + K + 1) ** b, (K + 1) ** (a + b)))
+
+
+def test_image_check_on_binomial_products():
+    # (a, b) = (1, 2) takes the general branch: its certificate's
+    # denominator is not the shift quotients' d
+    assert _binomial_product_term(2, 2) == apery_zeta3_term()
+    for (a, b), shared in (((1, 1), True), ((2, 1), True), ((2, 2), True),
+                           ((1, 2), False)):
+        term = _binomial_product_term(a, b)
+        op, cert = zeilberger(term, 3)
+        assert assert_residual_matches_reference(term, op, cert,
+                                                 shared).is_zero
+        bad = next(bumped_operators(op))
+        assert not assert_residual_matches_reference(term, bad, cert,
+                                                     shared).is_zero
+        assert certificate_mismatch(term, bad, cert) == \
+            reference_mismatch(term, bad, cert)
 
 
 def test_verify_rejects_perturbed_certificate():
