@@ -76,26 +76,76 @@ from .series import series_inv, series_pow
 from .telescoper import expected_order, solve_at_order, verify_certificate
 
 
+# terms per leaf of `franel`'s product tree
+_FRANEL_LEAF = 32
+
+
+def _inverse_mod_pow2(a: int, bits: int) -> int:
+    """x in [0, 2^bits) with a x = 1 mod 2^bits, for odd a.
+
+    Newton's step x -> x (2 - a x) squares 1 - a x, so it doubles the
+    number of correct low bits; a x = 1 mod 8 for x = a, as a^2 = 1 mod 8
+    for every odd a.
+    """
+    steps = []
+    while bits > 3:
+        steps.append(bits)
+        bits = (bits + 1) // 2
+    x = a & ((1 << bits) - 1)
+    for width in reversed(steps):
+        mask = (1 << width) - 1
+        x = x * (2 - (a & mask) * x) & mask
+    return x
+
+
 def franel(s: int, n: int) -> int:
     """Sum of binom(n, k)**s over k = 0..n, exactly.
 
-    The power steps by its ratio (n-k)^s / (k+1)^s, an exact division as
-    binom(n, k+1)**s is an integer; by symmetry the terms k < (n+1)/2 are
-    summed twice, plus the middle term when n is even.
+    By symmetry the sum is 2 S + [n even] binom(n, h)^s with
+    S = sum_{k<h} binom(n, k)^s and h = ceil(n/2).  Binary splitting over
+    k < h, with a_k = (n-k)^s and b_k = (k+1)^s, gives P = prod a_k,
+    Q = prod b_k = (h!)^s and T with T/Q = S: a leaf steps
+    T <- (T + P) b_k, and two halves merge by T = T1 Q2 + P1 T2.
+    Every product is reduced modulo 2^(L+e), L = n s + 1 and
+    e = v2(Q) = s sum_i floor(h/2^i), and the sum is read off 2-adically:
+
+    - S and binom(n, h)^s = P/Q are integers, so the sum x is one, with
+      0 <= x <= (sum_k binom(n, k))^s = 2^(n s) < 2^L.
+    - Q S = T and Q binom(n, h)^s = P exactly, with v2(Q) = e, so
+      x = (2 T/2^e + [n even] P/2^e) (Q/2^e)^(-1) mod 2^L, Q/2^e odd.
+    - Reduction modulo 2^(L+e) is a ring map, so the reduced tree gives
+      T, P and Q modulo 2^(L+e), hence T/2^e, P/2^e and Q/2^e mod 2^L.
+    - A residue in [0, 2^L) of a number in [0, 2^L) is that number.
+
+    So no step divides: the tree's products and one Newton inverse
+    (`_inverse_mod_pow2`) replace a long division per term.
     """
     if s < 1:
         raise ValueError("the power s must be a positive integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = 0
-    p = 1
-    for k in range((n + 1) // 2):
-        total += p
-        p = p * (n - k) ** s // (k + 1) ** s
-    total *= 2
-    if n % 2 == 0:
-        total += p
-    return total
+    h = (n + 1) // 2
+    bits = n * s + 1
+    e = s * (h - bin(h).count("1"))  # Legendre: v2(h!) = h - popcount(h)
+    mask = (1 << (bits + e)) - 1
+
+    def split(lo: int, hi: int):
+        if hi - lo <= _FRANEL_LEAF:
+            p, q, t = 1, 1, 0
+            for k in range(lo, hi):
+                b = (k + 1) ** s
+                t = (t + p) * b
+                p *= (n - k) ** s
+                q *= b
+            return p, q, t
+        mid = (lo + hi) // 2
+        p1, q1, t1 = split(lo, mid)
+        p2, q2, t2 = split(mid, hi)
+        return p1 * p2 & mask, q1 * q2 & mask, (t1 * q2 + p1 * t2) & mask
+
+    p, q, t = split(0, h)
+    top = 2 * (t >> e) + (p >> e if n % 2 == 0 else 0)
+    return top * _inverse_mod_pow2(q >> e, bits) & ((1 << bits) - 1)
 
 
 def lcm_upto(n: int) -> int:

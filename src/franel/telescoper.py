@@ -34,9 +34,10 @@ Everything is exact; verification never trusts the construction.  It adds
 the certificate's own, and checks the identity (P a)/a + R(n, k) =
 R(n, k+1) rho_k with R(n, k+1)'s denominator cancelled first.  Since R is
 in lowest terms, that denominator must divide rho_k's numerator times the
-shared one when the identity holds, so a failed division refutes it and a
-successful one leaves a cross multiplication in which each product has a
-small factor (see _ResidualParts).  The check runs in the image of the
+shared one when the identity holds, so a failed division refutes it before
+the sum's numerator is formed, and a successful one leaves a cross
+multiplication in which each product has a small factor (see
+_ResidualParts).  The check runs in the image of the
 ring map Z[n][k] -> Z[k], n -> X = 2**(8*stride): each coefficient in n
 becomes one integer, so it is big-integer arithmetic on polynomials in k.
 X/2 exceeds a bound on the 1-norm of the full residual numerator, built
@@ -298,21 +299,34 @@ class _ResidualParts(NamedTuple):
 
         (top rd1 qd - rn1 qn bottom) / (bottom rd1 qd),
 
-    where top/bottom = (P a)/a + R(n, k), rn1/rd1 = R(n, k+1) and
-    rho_k = qn/qd.  The parts are BiPolys, or their images in Z[k] (see
-    `_residual_image`); the arithmetic below serves both.
+    where top/bottom = (P a)/a + R(n, k) = lhs_num/lhs_den + rn/rd over one
+    denominator (bottom from `_common_denominator`), rn1/rd1 = R(n, k+1)
+    and rho_k = qn/qd.  top is lhs_num + rn when bottom is rd, else
+    lhs_num rd + rn lhs_den; it is formed only when asked for, as in that
+    general branch it costs two products and the division in
+    `small_numerator` may refute the certificate first.
+    The parts are BiPolys, or their images in Z[k] (see `_residual_image`);
+    the arithmetic below serves both.
     """
 
-    top: BiPoly
+    lhs_num: BiPoly
+    lhs_den: BiPoly
+    rn: BiPoly
+    rd: BiPoly
     bottom: BiPoly
     rn1: BiPoly
     rd1: BiPoly
     qn: BiPoly
     qd: BiPoly
 
+    def top(self) -> BiPoly:
+        if self.lhs_den == self.rd:
+            return self.lhs_num + self.rn
+        return self.lhs_num * self.rd + self.rn * self.lhs_den
+
     def full_numerator(self) -> BiPoly:
         """top rd1 qd - rn1 qn bottom, by the full cross multiplication."""
-        return (self.top * (self.rd1 * self.qd)
+        return (self.top() * (self.rd1 * self.qd)
                 - self.rn1 * self.qn * self.bottom)
 
     def small_numerator(self):
@@ -326,37 +340,34 @@ class _ResidualParts(NamedTuple):
         top rd1 qd = rn1 (qn bottom), so rd1 divides rn1 (qn bottom) in the
         UFD Z[n, k], hence divides qn bottom; the quotient is unique and
         lies in Z[n][k], so every step of the long division is exact.  A
-        failed division therefore already refutes the identity.  Each
-        product here has one small factor: qd = (k+1)^s, qn = (n-k)^s and,
-        for binom(n, k)^s at order m, cof = (n-k+m)^s.
+        failed division therefore already refutes the identity, before top
+        is formed.  Each product here has one small factor: qd = (k+1)^s,
+        qn = (n-k)^s and, for binom(n, k)^s at order m, cof = (n-k+m)^s.
         """
         try:
             cof = (self.qn * self.bottom).divexact(self.rd1)
         except ExactDivisionError:
             return None
-        return self.top * self.qd - self.rn1 * cof
+        return self.top() * self.qd - self.rn1 * cof
 
 
-def _over_one_denominator(lhs_num, lhs_den, rn, rd):
-    """(top, bottom) with top/bottom = lhs_num/lhs_den + rn/rd: bottom is rd
-    itself when lhs_den == rd, as for every binom(n, k)^s and for the Apery
-    term (both are the rising product), else lhs_den rd."""
-    if lhs_den == rd:
-        return lhs_num + rn, rd
-    return lhs_num * rd + rn * lhs_den, lhs_den * rd
+def _common_denominator(lhs_den, rd):
+    """rd itself when lhs_den == rd, as for every binom(n, k)^s and for the
+    Apery term (both are the rising product), else lhs_den rd."""
+    return rd if lhs_den == rd else lhs_den * rd
 
 
 def _residual_parts(term: HyperTerm, op: RecurrenceOperator,
                     cert: Certificate) -> _ResidualParts:
-    """The residual's parts in Z[n][k], none of them multiplied together;
-    (P a)/a = lhs_num / lhs_den comes from operator_numerator and
+    """The residual's parts in Z[n][k], none but bottom multiplied
+    together; (P a)/a = lhs_num / lhs_den comes from operator_numerator and
     R = rn/rd."""
     lhs_num, lhs_den = operator_numerator(op, term)
     rn, rd = cert.ratio.num, cert.ratio.den
-    top, bottom = _over_one_denominator(lhs_num, lhs_den, rn, rd)
-    return _ResidualParts(top, bottom, rn.compose_shift(0, 1),
-                          rd.compose_shift(0, 1), term.rho_k.num,
-                          term.rho_k.den)
+    return _ResidualParts(lhs_num, lhs_den, rn, rd,
+                          _common_denominator(lhs_den, rd),
+                          rn.compose_shift(0, 1), rd.compose_shift(0, 1),
+                          term.rho_k.num, term.rho_k.den)
 
 
 def _norm(kp, dk: int = 0) -> int:
@@ -427,10 +438,10 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
     rn_x = _image(rn, stride)
     lhs_x = sum((pack_signed(c.coeffs, stride) * u
                  for c, u in zip(op.coeffs, u_x)), IntPoly())
-    top, bottom = _over_one_denominator(lhs_x, d_x, rn_x, rd_x)
-    parts = _ResidualParts(top, bottom, rn_x.compose_shift(1),
-                           rd_x.compose_shift(1), _image(qn, stride),
-                           _image(qd, stride))
+    parts = _ResidualParts(lhs_x, d_x, rn_x, rd_x,
+                           _common_denominator(d_x, rd_x),
+                           rn_x.compose_shift(1), rd_x.compose_shift(1),
+                           _image(qn, stride), _image(qd, stride))
     return stride, parts.small_numerator()
 
 

@@ -1,10 +1,27 @@
-"""Annihilation over a window of n, kept as the test oracle: the operator
-applied to the direct rows, every residue an exact rational."""
+"""Slow exact paths kept as test oracles: the row sum by stepping its terms,
+and annihilation over a window of n, the operator applied to the direct
+rows with every residue an exact rational."""
 
 from dataclasses import dataclass
 
 from franel.operators import RecurrenceOperator, apply_operator
 from franel.sequences import coefficient_row
+
+
+def reference_franel(s: int, n: int) -> int:
+    """Sum of binom(n, k)**s over k = 0..n, the power stepped by its ratio
+    (n-k)^s / (k+1)^s, an exact division as binom(n, k+1)**s is an
+    integer; by symmetry the terms k < (n+1)/2 are summed twice, plus the
+    middle term when n is even."""
+    total = 0
+    p = 1
+    for k in range((n + 1) // 2):
+        total += p
+        p = p * (n - k) ** s // (k + 1) ** s
+    total *= 2
+    if n % 2 == 0:
+        total += p
+    return total
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,14 @@ CASES = {
 DIGESTS = {
     "compute --s 6 --n-max 200 --J 2 --format json":
         "d5fcdb20ae20e3935808b8ef6d84930cfd58d33cafaafaa81d9e63428719808a",
+    # the benchmark's sizes: franel's full sum at n = 7969 and 9975, and
+    # the recursion rows' head checked against it at n = 993
+    "asym --s 5 --n 7969":
+        "f86d66114bde643e6197429cdcae8ba94b3cdc31ec17ca6c9678e442d9fc01eb",
+    "asym --s 3 --n 9975 --precision-bits 2048":
+        "d992c438a67e7bec602b7ce54e31928e9b539fd13d534fcba189cb9fef4076f6",
+    "limits --s 5 --n-max 993 --J 2 --json":
+        "13d72d26ebc75db88a63c4a1e7c631ef56a2c8f1861b81ddcccf24dda0388497",
 }
 
 

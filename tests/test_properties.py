@@ -5,8 +5,9 @@ routine agrees with the gcd fold it replaced, the forward elimination
 agrees with the Gauss-Jordan and row-swapping determinant it replaced, the
 document parser rejects a damaged document only with DocumentError, the
 certificate check agrees with the full cross multiplication on perturbed
-certificates, and the truncated-series inverse and power agree with the
-product."""
+certificates, the truncated-series inverse and power agree with the
+product, and the row sum by binary splitting agrees with the stepping loop
+it replaced, its 2-adic inverse included."""
 
 import json
 from fractions import Fraction
@@ -24,12 +25,14 @@ from franel.intpoly import IntPoly, mul_kronecker, poly_content, poly_gcd_int
 from franel.linalg import (_triangular_prefix, bareiss_determinant,
                            fraction_free_nullspace)
 from franel.operators import Certificate, RecurrenceOperator
+from franel.sequences import _inverse_mod_pow2, franel
 from franel.series import series_inv, series_mul, series_pow
 from franel.telescoper import (_residual_image, certificate_mismatch,
                                verify_certificate)
 
 from reference_linalg import (canonical_signs, reference_determinant,
                               reference_nullspace)
+from reference_sequences import reference_franel
 from reference_telescoper import reference_difference, reference_mismatch
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -428,3 +431,18 @@ def test_series_pow_is_repeated_mul(a, e):
         by_mul = series_mul(by_mul, a)
     assert series_pow(a, e) == by_mul
     assert type(series_pow(a, e)[0]) is type(a[0])
+
+
+@hypothesis.settings(deadline=None, max_examples=100)
+@hypothesis.given(st.integers(1, 12), st.integers(0, 2500))
+def test_franel_by_binary_splitting_matches_the_stepping_loop(s, n):
+    assert franel(s, n) == reference_franel(s, n)
+
+
+@hypothesis.settings(deadline=None, max_examples=200)
+@hypothesis.given(st.integers(0, 2 ** 3000), st.integers(0, 5000))
+def test_newton_inverse_modulo_a_power_of_two(half, bits):
+    a = 2 * half + 1
+    x = _inverse_mod_pow2(a, bits)
+    assert 0 <= x < 2 ** bits
+    assert a * x % 2 ** bits == 1 % 2 ** bits

@@ -5,10 +5,10 @@ from math import comb, lcm
 import pytest
 
 from franel.hyperterm import binom_power_term
-from franel.sequences import (apery_zeta3, coefficient_row,
+from franel.sequences import (_FRANEL_LEAF, apery_zeta3, coefficient_row,
                               coefficient_table, deformed, franel, lcm_upto)
 from franel.telescoper import zeilberger
-from reference_sequences import annihilation_check
+from reference_sequences import annihilation_check, reference_franel
 
 
 def brute_deformed(s, n, J):
@@ -112,6 +112,20 @@ def test_franel_closed_forms():
     for s in range(1, 8):
         for n in list(range(121)) + [777, 1000]:
             assert franel(s, n) == sum(comb(n, k) ** s for k in range(n + 1))
+
+
+def test_franel_tree_edges_match_the_stepping_oracle():
+    # h = ceil(n/2) terms: none, one, one leaf exactly, the first split
+    leaf = _FRANEL_LEAF
+    for n in (0, 1, 2, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1):
+        for s in range(1, 13):
+            assert franel(s, n) == reference_franel(s, n)
+            assert franel(s, n) == sum(comb(n, k) ** s for k in range(n + 1))
+
+
+def test_franel_at_benchmark_sizes():
+    for s, n in ((5, 7969), (3, 9975)):
+        assert franel(s, n) == reference_franel(s, n)
 
 
 def test_deformed_row_zero():

@@ -194,7 +194,7 @@ def test_image_stride_bounds_the_full_numerator():
             stride, _ = telescoper._residual_image(term, case_op, case_cert)
             parts = telescoper._residual_parts(term, case_op, case_cert)
             for p in (parts.full_numerator(),
-                      parts.top * parts.rd1 * parts.qd,
+                      parts.top() * parts.rd1 * parts.qd,
                       parts.rn1 * parts.qn * parts.bottom):
                 bits = max((c.max_coeff_bits() for c in p.coeffs), default=0)
                 assert bits < 8 * stride - 1
