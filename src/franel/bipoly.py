@@ -152,9 +152,10 @@ def _coprime_by_specialization(a, b) -> bool:
     a proof that a and b are coprime over Q(n):
 
     - By Gauss's lemma their gcd over Q(n) can be taken as a primitive g in
-      Z[n][k] with a = g h in Z[n][k], so lc_k(a) = lc_k(g) lc_k(h) in
-      Z[n].  At n0 the integer lc_k(g)(n0) divides lc_k(a)(n0), which p does
-      not divide, so p does not divide lc_k(g)(n0) either.
+      Z[n][k] with a = g h in Z[n][k], whether a is primitive or not, so
+      lc_k(a) = lc_k(g) lc_k(h) in Z[n].  At n0 the integer lc_k(g)(n0)
+      divides lc_k(a)(n0), which p does not divide, so p does not divide
+      lc_k(g)(n0) either.
     - Hence g(n0, k) mod p keeps the k-degree of g, and it divides both
       images mod p.  The gcd mod p has at least that degree, so a constant
       one forces deg_k g = 0.
@@ -194,18 +195,21 @@ def kp_gcd(a, b):
     remainder is divided by the known factor g*h^delta, which keeps the
     coefficient growth polynomial without computing contents inside the
     loop.  A one-point specialization modulo a prime settles the common
-    coprime case before any pseudo-division happens.
+    coprime case on the inputs as given, before their contents in Z[n] are
+    taken (its proof needs no primitive inputs) and before any
+    pseudo-division happens.
     """
-    _, a = poly_content(kp_strip(list(a)))
-    _, b = poly_content(kp_strip(list(b)))
+    a, b = kp_strip(list(a)), kp_strip(list(b))
     if kp_is_zero(a):
-        return b
+        return poly_content(b)[1]
     if kp_is_zero(b):
-        return a
+        return poly_content(a)[1]
     if kp_deg(a) < kp_deg(b):
         a, b = b, a
     if kp_deg(b) > 0 and _coprime_by_specialization(a, b):
         return [IntPoly.const(1)]
+    _, a = poly_content(a)
+    _, b = poly_content(b)
     g = IntPoly.const(1)
     h = IntPoly.const(1)
     while True:

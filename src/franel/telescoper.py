@@ -44,8 +44,12 @@ X/2 exceeds a bound on the 1-norm of the full residual numerator, built
 from ||p(n+a, k+b)||_1 <= |p|(1+|a|, 1+|b|), and balanced base-X digits
 make the map injective below X/2, so the image's verdict is the
 polynomial one (see _residual_image).  The residual is never reduced, and
-a nonzero one is reported by its degrees, taken from its parts in
-Z[n][k], which add over Z[n, k].
+a nonzero one is reported by its degrees, which add over Z[n, k].  The
+numerator left after the cancellation is bounded once the cofactor's
+image is unpacked; when that bound lies below X/2, which also proves the
+cancellation exact in Z[n][k], its degrees are read from the bit lengths
+of its image (see certificate_mismatch).  Otherwise the full numerator is
+formed in Z[n][k].
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .errors import ExactDivisionError, TelescoperNotFoundError
 from .hyperterm import (HyperTerm, operator_numerator, quotient_products,
                         rho_n_shifts, shift_quotient_products)
 from .intpoly import (IntPoly, integer_roots, pack_signed, poly_content,
-                      squarefree_part)
+                      squarefree_part, unpack_signed)
 from .linalg import bareiss_determinant, fraction_free_nullspace
 from .operators import (Certificate, RecurrenceOperator,
                         normalize_operator_coeffs)
@@ -329,10 +333,17 @@ class _ResidualParts(NamedTuple):
         return (self.top() * (self.rd1 * self.qd)
                 - self.rn1 * self.qn * self.bottom)
 
-    def small_numerator(self):
-        """small = top qd - rn1 cof with cof = qn bottom / rd1, so that the
-        full numerator is small rd1; None when rd1 does not divide
-        qn bottom, which proves the certificate invalid.
+    def cofactor(self):
+        """cof = qn bottom / rd1, or None when rd1 does not divide it."""
+        try:
+            return (self.qn * self.bottom).divexact(self.rd1)
+        except ExactDivisionError:
+            return None
+
+    def small_numerator(self, cof=None):
+        """small = top qd - rn1 cof with cof = `cofactor()` unless given,
+        so that the full numerator is small rd1; None when rd1 does not
+        divide qn bottom, which proves the certificate invalid.
 
         The lemma: a certificate is a RatFunc, so gcd(rn, rd) = 1 in
         Z[n, k], integer content included, and since the shift k -> k+1 is
@@ -344,10 +355,10 @@ class _ResidualParts(NamedTuple):
         is formed.  Each product here has one small factor: qd = (k+1)^s,
         qn = (n-k)^s and, for binom(n, k)^s at order m, cof = (n-k+m)^s.
         """
-        try:
-            cof = (self.qn * self.bottom).divexact(self.rd1)
-        except ExactDivisionError:
-            return None
+        if cof is None:
+            cof = self.cofactor()
+            if cof is None:
+                return None
         return self.top() * self.qd - self.rn1 * cof
 
 
@@ -386,11 +397,33 @@ def _image(p: BiPoly, stride: int) -> IntPoly:
     return IntPoly([pack_signed(c.coeffs, stride) for c in p.coeffs])
 
 
+def _digit_norm(p_x: IntPoly, stride: int) -> int:
+    """The 1-norm of the polynomial in Z[n][k] whose coefficients are the
+    balanced base-X digits of p_x's, X = 2**(8*stride): p_x is its image.
+    A coefficient of b bits has b // w + 1 digits in base X = 2**w, and
+    the carry of balancing may add one more."""
+    w = 8 * stride
+    return sum(abs(digit) for c in p_x.coeffs
+               for digit in unpack_signed(c, stride,
+                                          abs(c).bit_length() // w + 2))
+
+
+class _Image(NamedTuple):
+    """What `_residual_image` finds at X = 2**(8*stride): small_X, None
+    when the division in Z[k] fails; whether the shared denominator is rd
+    (d == rd) or d rd; and whether small_X is the image of small in
+    Z[n][k] with ||small||_1 < X/2, so that F's degrees can be read."""
+
+    stride: int
+    small: IntPoly | None
+    shared: bool
+    readable: bool
+
+
 def _residual_image(term: HyperTerm, op: RecurrenceOperator,
-                    cert: Certificate):
-    """(stride, small_X): `_residual_parts` and their small numerator in
-    the image of the ring map Z[n][k] -> Z[k], n -> X = 2**(8*stride);
-    small_X is None when the division in Z[k] fails.
+                    cert: Certificate) -> _Image:
+    """`_residual_parts` and their small numerator in the image of the ring
+    map Z[n][k] -> Z[k], n -> X = 2**(8*stride).
 
     The verdict small_X == 0 is exact.  Write F = top rd1 qd - rn1 qn bottom
     for the full numerator, which is zero iff the identity holds.
@@ -412,7 +445,23 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
     - When it is exact, rd1_X small_X = F_X with rd1_X nonzero, so
       small_X == 0 iff F_X == 0 iff F == 0.
 
-    Nothing is unpacked, so the images' coefficients may grow past X.
+    `readable` is proven after the division.  Let C be the polynomial
+    whose coefficients are the balanced base-X digits of cof_X's, cof =
+    qn bottom / rd1.  If |rd1| ||C||_1 < X/2, then rd1 C and qn bottom both
+    lie below X/2 in 1-norm and agree at X, so they are equal: rd1 divides
+    qn bottom in Z[n][k] with quotient C, and small = top qd - rn1 C has
+    ||small||_1 <= |top| |qd| + |rn1| ||C||_1.  When that is below X/2 too,
+    `certificate_mismatch` reads F's degrees from small_X.  Otherwise it
+    forms F in Z[n][k].  For binom(n, k)^s over the rising product at
+    order m, cof = (n-k+m)^s, and its 1-norm (m+2)^s lies below both
+    |top| |qd| and |qn| |bottom|, so both hold.  A bound fixed before the
+    division, ||cof||_1 <= 2**(deg_n cof + deg_k cof) ||qn bottom||_1 by
+    Mahler's inequality (J. London Math. Soc. 37 (1962) 341-344), proves
+    no division, and at s = 7 with an altered denominator it took the
+    stride from 32 to 39 bytes.
+
+    Nothing is unpacked but cof_X, so the images' coefficients may grow
+    past X.
     """
     ps, qs = rho_n_shifts(term, op.order)
     rn, rd = cert.ratio.num, cert.ratio.den
@@ -421,13 +470,14 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
                                  [_norm(f.coeffs) for f in qs], 1)
     lhs_b = sum(_norm([c]) * u for c, u in zip(op.coeffs, u_b))
     rn_b, rd_b = _norm(rn.coeffs), _norm(rd.coeffs)
-    rd1_qd_b = _norm(rd.coeffs, 1) * _norm(qd.coeffs)
-    rn1_qn_b = _norm(rn.coeffs, 1) * _norm(qn.coeffs)
+    rn1_b, rd1_b = _norm(rn.coeffs, 1), _norm(rd.coeffs, 1)
+    qn_b, qd_b = _norm(qn.coeffs), _norm(qd.coeffs)
     # the shared denominator's bounds hold when d == rd, which the images
     # decide at that stride; otherwise the product's are taken
     for top_b, bottom_b in ((lhs_b + rn_b, rd_b),
                             (lhs_b * rd_b + rn_b * d_b, d_b * rd_b)):
-        bound = max(top_b * rd1_qd_b + rn1_qn_b * bottom_b, d_b + rd_b)
+        bound = max(top_b * rd1_b * qd_b + rn1_b * qn_b * bottom_b,
+                    d_b + rd_b)
         stride = (bound.bit_length() + 8) // 8  # bound < 2**(8*stride-1)
         d_x, u_x = quotient_products([_image(f, stride) for f in ps],
                                      [_image(f, stride) for f in qs],
@@ -442,7 +492,14 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
                            _common_denominator(d_x, rd_x),
                            rn_x.compose_shift(1), rd_x.compose_shift(1),
                            _image(qn, stride), _image(qd, stride))
-    return stride, parts.small_numerator()
+    shared = d_x == rd_x
+    cof = parts.cofactor()
+    if cof is None:
+        return _Image(stride, None, shared, False)
+    cof_b = _digit_norm(cof, stride)
+    readable = (max(rd1_b * cof_b, top_b * qd_b + rn1_b * cof_b)
+                < 1 << (8 * stride - 1))
+    return _Image(stride, parts.small_numerator(cof), shared, readable)
 
 
 def certificate_mismatch(term: HyperTerm, op: RecurrenceOperator,
@@ -451,27 +508,34 @@ def certificate_mismatch(term: HyperTerm, op: RecurrenceOperator,
     ((deg_n, deg_k) of the numerator, (deg_n, deg_k) of the denominator) of
     the residual (P a)/a - (R(n, k+1) rho_k - R(n, k)), unreduced.
 
-    The verdict is `verify_certificate`'s.  Only a refuted certificate
-    has its parts formed in Z[n][k], for the degrees, and nothing is
-    reduced.  Over the integral domain Z[n, k] the degrees in n and in k
-    each add under products, so the denominator bottom rd1 qd has the sum
-    of its factors' degrees, and the numerator small rd1 (see
-    `_ResidualParts`) those of small plus rd1.  Only when rd1 does not
-    divide qn bottom is the full numerator formed, for its degrees; a
-    division that fails in the image fails in Z[n][k] too.
+    The verdict is `verify_certificate`'s, and nothing is reduced.  Over
+    the integral domain Z[n, k] the degrees in n and in k each add under
+    products, and shifts keep them.  So the denominator bottom rd1 qd has
+    those of rd twice, of qd, and of d = prod_{j<r} q(n+j, k) when bottom
+    is d rd, with rho_n = p/q.  When the image is readable (see
+    `_residual_image`), rd1 divides qn bottom in Z[n][k] and the numerator
+    F = small rd1 (see `_ResidualParts`) has the degrees of small plus
+    those of rd, read from small_X.  deg_k small is that of small_X, as
+    lc_k(small) lies below X/2 and is nonzero, so its image is not zero.  A
+    nonzero c in Z[n] of degree d whose coefficients lie below X/2 has
+    X**d/2 < |c(X)| < X**(d+1)/2, so with X = 2**w the bit length of c(X)
+    lies in [w d, w (d+1) - 1] and, floor-divided by w, gives d.  Only when
+    the image is not readable are the parts formed in Z[n][k], and the
+    full numerator for its degrees.
     """
-    _, small_x = _residual_image(term, op, cert)
-    if small_x is not None and small_x.is_zero:
+    image = _residual_image(term, op, cert)
+    if image.small is not None and image.small.is_zero:
         return None
-    parts = _residual_parts(term, op, cert)
-    small = None if small_x is None else parts.small_numerator()
-    if small is None:
-        num = parts.full_numerator()
-        num_degrees = (num.deg_n, num.deg_k)
+    rd, qd = cert.ratio.den, term.rho_k.den
+    if image.readable:
+        w = 8 * image.stride
+        small_n = max(abs(c).bit_length() for c in image.small.coeffs) // w
+        num_degrees = (small_n + rd.deg_n, image.small.degree + rd.deg_k)
     else:
-        num_degrees = (small.deg_n + parts.rd1.deg_n,
-                       small.deg_k + parts.rd1.deg_k)
-    dens = (parts.bottom, parts.rd1, parts.qd)
+        num = _residual_parts(term, op, cert).full_numerator()
+        num_degrees = (num.deg_n, num.deg_k)
+    dens = [rd, rd, qd] + ([] if image.shared
+                           else [term.rho_n.den] * op.order)
     return (num_degrees,
             (sum(d.deg_n for d in dens), sum(d.deg_k for d in dens)))
 
@@ -484,7 +548,7 @@ def verify_certificate(term: HyperTerm, op: RecurrenceOperator,
     `_residual_image`); a failed division returns False at once, with no
     cross multiplication.
     """
-    small = _residual_image(term, op, cert)[1]
+    small = _residual_image(term, op, cert).small
     return small is not None and small.is_zero
 
 

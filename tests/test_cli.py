@@ -224,6 +224,9 @@ VERIFY_STDOUT = {
     "c0+1-s5":
         "certificate MISMATCH; unreduced residual: numerator of degree 30 "
         "in n, 35 in k; denominator of degree 30 in n, 35 in k\n",
+    "c0+1-s7":
+        "certificate MISMATCH; unreduced residual: numerator of degree 56 "
+        "in n, 63 in k; denominator of degree 56 in n, 63 in k\n",
     "num-1-s7":
         "certificate MISMATCH; unreduced residual: numerator of degree 35 "
         "in n, 35 in k; denominator of degree 56 in n, 63 in k\n",

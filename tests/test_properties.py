@@ -5,9 +5,10 @@ routine agrees with the gcd fold it replaced, the forward elimination
 agrees with the Gauss-Jordan and row-swapping determinant it replaced, the
 document parser rejects a damaged document only with DocumentError, the
 certificate check agrees with the full cross multiplication on perturbed
-certificates, the truncated-series inverse and power agree with the
-product, and the row sum by binary splitting agrees with the stepping loop
-it replaced, its 2-adic inverse included."""
+certificates, the norm of an image's balanced digits is summed whole, the
+truncated-series inverse and power agree with the product, and the row
+sum by binary splitting agrees with the stepping loop it replaced, its
+2-adic inverse included."""
 
 import json
 from fractions import Fraction
@@ -27,8 +28,8 @@ from franel.linalg import (_triangular_prefix, bareiss_determinant,
 from franel.operators import Certificate, RecurrenceOperator
 from franel.sequences import _inverse_mod_pow2, franel
 from franel.series import series_inv, series_mul, series_pow
-from franel.telescoper import (_residual_image, certificate_mismatch,
-                               verify_certificate)
+from franel.telescoper import (_digit_norm, _residual_image,
+                               certificate_mismatch, verify_certificate)
 
 from reference_linalg import (canonical_signs, reference_determinant,
                               reference_nullspace)
@@ -398,12 +399,32 @@ def one_coefficient_changed(draw):
 def test_image_verdict_matches_the_polynomial_oracle(case):
     # the oracle's verdict is reference_residual's numerator being zero,
     # taken before it reduces (0.4 s at s = 7, 2 cores, Python 3.11); a
-    # moved c_0 leaves the division in the image exact with small_X != 0
+    # moved c_0 leaves the division in the image exact with small_X != 0,
+    # and the degrees are read from it
     part, term, op, cert = case
     diff, _ = reference_difference(term, op, cert)
     assert verify_certificate(term, op, cert) is diff.is_zero
     if part == "c_0":
-        assert _residual_image(term, op, cert)[1] is not None
+        assert _residual_image(term, op, cert).readable
+    assert certificate_mismatch(term, op, cert) == \
+        reference_mismatch(term, op, cert)
+
+
+# 127 * 256 + 200 balances to -56 - 128 * 256 + 256**2: its top digit
+# carries into a digit its bit length does not count
+@hypothesis.example([127 * 256 + 200, -128], 1)
+@hypothesis.settings(deadline=None, max_examples=200)
+@hypothesis.given(st.lists(st.integers(-2 ** 200, 2 ** 200), max_size=5),
+                  st.integers(1, 4))
+def test_digit_norm_sums_the_balanced_digits(values, stride):
+    x = 2 ** (8 * stride)
+    expected = 0
+    for v in map(abs, values):  # a negative value has the digits negated
+        while v:
+            digit = (v + x // 2) % x - x // 2
+            expected += abs(digit)
+            v = (v - digit) // x
+    assert _digit_norm(IntPoly(values), stride) == expected
 
 
 # series with constant term 1, over the integers and over the rationals:

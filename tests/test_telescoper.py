@@ -183,21 +183,45 @@ def test_image_stride_bounds_the_full_numerator():
     # X/2 = 2**(8*stride - 1) exceeds every coefficient of F and of its two
     # products, which are equal on a valid document, on each frozen
     # document, on its copy with c_0 moved and on its copy with the
-    # certificate denominator plus 1, which takes the general branch
+    # certificate denominator plus 1, which takes the general branch; on
+    # the copy with c_0 moved it also exceeds those of the small numerator,
+    # from which `certificate_mismatch` reads the degrees
     for s in range(1, 8):
         term = binom_power_term(s)
         op, cert = frozen_document(s)
         den_1 = Certificate(RatFunc(cert.ratio.num, cert.ratio.den + 1))
-        for case_op, case_cert in ((op, cert),
-                                   (next(bumped_operators(op)), cert),
+        c0_moved = next(bumped_operators(op))
+        for case_op, case_cert in ((op, cert), (c0_moved, cert),
                                    (op, den_1)):
-            stride, _ = telescoper._residual_image(term, case_op, case_cert)
+            image = telescoper._residual_image(term, case_op, case_cert)
             parts = telescoper._residual_parts(term, case_op, case_cert)
-            for p in (parts.full_numerator(),
-                      parts.top() * parts.rd1 * parts.qd,
-                      parts.rn1 * parts.qn * parts.bottom):
+            products = [parts.full_numerator(),
+                        parts.top() * parts.rd1 * parts.qd,
+                        parts.rn1 * parts.qn * parts.bottom]
+            if case_op is c0_moved:
+                assert image.readable
+                products.append(parts.small_numerator())
+            for p in products:
                 bits = max((c.max_coeff_bits() for c in p.coeffs), default=0)
-                assert bits < 8 * stride - 1
+                assert bits < 8 * image.stride - 1
+
+
+def test_mismatch_forms_the_full_numerator_when_the_image_is_unreadable():
+    # rd = (k-2)^4 divides qn = (k^40-1)^4 at k+1 with a cofactor of 1-norm
+    # far above |qn| |rd|: the stride covers F (X/2 = 2**15), but small has
+    # a coefficient of 16 bits, so its image would read as degree 1 in n
+    term = HyperTerm(RatFunc(BiPoly.const(1), (K - 2) ** 4),
+                     RatFunc((K ** 40 - 1) ** 4, BiPoly.const(1)))
+    op = RecurrenceOperator((IntPoly([1]), IntPoly([1])))
+    cert = Certificate(RatFunc(BiPoly.const(1), (K - 2) ** 4))
+    image = telescoper._residual_image(term, op, cert)
+    assert image.small is not None and not image.readable
+    parts = telescoper._residual_parts(term, op, cert)
+    bits = max(c.max_coeff_bits() for c in parts.small_numerator().coeffs)
+    assert bits >= 8 * image.stride - 1
+    mismatch = certificate_mismatch(term, op, cert)
+    assert mismatch == reference_mismatch(term, op, cert) == ((0, 164),
+                                                              (0, 8))
 
 
 def _binomial_product_term(a, b):
