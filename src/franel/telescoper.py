@@ -307,8 +307,8 @@ class _ResidualParts(NamedTuple):
     denominator (bottom from `_common_denominator`), rn1/rd1 = R(n, k+1)
     and rho_k = qn/qd.  top is lhs_num + rn when bottom is rd, else
     lhs_num rd + rn lhs_den; it is formed only when asked for, as in that
-    general branch it costs two products and the division in
-    `small_numerator` may refute the certificate first.
+    general branch it costs two products and the division in `cofactor`
+    may refute the certificate first.
     The parts are BiPolys, or their images in Z[k] (see `_residual_image`);
     the arithmetic below serves both.
     """
@@ -334,16 +334,8 @@ class _ResidualParts(NamedTuple):
                 - self.rn1 * self.qn * self.bottom)
 
     def cofactor(self):
-        """cof = qn bottom / rd1, or None when rd1 does not divide it."""
-        try:
-            return (self.qn * self.bottom).divexact(self.rd1)
-        except ExactDivisionError:
-            return None
-
-    def small_numerator(self, cof=None):
-        """small = top qd - rn1 cof with cof = `cofactor()` unless given,
-        so that the full numerator is small rd1; None when rd1 does not
-        divide qn bottom, which proves the certificate invalid.
+        """cof = qn bottom / rd1, or None when rd1 does not divide it,
+        which proves the certificate invalid.
 
         The lemma: a certificate is a RatFunc, so gcd(rn, rd) = 1 in
         Z[n, k], integer content included, and since the shift k -> k+1 is
@@ -352,13 +344,19 @@ class _ResidualParts(NamedTuple):
         UFD Z[n, k], hence divides qn bottom; the quotient is unique and
         lies in Z[n][k], so every step of the long division is exact.  A
         failed division therefore already refutes the identity, before top
-        is formed.  Each product here has one small factor: qd = (k+1)^s,
-        qn = (n-k)^s and, for binom(n, k)^s at order m, cof = (n-k+m)^s.
+        is formed.
         """
-        if cof is None:
-            cof = self.cofactor()
-            if cof is None:
-                return None
+        try:
+            return (self.qn * self.bottom).divexact(self.rd1)
+        except ExactDivisionError:
+            return None
+
+    def small_numerator(self, cof):
+        """small = top qd - rn1 cof for cof = `cofactor()`, so that the
+        full numerator is small rd1.  Each product here has one small
+        factor: qd = (k+1)^s, qn = (n-k)^s and, for binom(n, k)^s at order
+        m, cof = (n-k+m)^s.
+        """
         return self.top() * self.qd - self.rn1 * cof
 
 
@@ -441,7 +439,7 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
     - If rd1 divides qn bottom in Z[n][k], then rd1_X divides qn_X bottom_X
       in Z[k], and rd1_X = rd_X(k+1) is nonzero, so the long division
       over the integers is exact.  A failed division in Z[k] therefore
-      refutes the identity (see `_ResidualParts.small_numerator`).
+      refutes the identity (see `_ResidualParts.cofactor`).
     - When it is exact, rd1_X small_X = F_X with rd1_X nonzero, so
       small_X == 0 iff F_X == 0 iff F == 0.
 

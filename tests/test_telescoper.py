@@ -153,7 +153,7 @@ def test_mismatch_matches_the_full_numerator():
                  + [(bad, cert) for bad in bumped_operators(op)])
         for case_op, case_cert in cases:
             parts = telescoper._residual_parts(term, case_op, case_cert)
-            assert parts.small_numerator() is not None
+            assert parts.cofactor() is not None
             mismatch = certificate_mismatch(term, case_op, case_cert)
             assert mismatch == reference_mismatch(term, case_op, case_cert)
             assert (mismatch is None) is (case_cert is cert
@@ -171,7 +171,7 @@ def test_failed_division_refutes_and_reports_the_full_numerator():
         for bad_den in (den + 1, den * (N + K + 2)):
             bad = Certificate(RatFunc(num, bad_den))
             parts = telescoper._residual_parts(term, op, bad)
-            assert parts.small_numerator() is None
+            assert parts.cofactor() is None
             assert telescoper._residual_image(term, op, bad)[1] is None
             assert not verify_certificate(term, op, bad)
             mismatch = certificate_mismatch(term, op, bad)
@@ -200,7 +200,7 @@ def test_image_stride_bounds_the_full_numerator():
                         parts.rn1 * parts.qn * parts.bottom]
             if case_op is c0_moved:
                 assert image.readable
-                products.append(parts.small_numerator())
+                products.append(parts.small_numerator(parts.cofactor()))
             for p in products:
                 bits = max((c.max_coeff_bits() for c in p.coeffs), default=0)
                 assert bits < 8 * image.stride - 1
@@ -217,11 +217,32 @@ def test_mismatch_forms_the_full_numerator_when_the_image_is_unreadable():
     image = telescoper._residual_image(term, op, cert)
     assert image.small is not None and not image.readable
     parts = telescoper._residual_parts(term, op, cert)
-    bits = max(c.max_coeff_bits() for c in parts.small_numerator().coeffs)
+    small = parts.small_numerator(parts.cofactor())
+    bits = max(c.max_coeff_bits() for c in small.coeffs)
     assert bits >= 8 * image.stride - 1
     mismatch = certificate_mismatch(term, op, cert)
     assert mismatch == reference_mismatch(term, op, cert) == ((0, 164),
                                                               (0, 8))
+
+
+def test_image_is_unreadable_when_only_the_image_division_is_exact():
+    # rd = k+15 and qn = k^4 - n: rd1 = k+16 divides qn rd only at
+    # n = X = 2**16 = 16^4, where the stride of 2 bytes puts it.  The
+    # cofactor's digits C have ||C||_1 = 4371, so |top| |qd| + |rn1| ||C||_1
+    # = 18 + 4371 lies below X/2 and only |rd1| ||C||_1 = 17 * 4371 keeps
+    # the image from claiming an exact division in Z[n][k]
+    rd = K + 15
+    term = HyperTerm(RatFunc(BiPoly.const(1), rd),
+                     RatFunc(K ** 4 - N, BiPoly.const(1)))
+    op = RecurrenceOperator((IntPoly([1]), IntPoly([1])))
+    cert = Certificate(RatFunc(BiPoly.const(1), rd))
+    image = telescoper._residual_image(term, op, cert)
+    assert image.stride == 2 and image.small is not None
+    assert telescoper._residual_parts(term, op, cert).cofactor() is None
+    assert not image.readable
+    mismatch = certificate_mismatch(term, op, cert)
+    assert mismatch == reference_mismatch(term, op, cert) == ((1, 5),
+                                                              (0, 2))
 
 
 def _binomial_product_term(a, b):
