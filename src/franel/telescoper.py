@@ -25,6 +25,24 @@ certificate
 
     R(n, k) = B(k-1) f(k) / (C(k) d(k)).
 
+The columns of the c_i enter the nullspace without their contents in
+Z[n].  Column i is -C(k) u_i(k) with u_i = prod_{j<i} p(n+j, k)
+prod_{i<=j<r} q(n+j, k), rho_n = p/q.  Each factor splits exactly into its
+content and primitive part over its coefficients in k, p(n+j, k) =
+cp_j p^_j, q(n+j, k) = cq_j q^_j and C = cC C^, and by Gauss's lemma the
+product C^ u^_i of primitive parts is primitive, so
+g_i = cC prod_{j<i} cp_j prod_{j>=i} cq_j is the column's whole content;
+for binom(n, k)^s it is prod_{j<i} (n+j+1)^s.  The solver builds -C^ u^_i,
+column i divided by g_i, which is the substitution c_i = y_i / g_i.
+Scaling columns by nonzero elements of Q(n) keeps the rank profile and the
+free columns, and the vector of a free column is zero at the other free
+columns and right of it, which fixes it up to a factor in Q(n); so the
+vector of the scaled matrix, with f times Pi = cC prod_j cp_j prod_j cq_j
+and y_i times Pi / g_i, made primitive with the same sign, is exactly the
+vector of the unscaled one.  The contents have no k, so the k-degrees,
+deg p and the bound D do not move.  Correctness needs only the exact
+split; Gauss's lemma is what makes it strip the full content.
+
 Rational functions are brought to lowest terms only where a canonical form
 is read: the Gosper ratio, whose normal form needs it, and the certificate.
 The shift quotients u_i/d and the linear system stay unreduced products.
@@ -64,7 +82,7 @@ from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_deg,
                      kp_strip, kp_sub)
 from .errors import ExactDivisionError, TelescoperNotFoundError
 from .hyperterm import (HyperTerm, operator_numerator, quotient_products,
-                        rho_n_shifts, shift_quotient_products)
+                        rho_n_shifts)
 from .intpoly import (IntPoly, integer_roots, pack_signed, poly_content,
                       squarefree_part, unpack_signed)
 from .linalg import bareiss_determinant, fraction_free_nullspace
@@ -204,6 +222,13 @@ def _gosper_ratio(term: HyperTerm, r: int) -> RatFunc:
     return RatFunc(num, den)
 
 
+def _split_contents(polys):
+    """([content], [primitive part]) of BiPolys in Z[n][k]: one
+    `poly_content` over each one's coefficients in k, so every content has
+    a positive leading coefficient."""
+    pairs = [poly_content(p.coeffs) for p in polys]
+    return [g for g, _ in pairs], [BiPoly.from_kpoly(c) for _, c in pairs]
+
 
 def solve_at_order(term: HyperTerm, r: int):
     """Try to telescope at exactly order r: the one per-order solve.
@@ -219,12 +244,24 @@ def solve_at_order(term: HyperTerm, r: int):
     deg p, so its f lies within D.  So None at order r rules out every
     lower order too, and in an upward loop that starts with None the first
     order with a solution is the least one.
+
+    The column of c_i is built without its content in Z[n] (see the
+    module docstring): with p_j = cp_j p^_j, q_j = cq_j q^_j and
+    C = cC C^ split by `_split_contents`, it is -C^ u^_i, the true column
+    divided by g_i = cC prod_{j<i} cp_j prod_{j>=i} cq_j.  A vector y of
+    that matrix is x with x_i = y_i / g_i, and times
+    Pi = cC prod_j cp_j prod_j cq_j it is f -> Pi f,
+    c_i -> y_i prod_{j<i} cq_j prod_{j>=i} cp_j, made primitive again.
     """
-    d, u_polys = shift_quotient_products(term, r)
+    ps, qs = rho_n_shifts(term, r)
+    cps, p_hats = _split_contents(ps)
+    cqs, q_hats = _split_contents(qs)
+    d_hat, u_hats = quotient_products(p_hats, q_hats, BiPoly.const(1))
     ratio = _gosper_ratio(term, r)
     A, B, C = _gosper_normal_form(ratio.num.coeffs, ratio.den.coeffs)
     Bm1 = kp_shift_k(B, -1)
-    cu = [kp_mul(C, u.coeffs) for u in u_polys]
+    c_content, C_hat = poly_content(C)
+    cu = [kp_mul(C_hat, u.coeffs) for u in u_hats]
     deg_p = max(kp_deg(p) for p in cu)
     D = _gosper_degree_bound(A, Bm1, deg_p)
     if D is None:
@@ -252,6 +289,15 @@ def solve_at_order(term: HyperTerm, r: int):
                  if any(not c.is_zero for c in vec[n_f:])]
     if not solutions:
         return None
+    # lifts[i] = Pi / g_i; cp_prod = prod_j cp_j and q_content = prod_j cq_j
+    cp_prod, lifts = quotient_products(cqs, cps, IntPoly.const(1))
+    q_content = lifts[-1]
+    pi = c_content * cp_prod * q_content
+    # every multiplier has a positive leading coefficient, so the entry
+    # at the free column keeps the sign `fraction_free_nullspace` gave it
+    solutions = [poly_content([pi * x for x in vec[:n_f]]
+                              + [m * y for m, y in zip(lifts, vec[n_f:])])[1]
+                 for vec in solutions]
     vec = min(solutions, key=lambda v: (max(c.degree for c in v[n_f:]),
                                         sum(c.degree for c in v[n_f:])))
     f_kp = kp_strip(list(vec[:n_f]))
@@ -260,7 +306,7 @@ def solve_at_order(term: HyperTerm, r: int):
         c_raw.pop()
     op, scale = normalize_operator_coeffs(c_raw)
     num = BiPoly.from_kpoly(kp_mul(Bm1, f_kp))
-    den = BiPoly.from_kpoly(kp_mul_intpoly(C, scale)) * d
+    den = BiPoly.from_kpoly(kp_mul_intpoly(C, scale * q_content)) * d_hat
     cert = Certificate(RatFunc(num, den))
     return op, cert
 

@@ -1,8 +1,10 @@
 """The shift quotients before the product formula, kept as the oracle:
 each a(n+i, k)/a(n, k) brought to lowest terms by the RatFunc constructor,
-and the reduced denominators joined by their lcm."""
+and the reduced denominators joined by their lcm.  Also the family of
+binomial products the solver's tests run on."""
 
 from franel.bipoly import BiPoly, RatFunc, poly_gcd
+from franel.hyperterm import HyperTerm
 
 
 def _bipoly_lcm(polys):
@@ -25,3 +27,12 @@ def reference_shift_quotients(term, order):
                               sigmas[-1].den * q.compose_shift(i, 0)))
     d = _bipoly_lcm([sig.den for sig in sigmas])
     return d, [sig.num * d.divexact(sig.den) for sig in sigmas]
+
+
+def binomial_product_term(a, b):
+    """binom(n, k)^a binom(n+k, k)^b; a = b = 2 is the Apery term."""
+    n, k = BiPoly.var_n(), BiPoly.var_k()
+    return HyperTerm(
+        RatFunc((n + 1) ** a * (n + k + 1) ** b,
+                (n + 1 - k) ** a * (n + 1) ** b),
+        RatFunc((n - k) ** a * (n + k + 1) ** b, (k + 1) ** (a + b)))

@@ -1,9 +1,68 @@
-"""The certificate checks before the cofactor cancellation, kept as oracles:
-the residual (P a)/a - (R(n, k+1) rho_k - R(n, k)) by full cross
-multiplication, reduced to lowest terms or reported by its degrees."""
+"""Slow exact paths of the telescoper, kept as oracles: the per-order
+solve on the unscaled operator columns, and the certificate checks before
+the cofactor cancellation, with the residual
+(P a)/a - (R(n, k+1) rho_k - R(n, k)) by full cross multiplication,
+reduced to lowest terms or reported by its degrees."""
 
-from franel.bipoly import RatFunc
-from franel.hyperterm import operator_numerator
+from math import comb
+
+from franel.bipoly import (BiPoly, RatFunc, kp_deg, kp_mul, kp_mul_intpoly,
+                           kp_shift_k, kp_strip, kp_sub)
+from franel.hyperterm import operator_numerator, shift_quotient_products
+from franel.intpoly import IntPoly
+from franel.linalg import fraction_free_nullspace
+from franel.operators import Certificate, normalize_operator_coeffs
+from franel.telescoper import (_gosper_degree_bound, _gosper_normal_form,
+                               _gosper_ratio)
+
+
+def reference_solve_at_order(term, r):
+    """`solve_at_order` on the unscaled columns: the c-columns are -C u_i
+    with their Z[n] contents, and the nullspace vector is used as
+    `fraction_free_nullspace` returns it."""
+    d, u_polys = shift_quotient_products(term, r)
+    ratio = _gosper_ratio(term, r)
+    A, B, C = _gosper_normal_form(ratio.num.coeffs, ratio.den.coeffs)
+    Bm1 = kp_shift_k(B, -1)
+    cu = [kp_mul(C, u.coeffs) for u in u_polys]
+    deg_p = max(kp_deg(p) for p in cu)
+    D = _gosper_degree_bound(A, Bm1, deg_p)
+    if D is None:
+        return None
+
+    # columns: f_0..f_D then c_0..c_r
+    f_cols = []
+    for j in range(D + 1):
+        # A(k) (k+1)^j - B(k-1) k^j
+        a_part = [IntPoly() for _ in range(kp_deg(A) + j + 1)]
+        for t in range(j + 1):
+            cmb = comb(j, t)
+            for i, ai in enumerate(A):
+                if not ai.is_zero:
+                    a_part[i + t] = a_part[i + t] + cmb * ai
+        b_part = [IntPoly()] * j + list(Bm1)
+        f_cols.append(kp_sub(kp_strip(a_part), b_part))
+    c_cols = [[-e for e in col] for col in cu]
+    all_cols = f_cols + c_cols
+    n_eqs = max(len(col) for col in all_cols)
+    matrix = [[col[e] if e < len(col) else IntPoly() for col in all_cols]
+              for e in range(n_eqs)]
+    n_f = D + 1
+    solutions = [vec for vec in fraction_free_nullspace(matrix)
+                 if any(not c.is_zero for c in vec[n_f:])]
+    if not solutions:
+        return None
+    vec = min(solutions, key=lambda v: (max(c.degree for c in v[n_f:]),
+                                        sum(c.degree for c in v[n_f:])))
+    f_kp = kp_strip(list(vec[:n_f]))
+    c_raw = list(vec[n_f:])
+    while c_raw and c_raw[-1].is_zero:
+        c_raw.pop()
+    op, scale = normalize_operator_coeffs(c_raw)
+    num = BiPoly.from_kpoly(kp_mul(Bm1, f_kp))
+    den = BiPoly.from_kpoly(kp_mul_intpoly(C, scale)) * d
+    cert = Certificate(RatFunc(num, den))
+    return op, cert
 
 
 def reference_difference(term, op, cert):

@@ -49,14 +49,17 @@ DIGESTS = {
 }
 
 
-# `telescope --s S --r-max 5 --out FILE` with SOURCE_DATE_EPOCH=0, frozen
-# as the SHA-256 of FILE (112 KB for s=8, 279 KB for s=9, 398 KB for
-# s=10).  Tier-1 re-solves s=8; CI re-solves s=9 and s=10 and verifies the
-# documents.
+# `telescope --s S --r-max R --out FILE` with SOURCE_DATE_EPOCH=0, frozen
+# as the SHA-256 of FILE: R = 5 for s = 8..10 (112 KB, 279 KB, 398 KB) and
+# R = 6 for s = 11 and 12 (903 KB, 1.2 MB).  Tier-1 re-solves s=8 (under
+# 1 s); CI re-solves s = 9..12, which take about 1 s, 6 s, 7 s and 80 s of
+# solve on 2 cores, and verifies the documents.
 OPERATOR_DIGESTS = {
     8: "15c4b10663f82d04dec3e78003dab6f648ffd4826ef63c4357ddf43e74fdd301",
     9: "e5052705f864d2821d3c6f6b8597d1ab6b9094d8be6a6e4cfedf3642e8d90105",
     10: "378a56f33a941b727adbb2077582511f41e37d0c5fb046a9558d4f935d312283",
+    11: "4154946388880169a76501cee094b5d265cdcbf49e1a27e460a4c8141e98da01",
+    12: "b682607f4cea2ff121cd01b8e5ac1c41c7c1c88315869e514932212a7985562f",
 }
 
 

@@ -6,12 +6,14 @@ agrees with the Gauss-Jordan and row-swapping determinant it replaced, the
 document parser rejects a damaged document only with DocumentError, the
 certificate check agrees with the full cross multiplication on perturbed
 certificates, the norm of an image's balanced digits is summed whole, the
-truncated-series inverse and power agree with the product, and the row
+truncated-series inverse and power agree with the product, the row
 sum by binary splitting agrees with the stepping loop it replaced, its
-2-adic inverse included."""
+2-adic inverse included, and the telescoper solves binomial products as
+its unscaled reference does, with operators that annihilate their sums."""
 
 import json
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -25,16 +27,20 @@ from franel.hyperterm import binom_power_term
 from franel.intpoly import IntPoly, mul_kronecker, poly_content, poly_gcd_int
 from franel.linalg import (_triangular_prefix, bareiss_determinant,
                            fraction_free_nullspace)
-from franel.operators import Certificate, RecurrenceOperator
+from franel.operators import (Certificate, RecurrenceOperator,
+                              apply_operator)
 from franel.sequences import _inverse_mod_pow2, franel
 from franel.series import series_inv, series_mul, series_pow
 from franel.telescoper import (_digit_norm, _residual_image,
-                               certificate_mismatch, verify_certificate)
+                               certificate_mismatch, verify_certificate,
+                               zeilberger)
 
+from reference_hyperterm import binomial_product_term
 from reference_linalg import (canonical_signs, reference_determinant,
                               reference_nullspace)
 from reference_sequences import reference_franel
-from reference_telescoper import reference_difference, reference_mismatch
+from reference_telescoper import (reference_difference, reference_mismatch,
+                                  reference_solve_at_order)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -467,3 +473,35 @@ def test_newton_inverse_modulo_a_power_of_two(half, bits):
     x = _inverse_mod_pow2(a, bits)
     assert 0 <= x < 2 ** bits
     assert a * x % 2 ** bits == 1 % 2 ** bits
+
+
+@hypothesis.settings(deadline=None, max_examples=12)
+@hypothesis.given(st.integers(0, 2), st.integers(0, 2))
+def test_binomial_products_telescope_as_the_reference_does(a, b):
+    # binom(n, k)^a binom(n+k, k)^b.  For a = 0 the support in k is not
+    # finite and the sums over k diverge, so there the identity
+    # (P a)(n, k) = b(n, k+1) - b(n, k) is checked at each point instead
+    hypothesis.assume(a + b >= 1)
+    term = binomial_product_term(a, b)
+    op, cert = zeilberger(term, 3)
+    assert verify_certificate(term, op, cert)
+    assert (op, cert) == next(found for found in (
+        reference_solve_at_order(term, r) for r in range(1, 4)) if found)
+
+    def value(n, k):
+        return comb(n, k) ** a * comb(n + k, k) ** b
+
+    def b_term(n, k):
+        return cert.ratio.eval(n, k) * value(n, k)
+
+    den = cert.ratio.den
+    for n in range(12):
+        for k in range(12):
+            if den.eval(n, k) and den.eval(n, k + 1):
+                assert apply_operator(op, lambda m: value(m, k), n) == \
+                    b_term(n, k + 1) - b_term(n, k)
+    if a:
+        sums = [sum(value(n, k) for k in range(n + 1))
+                for n in range(12 + op.order)]
+        for n in range(12):
+            assert apply_operator(op, sums, n) == 0

@@ -11,7 +11,7 @@ from franel.documents import (document_bytes, operator_document,
 from franel.errors import TelescoperNotFoundError
 from franel.hyperterm import (HyperTerm, apery_zeta3_term, binom_power_term,
                               operator_numerator, shift_quotient_products)
-from franel.intpoly import IntPoly, integer_roots
+from franel.intpoly import IntPoly, integer_roots, poly_content
 from franel.operators import (Certificate, RecurrenceOperator,
                               apply_operator, normalize_operator_coeffs)
 from franel.sequences import franel
@@ -19,12 +19,15 @@ from franel.telescoper import (analyze_structure, certificate_mismatch,
                                certificate_residual,
                                expected_certificate_denominator,
                                expected_coefficient_degree, expected_order,
-                               first_valid_row, verify_certificate,
-                               zeilberger)
+                               first_valid_row, solve_at_order,
+                               verify_certificate, zeilberger)
 
-from reference_hyperterm import reference_shift_quotients
+import reference_telescoper
+from reference_hyperterm import (binomial_product_term,
+                                 reference_shift_quotients)
 from reference_linalg import reference_determinant
-from reference_telescoper import reference_mismatch, reference_residual
+from reference_telescoper import (reference_mismatch, reference_residual,
+                                  reference_solve_at_order)
 
 N = BiPoly.var_n()
 K = BiPoly.var_k()
@@ -245,21 +248,13 @@ def test_image_is_unreadable_when_only_the_image_division_is_exact():
                                                               (0, 2))
 
 
-def _binomial_product_term(a, b):
-    """binom(n, k)^a binom(n+k, k)^b; a = b = 2 is the Apery term."""
-    return HyperTerm(
-        RatFunc((N + 1) ** a * (N + K + 1) ** b,
-                (N + 1 - K) ** a * (N + 1) ** b),
-        RatFunc((N - K) ** a * (N + K + 1) ** b, (K + 1) ** (a + b)))
-
-
 def test_image_check_on_binomial_products():
     # (a, b) = (1, 2) takes the general branch: its certificate's
     # denominator is not the shift quotients' d
-    assert _binomial_product_term(2, 2) == apery_zeta3_term()
+    assert binomial_product_term(2, 2) == apery_zeta3_term()
     for (a, b), shared in (((1, 1), True), ((2, 1), True), ((2, 2), True),
                            ((1, 2), False)):
-        term = _binomial_product_term(a, b)
+        term = binomial_product_term(a, b)
         op, cert = zeilberger(term, 3)
         assert assert_residual_matches_reference(term, op, cert,
                                                  shared).is_zero
@@ -520,6 +515,63 @@ def test_even_slice_binomial_has_nonzero_first_valid_row():
     assert apply_operator(op, sums, 0) != 0  # the summed identity needs n >= 1
     for n in range(1, 10):
         assert apply_operator(op, sums, n) == 0
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_solve_at_order_equals_the_unscaled_reference(s):
+    term = binom_power_term(s)
+    m = expected_order(s)
+    assert solve_at_order(term, m - 1) is None
+    assert reference_solve_at_order(term, m - 1) is None
+    found = solve_at_order(term, m)
+    assert found is not None
+    assert found == reference_solve_at_order(term, m)
+
+
+@pytest.mark.parametrize("make", [
+    _weighted_binomial_term, _binomial_times_linear_term, _even_slice_term,
+    apery_zeta3_term], ids=lambda make: make.__name__.strip("_"))
+def test_solve_at_order_equals_the_reference_on_other_terms(make):
+    # a nontrivial C, a p with a pure-n factor and a k factor, integer
+    # contents in p and q, and a term with a product of binomials
+    term = make()
+    for r in (1, 2, 3):
+        assert solve_at_order(term, r) == reference_solve_at_order(term, r)
+
+
+def test_operator_columns_reach_the_nullspace_content_free(monkeypatch):
+    # each c-column arrives primitive in Z[n]; the reference's carries
+    # prod_{j<i} (n+j+1)^s.  The f-columns and the vector read back from
+    # the nullspace, before the operator is normalized, are the reference's
+    seen = {}
+
+    def recording(module, name):
+        inner = getattr(module, name)
+
+        def record(arg):
+            seen[module, name] = arg
+            return inner(arg)
+
+        monkeypatch.setattr(module, name, record)
+
+    for module in (telescoper, reference_telescoper):
+        recording(module, "fraction_free_nullspace")
+        recording(module, "normalize_operator_coeffs")
+    for s in range(1, 9):
+        term = binom_power_term(s)
+        m = expected_order(s)
+        assert solve_at_order(term, m) == reference_solve_at_order(term, m)
+        cols, ref_cols = (list(zip(*seen[module, "fraction_free_nullspace"]))
+                          for module in (telescoper, reference_telescoper))
+        n_f = len(cols) - (m + 1)
+        assert cols[:n_f] == ref_cols[:n_f]
+        content = IntPoly.const(1)
+        for i in range(m + 1):
+            assert poly_content(cols[n_f + i])[0] == IntPoly.const(1)
+            assert poly_content(ref_cols[n_f + i])[0] == content
+            content = content * IntPoly((i + 1, 1)) ** s
+        assert seen[telescoper, "normalize_operator_coeffs"] == \
+            seen[reference_telescoper, "normalize_operator_coeffs"]
 
 
 def _fit_operator_from_data(values, order, degree):
