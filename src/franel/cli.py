@@ -431,6 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # rows and documents may pass Python's 4,300-digit int <-> str limit,
+    # which 3.10.0-3.10.6 do not have
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipoly import BiPoly, RatFunc
-from .operators import RecurrenceOperator
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,3 @@ def quotient_products(ps, qs, one):
         prefix.append(prefix[-1] * ps[j])
         suffix.append(suffix[-1] * qs[-1 - j])
     return suffix[-1], [a * b for a, b in zip(prefix, reversed(suffix))]
-
-
-def operator_numerator(op: RecurrenceOperator, term: HyperTerm):
-    """(sum_i c_i(n) u_i, d): (P a)/a over the common d, unreduced."""
-    d, us = shift_quotient_products(term, op.order)
-    total = BiPoly()
-    for c, u in zip(op.coeffs, us):
-        if not c.is_zero:
-            total = total + BiPoly.from_intpoly_n(c) * u
-    return total, d

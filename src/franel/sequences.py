@@ -277,7 +277,8 @@ def recursion_pays(s: int, J: int, rows) -> bool:
     direct = sum(n * (_DIRECT_STEP_S + w * (_DIRECT_TERM_S
                                             + _DIRECT_DIGIT_S * n))
                  for n in rows)
-    return direct > _SOLVE_S * 3 ** s
+    # exact: a float compares with the int 3**s, which would overflow one
+    return direct / _SOLVE_S > 3 ** s
 
 
 def _at_k(den_kpoly, k: IntPoly) -> IntPoly:

@@ -66,23 +66,23 @@ a nonzero one is reported by its degrees, which add over Z[n, k].  The
 numerator left after the cancellation is bounded once the cofactor's
 image is unpacked; when that bound lies below X/2, which also proves the
 cancellation exact in Z[n][k], its degrees are read from the bit lengths
-of its image (see certificate_mismatch).  Otherwise the full numerator is
-formed in Z[n][k].
+of its image (see certificate_mismatch).  Otherwise they are read from the
+image of the full numerator, whose balanced base-X digits are its
+coefficients, as the stride bounds them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_deg,
                      kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly, kp_shift_k,
                      kp_strip, kp_sub)
 from .errors import ExactDivisionError, TelescoperNotFoundError
-from .hyperterm import (HyperTerm, operator_numerator, quotient_products,
-                        rho_n_shifts)
+from .hyperterm import HyperTerm, quotient_products, rho_n_shifts
 from .intpoly import (IntPoly, integer_roots, pack_signed, poly_content,
                       squarefree_part, unpack_signed)
 from .linalg import bareiss_determinant, fraction_free_nullspace
@@ -350,31 +350,32 @@ class _ResidualParts(NamedTuple):
         (top rd1 qd - rn1 qn bottom) / (bottom rd1 qd),
 
     where top/bottom = (P a)/a + R(n, k) = lhs_num/lhs_den + rn/rd over one
-    denominator (bottom from `_common_denominator`), rn1/rd1 = R(n, k+1)
-    and rho_k = qn/qd.  top is lhs_num + rn when bottom is rd, else
-    lhs_num rd + rn lhs_den; it is formed only when asked for, as in that
-    general branch it costs two products and the division in `cofactor`
-    may refute the certificate first.
-    The parts are BiPolys, or their images in Z[k] (see `_residual_image`);
-    the arithmetic below serves both.
+    denominator, rn1/rd1 = R(n, k+1) and rho_k = qn/qd.  bottom is rd when
+    lhs_den == rd, as for every binom(n, k)^s and for the Apery term (both
+    are the rising product), else lhs_den rd.  top is lhs_num + rn when
+    bottom is rd, else lhs_num rd + rn lhs_den; it is formed only when
+    asked for, as in that general branch it costs two products and the
+    division in `cofactor` may refute the certificate first.
+    The parts are images in Z[k] (see `_residual_image`), or in the tests
+    the parts in Z[n][k]; the arithmetic below serves both.
     """
 
-    lhs_num: BiPoly
-    lhs_den: BiPoly
-    rn: BiPoly
-    rd: BiPoly
-    bottom: BiPoly
-    rn1: BiPoly
-    rd1: BiPoly
-    qn: BiPoly
-    qd: BiPoly
+    lhs_num: IntPoly
+    lhs_den: IntPoly
+    rn: IntPoly
+    rd: IntPoly
+    bottom: IntPoly
+    rn1: IntPoly
+    rd1: IntPoly
+    qn: IntPoly
+    qd: IntPoly
 
-    def top(self) -> BiPoly:
+    def top(self) -> IntPoly:
         if self.lhs_den == self.rd:
             return self.lhs_num + self.rn
         return self.lhs_num * self.rd + self.rn * self.lhs_den
 
-    def full_numerator(self) -> BiPoly:
+    def full_numerator(self) -> IntPoly:
         """top rd1 qd - rn1 qn bottom, by the full cross multiplication."""
         return (self.top() * (self.rd1 * self.qd)
                 - self.rn1 * self.qn * self.bottom)
@@ -406,25 +407,6 @@ class _ResidualParts(NamedTuple):
         return self.top() * self.qd - self.rn1 * cof
 
 
-def _common_denominator(lhs_den, rd):
-    """rd itself when lhs_den == rd, as for every binom(n, k)^s and for the
-    Apery term (both are the rising product), else lhs_den rd."""
-    return rd if lhs_den == rd else lhs_den * rd
-
-
-def _residual_parts(term: HyperTerm, op: RecurrenceOperator,
-                    cert: Certificate) -> _ResidualParts:
-    """The residual's parts in Z[n][k], none but bottom multiplied
-    together; (P a)/a = lhs_num / lhs_den comes from operator_numerator and
-    R = rn/rd."""
-    lhs_num, lhs_den = operator_numerator(op, term)
-    rn, rd = cert.ratio.num, cert.ratio.den
-    return _ResidualParts(lhs_num, lhs_den, rn, rd,
-                          _common_denominator(lhs_den, rd),
-                          rn.compose_shift(0, 1), rd.compose_shift(0, 1),
-                          term.rho_k.num, term.rho_k.den)
-
-
 def _norm(kp, dk: int = 0) -> int:
     """A bound on the 1-norm of p(n, k + dk), p given by its k-poly: p with
     its coefficients' absolute values at n = 1, k = 1 + |dk|, by Horner's
@@ -441,33 +423,47 @@ def _image(p: BiPoly, stride: int) -> IntPoly:
     return IntPoly([pack_signed(c.coeffs, stride) for c in p.coeffs])
 
 
-def _digit_norm(p_x: IntPoly, stride: int) -> int:
-    """The 1-norm of the polynomial in Z[n][k] whose coefficients are the
-    balanced base-X digits of p_x's, X = 2**(8*stride): p_x is its image.
+def _digits(p_x: IntPoly, stride: int) -> list:
+    """The k-poly in Z[n][k] whose coefficients are the balanced base-X
+    digits of p_x's, X = 2**(8*stride): its image is p_x, and it is the
+    polynomial p_x came from when that one's coefficients lie below X/2.
     A coefficient of b bits has b // w + 1 digits in base X = 2**w, and
     the carry of balancing may add one more."""
     w = 8 * stride
-    return sum(abs(digit) for c in p_x.coeffs
-               for digit in unpack_signed(c, stride,
-                                          abs(c).bit_length() // w + 2))
+    return [IntPoly(unpack_signed(c, stride, abs(c).bit_length() // w + 2))
+            for c in p_x.coeffs]
+
+
+def _degrees(p_x: IntPoly, stride: int):
+    """(deg_n, deg_k) of a nonzero p in Z[n][k] with image p_x whose
+    coefficients lie below X/2, X = 2**(8*stride).  deg_k p is deg p_x, as
+    lc_k(p) lies below X/2 and is nonzero, so its image is not zero.  A
+    nonzero c in Z[n] of degree d whose coefficients lie below X/2 has
+    X**d/2 < |c(X)| < X**(d+1)/2, so with X = 2**w the bit length of c(X)
+    lies in [w d, w (d+1) - 1] and, floor-divided by w, gives d."""
+    w = 8 * stride
+    return max(abs(c).bit_length() for c in p_x.coeffs) // w, p_x.degree
 
 
 class _Image(NamedTuple):
     """What `_residual_image` finds at X = 2**(8*stride): small_X, None
     when the division in Z[k] fails; whether the shared denominator is rd
-    (d == rd) or d rd; and whether small_X is the image of small in
-    Z[n][k] with ||small||_1 < X/2, so that F's degrees can be read."""
+    (d == rd) or d rd; whether small_X is the image of small in Z[n][k]
+    with ||small||_1 < X/2, so that F's degrees can be read from it; and
+    the parts, whose full numerator F_X has F's coefficients as digits."""
 
     stride: int
     small: IntPoly | None
     shared: bool
     readable: bool
+    parts: _ResidualParts
 
 
 def _residual_image(term: HyperTerm, op: RecurrenceOperator,
                     cert: Certificate) -> _Image:
-    """`_residual_parts` and their small numerator in the image of the ring
-    map Z[n][k] -> Z[k], n -> X = 2**(8*stride).
+    """The residual's parts and their small numerator in the image of the
+    ring map Z[n][k] -> Z[k], n -> X = 2**(8*stride): the one place where
+    the residual is built.
 
     The verdict small_X == 0 is exact.  Write F = top rd1 qd - rn1 qn bottom
     for the full numerator, which is zero iff the identity holds.
@@ -481,7 +477,9 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
       polynomial one) and of every input packed (so each packs whole).
       B comes from ||p(n+a, k+b)||_1 <= |p|(1+|a|, 1+|b|) (see `_norm`),
       with sums and products of 1-norms bounding those of sums and
-      products; the shifts in n are made on the polynomials first.
+      products; the shifts in n are made on the polynomials first.  Since
+      B bounds F, the digits of F_X = `parts.full_numerator()` are F's
+      coefficients (see `_digits` and `_degrees`).
     - If rd1 divides qn bottom in Z[n][k], then rd1_X divides qn_X bottom_X
       in Z[k], and rd1_X = rd_X(k+1) is nonzero, so the long division
       over the integers is exact.  A failed division in Z[k] therefore
@@ -496,7 +494,7 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
     qn bottom in Z[n][k] with quotient C, and small = top qd - rn1 C has
     ||small||_1 <= |top| |qd| + |rn1| ||C||_1.  When that is below X/2 too,
     `certificate_mismatch` reads F's degrees from small_X.  Otherwise it
-    forms F in Z[n][k].  For binom(n, k)^s over the rising product at
+    reads them from F_X.  For binom(n, k)^s over the rising product at
     order m, cof = (n-k+m)^s, and its 1-norm (m+2)^s lies below both
     |top| |qd| and |qn| |bottom|, so both hold.  A bound fixed before the
     division, ||cof||_1 <= 2**(deg_n cof + deg_k cof) ||qn bottom||_1 by
@@ -504,8 +502,8 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
     no division, and at s = 7 with an altered denominator it took the
     stride from 32 to 39 bytes.
 
-    Nothing is unpacked but cof_X, so the images' coefficients may grow
-    past X.
+    Nothing but cof_X and F_X is unpacked, so the other images' digits may
+    exceed X/2.
     """
     ps, qs = rho_n_shifts(term, op.order)
     rn, rd = cert.ratio.num, cert.ratio.den
@@ -527,23 +525,24 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
                                      [_image(f, stride) for f in qs],
                                      IntPoly.const(1))
         rd_x = _image(rd, stride)
-        if d_x == rd_x:
+        shared = d_x == rd_x
+        if shared:
             break
     rn_x = _image(rn, stride)
     lhs_x = sum((pack_signed(c.coeffs, stride) * u
                  for c, u in zip(op.coeffs, u_x)), IntPoly())
     parts = _ResidualParts(lhs_x, d_x, rn_x, rd_x,
-                           _common_denominator(d_x, rd_x),
+                           rd_x if shared else d_x * rd_x,
                            rn_x.compose_shift(1), rd_x.compose_shift(1),
                            _image(qn, stride), _image(qd, stride))
-    shared = d_x == rd_x
     cof = parts.cofactor()
     if cof is None:
-        return _Image(stride, None, shared, False)
-    cof_b = _digit_norm(cof, stride)
+        return _Image(stride, None, shared, False, parts)
+    cof_b = _norm(_digits(cof, stride))
     readable = (max(rd1_b * cof_b, top_b * qd_b + rn1_b * cof_b)
                 < 1 << (8 * stride - 1))
-    return _Image(stride, parts.small_numerator(cof), shared, readable)
+    return _Image(stride, parts.small_numerator(cof), shared, readable,
+                  parts)
 
 
 def certificate_mismatch(term: HyperTerm, op: RecurrenceOperator,
@@ -552,32 +551,26 @@ def certificate_mismatch(term: HyperTerm, op: RecurrenceOperator,
     ((deg_n, deg_k) of the numerator, (deg_n, deg_k) of the denominator) of
     the residual (P a)/a - (R(n, k+1) rho_k - R(n, k)), unreduced.
 
-    The verdict is `verify_certificate`'s, and nothing is reduced.  Over
-    the integral domain Z[n, k] the degrees in n and in k each add under
-    products, and shifts keep them.  So the denominator bottom rd1 qd has
-    those of rd twice, of qd, and of d = prod_{j<r} q(n+j, k) when bottom
-    is d rd, with rho_n = p/q.  When the image is readable (see
-    `_residual_image`), rd1 divides qn bottom in Z[n][k] and the numerator
-    F = small rd1 (see `_ResidualParts`) has the degrees of small plus
-    those of rd, read from small_X.  deg_k small is that of small_X, as
-    lc_k(small) lies below X/2 and is nonzero, so its image is not zero.  A
-    nonzero c in Z[n] of degree d whose coefficients lie below X/2 has
-    X**d/2 < |c(X)| < X**(d+1)/2, so with X = 2**w the bit length of c(X)
-    lies in [w d, w (d+1) - 1] and, floor-divided by w, gives d.  Only when
-    the image is not readable are the parts formed in Z[n][k], and the
-    full numerator for its degrees.
+    The verdict is `verify_certificate`'s; nothing is reduced, and no part
+    is formed in Z[n][k].  Over the integral domain Z[n, k] the degrees in
+    n and in k each add under products, and shifts keep them.  So the
+    denominator bottom rd1 qd has those of rd twice, of qd, and of
+    d = prod_{j<r} q(n+j, k) when bottom is d rd, with rho_n = p/q.  When
+    the image is readable (see `_residual_image`), rd1 divides qn bottom in
+    Z[n][k] and the numerator F = small rd1 (see `_ResidualParts`) has the
+    degrees of small, read from small_X by `_degrees`, plus those of rd.
+    Otherwise F's degrees are read from F_X, the image's full numerator,
+    whose coefficients the stride already bounds.
     """
     image = _residual_image(term, op, cert)
     if image.small is not None and image.small.is_zero:
         return None
     rd, qd = cert.ratio.den, term.rho_k.den
     if image.readable:
-        w = 8 * image.stride
-        small_n = max(abs(c).bit_length() for c in image.small.coeffs) // w
-        num_degrees = (small_n + rd.deg_n, image.small.degree + rd.deg_k)
+        small_n, small_k = _degrees(image.small, image.stride)
+        num_degrees = (small_n + rd.deg_n, small_k + rd.deg_k)
     else:
-        num = _residual_parts(term, op, cert).full_numerator()
-        num_degrees = (num.deg_n, num.deg_k)
+        num_degrees = _degrees(image.parts.full_numerator(), image.stride)
     dens = [rd, rd, qd] + ([] if image.shared
                            else [term.rho_n.den] * op.order)
     return (num_degrees,
@@ -600,16 +593,20 @@ def certificate_residual(term: HyperTerm, op: RecurrenceOperator,
                          cert: Certificate) -> RatFunc:
     """(P a)/a - (R(n, k+1) rho_k - R(n, k)) in lowest terms; zero iff valid.
 
-    The test oracle for `certificate_mismatch` and `verify_certificate`: the
-    same residual by the full cross multiplication, no cofactor cancelled,
-    brought to lowest terms when it is nonzero.  Its normalized form is
-    canonical, so it does not depend on the denominator the check used.
+    The full numerator F is unpacked from the digits of its image (see
+    `_residual_image`) and brought to lowest terms over bottom rd1 qd,
+    which is formed in Z[n][k].  Its normalized form is canonical, so it
+    does not depend on the denominator the check used.
     """
-    parts = _residual_parts(term, op, cert)
-    num = parts.full_numerator()
+    image = _residual_image(term, op, cert)
+    num = BiPoly.from_kpoly(_digits(image.parts.full_numerator(),
+                                    image.stride))
     if num.is_zero:
         return RatFunc.zero()
-    return RatFunc(num, parts.bottom * (parts.rd1 * parts.qd))
+    rd = cert.ratio.den
+    bottom = rd if image.shared else prod(rho_n_shifts(term, op.order)[1],
+                                          start=rd)
+    return RatFunc(num, bottom * rd.compose_shift(0, 1) * term.rho_k.den)
 
 
 def expected_order(s: int) -> int:

@@ -1,10 +1,11 @@
 """The shift quotients before the product formula, kept as the oracle:
 each a(n+i, k)/a(n, k) brought to lowest terms by the RatFunc constructor,
-and the reduced denominators joined by their lcm.  Also the family of
-binomial products the solver's tests run on."""
+and the reduced denominators joined by their lcm.  Also (P a)/a over the
+common denominator of the product formula, and the family of binomial
+products the solver's tests run on."""
 
 from franel.bipoly import BiPoly, RatFunc, poly_gcd
-from franel.hyperterm import HyperTerm
+from franel.hyperterm import HyperTerm, shift_quotient_products
 
 
 def _bipoly_lcm(polys):
@@ -27,6 +28,17 @@ def reference_shift_quotients(term, order):
                               sigmas[-1].den * q.compose_shift(i, 0)))
     d = _bipoly_lcm([sig.den for sig in sigmas])
     return d, [sig.num * d.divexact(sig.den) for sig in sigmas]
+
+
+def operator_numerator(op, term):
+    """(sum_i c_i(n) u_i, d): (P a)/a over the common d of
+    `shift_quotient_products`, unreduced."""
+    d, us = shift_quotient_products(term, op.order)
+    total = BiPoly()
+    for c, u in zip(op.coeffs, us):
+        if not c.is_zero:
+            total = total + BiPoly.from_intpoly_n(c) * u
+    return total, d
 
 
 def binomial_product_term(a, b):

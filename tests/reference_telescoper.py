@@ -8,12 +8,14 @@ from math import comb
 
 from franel.bipoly import (BiPoly, RatFunc, kp_deg, kp_mul, kp_mul_intpoly,
                            kp_shift_k, kp_strip, kp_sub)
-from franel.hyperterm import operator_numerator, shift_quotient_products
+from franel.hyperterm import shift_quotient_products
 from franel.intpoly import IntPoly
 from franel.linalg import fraction_free_nullspace
 from franel.operators import Certificate, normalize_operator_coeffs
 from franel.telescoper import (_gosper_degree_bound, _gosper_normal_form,
                                _gosper_ratio)
+
+from reference_hyperterm import operator_numerator
 
 
 def reference_solve_at_order(term, r):
@@ -88,20 +90,26 @@ def reference_residual(term, op, cert):
     return RatFunc(diff, den)
 
 
-def reference_mismatch(term, op, cert):
-    """What `certificate_mismatch` reports, from the full unreduced
-    numerator top rd1 qd - rn1 qn bottom, where top/bottom is (P a)/a + R
-    over the certificate's denominator when (P a)/a has it, else over the
-    product of both: None when it is zero, else its (deg_n, deg_k) and the
-    summed degrees of bottom, rd1 and qd."""
+def reference_parts(term, op, cert):
+    """The residual's parts in Z[n][k], in the order of
+    `telescoper._ResidualParts`: (P a)/a = lhs_num/lhs_den, R = rn/rd,
+    their shared denominator bottom (rd when lhs_den is rd, else the
+    product), R(n, k+1) = rn1/rd1 and rho_k = qn/qd."""
     lhs_num, lhs_den = operator_numerator(op, term)
     rn, rd = cert.ratio.num, cert.ratio.den
-    if lhs_den == rd:
-        top, bottom = lhs_num + rn, rd
-    else:
-        top, bottom = lhs_num * rd + rn * lhs_den, lhs_den * rd
-    rn1, rd1 = rn.compose_shift(0, 1), rd.compose_shift(0, 1)
-    qn, qd = term.rho_k.num, term.rho_k.den
+    bottom = rd if lhs_den == rd else lhs_den * rd
+    return (lhs_num, lhs_den, rn, rd, bottom, rn.compose_shift(0, 1),
+            rd.compose_shift(0, 1), term.rho_k.num, term.rho_k.den)
+
+
+def reference_mismatch(term, op, cert):
+    """What `certificate_mismatch` reports, from the full unreduced
+    numerator top rd1 qd - rn1 qn bottom of `reference_parts`, where
+    top/bottom is (P a)/a + R: None when it is zero, else its
+    (deg_n, deg_k) and the summed degrees of bottom, rd1 and qd."""
+    lhs_num, lhs_den, rn, rd, bottom, rn1, rd1, qn, qd = reference_parts(
+        term, op, cert)
+    top = lhs_num + rn if lhs_den == rd else lhs_num * rd + rn * lhs_den
     num = top * rd1 * qd - rn1 * qn * bottom
     if num.is_zero:
         return None

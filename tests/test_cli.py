@@ -233,14 +233,20 @@ VERIFY_STDOUT = {
     "den*(n+k+2)-s5":
         "certificate MISMATCH; unreduced residual: numerator of degree 53 "
         "in n, 52 in k; denominator of degree 47 in n, 52 in k\n",
+    "den+1-s5":
+        "certificate MISMATCH; unreduced residual: numerator of degree 36 "
+        "in n, 35 in k; denominator of degree 45 in n, 50 in k\n",
+    "den+1-s6":
+        "certificate MISMATCH; unreduced residual: numerator of degree 44 "
+        "in n, 42 in k; denominator of degree 54 in n, 60 in k\n",
 }
 
 
 def _verify_document(tmp_path, case):
     """The document of a VERIFY_STDOUT case, written to a file: the frozen
     one, or a copy with the constant term of c_0 raised by 1, the
-    certificate numerator lowered by 1, or its denominator multiplied by
-    n + k + 2."""
+    certificate numerator lowered by 1, or its denominator raised by 1 or
+    multiplied by n + k + 2."""
     kind, s = case.rsplit("-s", 1)
     doc = json.loads((_REFS / ("operator-s%s.json" % s)).read_text())
     cert = doc["certificate"]
@@ -248,6 +254,8 @@ def _verify_document(tmp_path, case):
         doc["coeffs"][0][0] = str(int(doc["coeffs"][0][0]) + 1)
     elif kind == "num-1":
         cert["num"] = bipoly_to_json(bipoly_from_json(cert["num"]) - 1)
+    elif kind == "den+1":
+        cert["den"] = bipoly_to_json(bipoly_from_json(cert["den"]) + 1)
     elif kind == "den*(n+k+2)":
         cert["den"] = bipoly_to_json(bipoly_from_json(cert["den"])
                                      * (BiPoly.var_n() + BiPoly.var_k() + 2))
@@ -271,6 +279,42 @@ def test_verify_reports_an_unreduced_residual_quickly(env, tmp_path, capsys):
     assert run(["verify", "--in", str(bad)]) == 1
     assert time.perf_counter() - t0 < 10
     assert capsys.readouterr().out == VERIFY_STDOUT["num-1-s7"]
+
+
+@pytest.fixture()
+def int_str_limit():
+    """Python's default int <-> str digit limit for the test, which `main`
+    must lift, and the limit as it was after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield  # 3.10.0-3.10.6 have no limit
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_compute_prints_a_row_past_the_int_str_limit(env, capsys,
+                                                    int_str_limit):
+    # the last row has 4,323 digits, past the default limit of 4,300
+    assert run(["compute", "--s", "8", "--n-max", "1800", "--J", "0"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split()
+    assert last[0] == "1800"
+    assert len(last[1]) > 4300
+    assert int(last[1]) == franel.franel(8, 1800)
+
+
+def test_verify_reads_a_coefficient_past_the_int_str_limit(env, tmp_path,
+                                                          capsys,
+                                                          int_str_limit):
+    doc = json.loads((_REFS / "operator-s3.json").read_text())
+    doc["coeffs"][0][0] = "1" + "0" * 4999
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--in", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("certificate MISMATCH; unreduced residual:")
+    assert err == ""
 
 
 def test_verify_rejects_a_power_beyond_the_certificate_quickly(env, tmp_path,

@@ -5,11 +5,11 @@ import pytest
 
 from franel.bipoly import BiPoly, RatFunc
 from franel.hyperterm import (apery_zeta3_term, binom_power_term,
-                              operator_numerator, shift_quotient_products)
+                              shift_quotient_products)
 from franel.intpoly import IntPoly
 from franel.operators import RecurrenceOperator, normalize_operator_coeffs
 
-from reference_hyperterm import reference_shift_quotients
+from reference_hyperterm import operator_numerator, reference_shift_quotients
 
 N = BiPoly.var_n()
 K = BiPoly.var_k()

@@ -5,7 +5,8 @@ routine agrees with the gcd fold it replaced, the forward elimination
 agrees with the Gauss-Jordan and row-swapping determinant it replaced, the
 document parser rejects a damaged document only with DocumentError, the
 certificate check agrees with the full cross multiplication on perturbed
-certificates, the norm of an image's balanced digits is summed whole, the
+certificates, an image's balanced digits evaluate back to it, the
+dispersion set agrees with sympy's on polynomials in k, the
 truncated-series inverse and power agree with the product, the row
 sum by binary splitting agrees with the stepping loop it replaced, its
 2-adic inverse included, and the telescoper solves binomial products as
@@ -31,7 +32,8 @@ from franel.operators import (Certificate, RecurrenceOperator,
                               apply_operator)
 from franel.sequences import _inverse_mod_pow2, franel
 from franel.series import series_inv, series_mul, series_pow
-from franel.telescoper import (_digit_norm, _residual_image,
+from franel.telescoper import (_digits, _dispersion_set, _norm,
+                               _residual_image,
                                certificate_mismatch, verify_certificate,
                                zeilberger)
 
@@ -416,13 +418,50 @@ def test_image_verdict_matches_the_polynomial_oracle(case):
         reference_mismatch(term, op, cert)
 
 
+def _coeffs_from_roots(roots, extra):
+    """Coefficients, lowest first, of prod_r (k + r) times extra(k)."""
+    coeffs = list(extra)
+    for r in roots:
+        coeffs = [r * c + lower for c, lower in zip(coeffs + [0],
+                                                    [0] + coeffs)]
+    return coeffs
+
+
+# integer polynomials in k with a few integer roots, so that shifts of one
+# meet roots of the other
+k_polys = st.builds(
+    _coeffs_from_roots, st.lists(st.integers(-8, 8), max_size=3),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(
+        lambda extra: extra[-1] != 0))
+
+
+@hypothesis.example(_coeffs_from_roots([1, 5], [1]),
+                    _coeffs_from_roots([-2, 1], [1]))
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(k_polys, k_polys)
+def test_dispersion_set_matches_sympy(a, b):
+    # polynomials in k alone, so the set is the generic one: no integer n0
+    # can add a shift; (k+1)(k+5) and (k-2)(k+1) give [0, 3, 4, 7]
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.dispersion import dispersionset
+    hypothesis.assume(len(a) > 1 and len(b) > 1)
+    k = sympy.Symbol("k")
+    want = sorted(dispersionset(sympy.Poly(a[::-1], k),
+                                sympy.Poly(b[::-1], k)))
+    got = _dispersion_set([IntPoly.const(c) for c in a],
+                          [IntPoly.const(c) for c in b])
+    assert got == want
+    if (a, b) == ([5, 6, 1], [-2, -1, 1]):
+        assert got == [0, 3, 4, 7]
+
+
 # 127 * 256 + 200 balances to -56 - 128 * 256 + 256**2: its top digit
 # carries into a digit its bit length does not count
 @hypothesis.example([127 * 256 + 200, -128], 1)
 @hypothesis.settings(deadline=None, max_examples=200)
 @hypothesis.given(st.lists(st.integers(-2 ** 200, 2 ** 200), max_size=5),
                   st.integers(1, 4))
-def test_digit_norm_sums_the_balanced_digits(values, stride):
+def test_digits_are_balanced_and_evaluate_back(values, stride):
     x = 2 ** (8 * stride)
     expected = 0
     for v in map(abs, values):  # a negative value has the digits negated
@@ -430,7 +469,11 @@ def test_digit_norm_sums_the_balanced_digits(values, stride):
             digit = (v + x // 2) % x - x // 2
             expected += abs(digit)
             v = (v - digit) // x
-    assert _digit_norm(IntPoly(values), stride) == expected
+    p_x = IntPoly(values)
+    digits = _digits(p_x, stride)
+    assert [c.eval_int(x) for c in digits] == list(p_x.coeffs)
+    assert all(abs(d) <= x // 2 for c in digits for d in c.coeffs)
+    assert _norm(digits) == max(1, expected)
 
 
 # series with constant term 1, over the integers and over the rationals:

@@ -127,6 +127,34 @@ def test_rule_pinned_on_both_sides():
         assert recursion_pays(s, J, [n - 1, n])
 
 
+def test_rule_takes_a_huge_power_without_overflow():
+    # 3**s as a float overflows from s = 647 on; a row of s = 1000 with
+    # 2J < s is direct
+    assert not recursion_pays(1000, 0, [0, 1])
+    assert list(coefficient_rows(1000, 0, 0, 1)) == [(1,), (2,)]
+
+
+def test_rule_matches_the_float_product_it_replaced():
+    def float_rule(s, J, rows):
+        if 2 * J >= s:
+            return False
+        w = s * (J + 1)
+        direct = sum(n * (sequences._DIRECT_STEP_S
+                          + w * (sequences._DIRECT_TERM_S
+                                 + sequences._DIRECT_DIGIT_S * n))
+                     for n in rows)
+        return direct > sequences._SOLVE_S * 3 ** s
+
+    requests = ([range(N) for N in (0, 1, 10, 22, 23, 42, 43, 64, 65, 133,
+                                    134, 400, 2000)]
+                + [[n - 1, n] for n in (1, 89, 90, 224, 225, 393, 394, 976,
+                                        977, 5000)])
+    for s in range(1, 13):
+        for J in range(3):
+            for rows in requests:
+                assert recursion_pays(s, J, rows) is float_rule(s, J, rows)
+
+
 def test_rule_follows_the_request(solves):
     assert list(coefficient_rows(5, 2, 0, 20)) == \
         [coefficient_row(5, n, 2) for n in range(21)]

@@ -10,7 +10,7 @@ from franel.documents import (document_bytes, operator_document,
                               parse_operator_document, timestamp)
 from franel.errors import TelescoperNotFoundError
 from franel.hyperterm import (HyperTerm, apery_zeta3_term, binom_power_term,
-                              operator_numerator, shift_quotient_products)
+                              shift_quotient_products)
 from franel.intpoly import IntPoly, integer_roots, poly_content
 from franel.operators import (Certificate, RecurrenceOperator,
                               apply_operator, normalize_operator_coeffs)
@@ -23,11 +23,11 @@ from franel.telescoper import (analyze_structure, certificate_mismatch,
                                verify_certificate, zeilberger)
 
 import reference_telescoper
-from reference_hyperterm import (binomial_product_term,
+from reference_hyperterm import (binomial_product_term, operator_numerator,
                                  reference_shift_quotients)
 from reference_linalg import reference_determinant
-from reference_telescoper import (reference_mismatch, reference_residual,
-                                  reference_solve_at_order)
+from reference_telescoper import (reference_mismatch, reference_parts,
+                                  reference_residual, reference_solve_at_order)
 
 N = BiPoly.var_n()
 K = BiPoly.var_k()
@@ -52,6 +52,12 @@ def assert_residual_matches_reference(term, op, cert, shared):
     assert residual == reference_residual(term, op, cert)
     assert verify_certificate(term, op, cert) is residual.is_zero
     return residual
+
+
+def parts_in_z_n_k(term, op, cert):
+    """The oracle's residual parts in Z[n][k], with the check's own
+    arithmetic (cofactor, small and full numerator) on them."""
+    return telescoper._ResidualParts(*reference_parts(term, op, cert))
 
 
 def frozen_document(s):
@@ -155,7 +161,7 @@ def test_mismatch_matches_the_full_numerator():
         cases = ([(op, cert), (op, bad_num)]
                  + [(bad, cert) for bad in bumped_operators(op)])
         for case_op, case_cert in cases:
-            parts = telescoper._residual_parts(term, case_op, case_cert)
+            parts = parts_in_z_n_k(term, case_op, case_cert)
             assert parts.cofactor() is not None
             mismatch = certificate_mismatch(term, case_op, case_cert)
             assert mismatch == reference_mismatch(term, case_op, case_cert)
@@ -173,7 +179,7 @@ def test_failed_division_refutes_and_reports_the_full_numerator():
         num, den = cert.ratio.num, cert.ratio.den
         for bad_den in (den + 1, den * (N + K + 2)):
             bad = Certificate(RatFunc(num, bad_den))
-            parts = telescoper._residual_parts(term, op, bad)
+            parts = parts_in_z_n_k(term, op, bad)
             assert parts.cofactor() is None
             assert telescoper._residual_image(term, op, bad)[1] is None
             assert not verify_certificate(term, op, bad)
@@ -197,7 +203,7 @@ def test_image_stride_bounds_the_full_numerator():
         for case_op, case_cert in ((op, cert), (c0_moved, cert),
                                    (op, den_1)):
             image = telescoper._residual_image(term, case_op, case_cert)
-            parts = telescoper._residual_parts(term, case_op, case_cert)
+            parts = parts_in_z_n_k(term, case_op, case_cert)
             products = [parts.full_numerator(),
                         parts.top() * parts.rd1 * parts.qd,
                         parts.rn1 * parts.qn * parts.bottom]
@@ -207,6 +213,53 @@ def test_image_stride_bounds_the_full_numerator():
             for p in products:
                 bits = max((c.max_coeff_bits() for c in p.coeffs), default=0)
                 assert bits < 8 * image.stride - 1
+
+
+def test_residual_is_unpacked_from_the_image():
+    # the digits of the image's full numerator are the oracle's numerator
+    # in Z[n][k] for s = 3..6 on the certificate with its denominator
+    # raised by 1 or multiplied by n + k + 2 (a failed division) and with
+    # its numerator lowered by 1; the reduced residual is compared where
+    # reducing it is quick: den+1 takes 9 s at s = 4 and den*(n+k+2) 70 s
+    # at s = 5, on each side (2 cores, Python 3.11)
+    for s in range(3, 7):
+        term = binom_power_term(s)
+        op, cert = frozen_document(s)
+        num, den = cert.ratio.num, cert.ratio.den
+        for kind, ratio in (("den+1", RatFunc(num, den + 1)),
+                            ("den*(n+k+2)", RatFunc(num, den * (N + K + 2))),
+                            ("num-1", RatFunc(num - 1, den))):
+            bad = Certificate(ratio)
+            image = telescoper._residual_image(term, op, bad)
+            unpacked = BiPoly.from_kpoly(telescoper._digits(
+                image.parts.full_numerator(), image.stride))
+            assert unpacked == parts_in_z_n_k(term, op, bad).full_numerator()
+            if kind == "num-1" or s == 3 or (kind != "den+1" and s == 4):
+                assert not assert_residual_matches_reference(
+                    term, op, bad, shared=kind == "num-1").is_zero
+
+
+def test_mismatch_multiplies_no_bipolys(monkeypatch):
+    # the check and its report run in the image alone: with the BiPoly
+    # product disabled, the s=5 document with its denominator times
+    # n + k + 2 (a failed division) and with c_0 moved (a readable image)
+    # still report the degrees `verify` pins for them
+    term = binom_power_term(5)
+    op, cert = frozen_document(5)
+    c0_moved = next(bumped_operators(op))
+    den_times = Certificate(RatFunc(cert.ratio.num,
+                                    cert.ratio.den * (N + K + 2)))
+
+    def no_product(self, other):
+        raise AssertionError("a BiPoly product in the certificate check")
+
+    monkeypatch.setattr(BiPoly, "__mul__", no_product)
+    with pytest.raises(AssertionError, match="BiPoly product"):
+        N * K
+    assert certificate_mismatch(term, op, den_times) == ((53, 52), (47, 52))
+    assert certificate_mismatch(term, c0_moved, cert) == ((30, 35), (30, 35))
+    assert not verify_certificate(term, op, den_times)
+    assert verify_certificate(term, op, cert)
 
 
 def test_mismatch_forms_the_full_numerator_when_the_image_is_unreadable():
@@ -219,13 +272,15 @@ def test_mismatch_forms_the_full_numerator_when_the_image_is_unreadable():
     cert = Certificate(RatFunc(BiPoly.const(1), (K - 2) ** 4))
     image = telescoper._residual_image(term, op, cert)
     assert image.small is not None and not image.readable
-    parts = telescoper._residual_parts(term, op, cert)
+    parts = parts_in_z_n_k(term, op, cert)
     small = parts.small_numerator(parts.cofactor())
     bits = max(c.max_coeff_bits() for c in small.coeffs)
     assert bits >= 8 * image.stride - 1
     mismatch = certificate_mismatch(term, op, cert)
     assert mismatch == reference_mismatch(term, op, cert) == ((0, 164),
                                                               (0, 8))
+    assert not assert_residual_matches_reference(term, op, cert,
+                                                 shared=True).is_zero
 
 
 def test_image_is_unreadable_when_only_the_image_division_is_exact():
@@ -241,11 +296,13 @@ def test_image_is_unreadable_when_only_the_image_division_is_exact():
     cert = Certificate(RatFunc(BiPoly.const(1), rd))
     image = telescoper._residual_image(term, op, cert)
     assert image.stride == 2 and image.small is not None
-    assert telescoper._residual_parts(term, op, cert).cofactor() is None
+    assert parts_in_z_n_k(term, op, cert).cofactor() is None
     assert not image.readable
     mismatch = certificate_mismatch(term, op, cert)
     assert mismatch == reference_mismatch(term, op, cert) == ((1, 5),
                                                               (0, 2))
+    assert not assert_residual_matches_reference(term, op, cert,
+                                                 shared=True).is_zero
 
 
 def test_image_check_on_binomial_products():
