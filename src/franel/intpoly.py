@@ -67,6 +67,14 @@ def unpack_signed(value: int, stride_bytes: int, count: int) -> list:
     return out
 
 
+def unpack_poly(value: int, stride: int) -> "IntPoly":
+    """The polynomial of value's balanced base-X digits, X = 2**(8*stride):
+    the one value is the image of when its coefficients lie below X/2.  A
+    b-bit value has b // w + 1 digits in base 2**w, plus one for a carry."""
+    return IntPoly(unpack_signed(
+        value, stride, abs(value).bit_length() // (8 * stride) + 2))
+
+
 def mul_kronecker(a, b):
     """Product of two nonempty signed coefficient lists by one big product."""
     la, lb = len(a), len(b)
@@ -498,3 +506,13 @@ def integer_roots(p: IntPoly):
         stack.append((lo, mid))
         stack.append((mid, hi))
     return sorted(roots)
+
+
+def nonnegative_integer_roots(p: IntPoly):
+    """Sorted distinct integer roots x >= 0 of p (p nonzero).  With
+    p = x**e q, q(0) != 0, 0 is a root iff e > 0, and by Descartes' rule q
+    has no positive root when its coefficients, p's nonzero ones, show no
+    sign change; otherwise `integer_roots` decides (and rejects p = 0)."""
+    if len({c > 0 for c in p.coeffs if c}) != 1:
+        return [x for x in integer_roots(p) if x >= 0]
+    return [0] if p.coeffs[0] == 0 else []

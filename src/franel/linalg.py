@@ -42,11 +42,24 @@ substitution, so Bareiss runs only on what is left.
   in Z[n] it is unique up to sign, and the sign is a contract: the entry
   at fc, the vector's last nonzero entry, has a positive leading
   coefficient.
+
+The substitution runs on images under n -> X = 2**(8*stride); only l_j,
+Phi and the Schur rows are unpacked to Z[n], by balanced base-X digits.
+It is a straight-line program of +, - and *, and n -> X is a ring map.  Run
+on bounds of the entries' 1-norms with - read as +, the same program bounds
+each value's 1-norm, as ||a +- b|| <= ||a|| + ||b|| and ||ab|| <= ||a|| ||b||.
+With X/2 above the bounds of the entries, Phi and the Schur entries, every
+unpacked value is its polynomial and an entry is zero iff its image is.  The
+zero pattern (the t_j, each row's a) is read from the image at the entries'
+stride, never from the bounds: a bound is nonzero at the cancelled top of
+every f-column when lc_k A = lc_k B(k-1), as for binom(n, k)^s at even s,
+and a bound at a zero entry still bounds it, so the norm program runs on.
 """
 
 from __future__ import annotations
 
-from .intpoly import IntPoly, int_content, over_int, poly_content
+from .intpoly import (IntPoly, int_content, over_int, pack_signed,
+                      poly_content, unpack_poly)
 
 
 def _eliminate(M, ncols):
@@ -100,7 +113,7 @@ def _triangular_prefix(matrix, ncols):
     rows = []
     for j in range(ncols):
         t = len(matrix) - 1
-        while t >= 0 and matrix[t][j].is_zero:
+        while t >= 0 and not matrix[t][j]:
             t -= 1
         if t < 0 or (rows and t <= rows[-1]):
             break
@@ -110,56 +123,64 @@ def _triangular_prefix(matrix, ncols):
 
 def _horner(row, phi, ells, a, width):
     """H_a = sum_{i >= a} row[i] phi[i] prod_{a <= i' < i} ells[i']."""
-    acc = [IntPoly()] * width
+    acc = [0] * width
     for i in range(len(phi) - 1, a - 1, -1):
-        e, ell, vec = row[i], ells[i], phi[i]
-        if e.is_zero:
-            acc = [ell * h for h in acc]
-        else:
-            acc = [ell * h + e * v for h, v in zip(acc, vec)]
+        acc = [ells[i] * h + row[i] * v for h, v in zip(acc, phi[i])]
     return acc
 
 
-def fraction_free_nullspace(matrix):
-    """Right-nullspace basis of a matrix of IntPoly entries over Q(n).
+def _zero_pattern(M):
+    """The prefix rows t_j, and (r, a) for each other row r, with a its
+    first nonzero prefix entry or b when it has none."""
+    tri = _triangular_prefix(M, len(M[0]))
+    return tri, [(r, next((i for i in range(len(tri)) if row[i]), len(tri)))
+                 for r, row in enumerate(M) if r not in tri]
 
-    Returns one primitive integer-polynomial vector per free column of the
-    echelon form, in the order of those columns.  Columns are processed
-    left to right, so the caller controls which unknowns become free by
-    ordering the columns.  The vector of free column fc is zero at the
-    other free columns and right of fc, and its entry at fc has a positive
-    leading coefficient.  The leading triangular block is substituted away
-    first and Bareiss runs on the Schur block (see the module docstring).
 
-    In the Schur block, with x_fc = the last pivot, every entry is a minor
-    by Cramer's rule.  Each echelon row is a combination of rows and so
-    vanishes on the vector; from the last pivot row up,
-    x_p = -(sum_{j>p} U[row][j] x_j) / U[row][p] is therefore exact.
-    """
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    tri = _triangular_prefix(matrix, ncols)
-    b, width = len(tri), ncols - len(tri)
-    ells = [matrix[t][j] for j, t in enumerate(tri)]
-    # dens[j] = P_j = prod_{i >= j} ells[i], with dens[b] = 1
-    dens = [IntPoly.const(1)] * (b + 1)
+def _substitute(M, tri, firsts, sign):
+    """(Phi, Schur rows) of an integer matrix for the prefix rows tri and
+    the other rows' (r, a): on images with sign -1, and with sign +1 on the
+    entries' 1-norm bounds, the norm program bounding each value's."""
+    b = len(tri)
+    width = len(M[0]) - b
+    ells = [M[t][j] for j, t in enumerate(tri)]
+    dens = [1] * (b + 1)  # dens[j] = P_j, with dens[b] = 1
     phi = [None] * b
     for j in range(b - 1, -1, -1):
-        row = matrix[tri[j]]
+        row = M[tri[j]]
         h = _horner(row, phi, ells, j + 1, width)
-        phi[j] = [-(dens[j + 1] * m + x) for m, x in zip(row[b:], h)]
+        phi[j] = [sign * (dens[j + 1] * m + x) for m, x in zip(row[b:], h)]
         dens[j] = dens[j + 1] * ells[j]
-    pivot_rows = set(tri)
-    schur = []
-    for r, row in enumerate(matrix):
-        if r in pivot_rows:
-            continue
-        a = next((i for i in range(b) if not row[i].is_zero), b)
-        h = _horner(row, phi, ells, a, width)
-        srow = [dens[a] * m + x for m, x in zip(row[b:], h)]
-        schur.append(over_int(srow, int_content(srow)))
+    return phi, [[dens[a] * m + x for m, x in
+                  zip(M[r][b:], _horner(M[r], phi, ells, a, width))]
+                 for r, a in firsts]
 
+
+def schur_block(norms, image_at):
+    """(l_j, Phi, Schur rows) in Z[n] of the matrix with image_at(stride)
+    its image at X = 2**(8*stride) and norms bounds on its entries' 1-norms,
+    which may bound zero rows below its last (see the module docstring)."""
+    def stride_of(*values):  # the least with each bound below 2**(8*stride-1)
+        bound = max([0] + [x for rows in values for row in rows for x in row])
+        return (bound.bit_length() + 8) // 8
+
+    stride = stride_of(norms)
+    M = image_at(stride)
+    tri, firsts = _zero_pattern(M)
+    wide = stride_of(norms, *_substitute(norms, tri, firsts, 1))
+    if wide > stride:
+        stride, M = wide, image_at(wide)
+    phi, schur = _substitute(M, tri, firsts, -1)
+    return ([unpack_poly(M[t][j], stride) for j, t in enumerate(tri)],
+            *([[unpack_poly(x, stride) for x in row] for row in rows]
+              for rows in (phi, schur)))
+
+
+def image_nullspace(norms, image_at):
+    """`fraction_free_nullspace` of the matrix given as to `schur_block`."""
+    ells, phi, schur = schur_block(norms, image_at)
+    b, width = len(ells), len(norms[0]) - len(ells)
+    schur = [over_int(row, int_content(row)) for row in schur]
     pivots, free, last = _eliminate(schur, width)
     # lows[j] = prod_{i < j} ells[i], the factor lifting x_j over P_0
     lows = [IntPoly.const(1)]
@@ -182,11 +203,36 @@ def fraction_free_nullspace(matrix):
         lift = [lows[j] * sum((p * x for p, x in zip(phi[j], c)
                                if not x.is_zero), IntPoly())
                 for j in range(b)]
-        _, vec = poly_content(lift + [dens[0] * x for x in c], dens[0])
+        _, vec = poly_content(lift + [lows[b] * x for x in c], lows[b])
         if vec[b + fc].lc < 0:
             vec = [-v for v in vec]
         basis.append(vec)
     return basis
+
+
+def fraction_free_nullspace(matrix):
+    """Right-nullspace basis of a matrix of IntPoly entries over Q(n).
+
+    Returns one primitive integer-polynomial vector per free column of the
+    echelon form, in the order of those columns.  Columns are processed
+    left to right, so the caller controls which unknowns become free by
+    ordering the columns.  The vector of free column fc is zero at the
+    other free columns and right of fc, and its entry at fc has a positive
+    leading coefficient.  The leading triangular block is substituted away
+    first, in the image of the packed entries, and Bareiss runs on the
+    Schur block (see the module docstring).
+
+    In the Schur block, with x_fc = the last pivot, every entry is a minor
+    by Cramer's rule.  Each echelon row is a combination of rows and so
+    vanishes on the vector; from the last pivot row up,
+    x_p = -(sum_{j>p} U[row][j] x_j) / U[row][p] is therefore exact.
+    """
+    if not matrix:
+        return []
+    return image_nullspace(
+        [[sum(map(abs, e.coeffs)) for e in row] for row in matrix],
+        lambda stride: [[pack_signed(e.coeffs, stride) for e in row]
+                        for row in matrix])
 
 
 def bareiss_determinant(matrix):

@@ -69,7 +69,7 @@ from fractions import Fraction
 from math import gcd
 
 from .hyperterm import binom_power_term
-from .intpoly import IntPoly, integer_roots
+from .intpoly import IntPoly, nonnegative_integer_roots
 from .linalg import bareiss_determinant
 from .operators import Certificate, RecurrenceOperator
 from .series import series_inv, series_pow
@@ -305,7 +305,7 @@ def recursion_start(op: RecurrenceOperator,
                  _at_k(den, IntPoly([r + 1, 1])), op.coeffs[r]):
         if poly.is_zero:
             return None
-        roots.extend(x for x in integer_roots(poly) if x >= 0)
+        roots.extend(nonnegative_integer_roots(poly))
     return max(roots) + 1 if roots else 0
 
 
@@ -372,8 +372,8 @@ def minimality_certificate(s: int, op: RecurrenceOperator,
     if op.order != m or start is None or op.coeffs[0].is_zero:
         return None
     c0, cm = op.coeffs[0], op.coeffs[m]
-    roots = tuple(sorted({x for c in (c0, cm) for x in integer_roots(c)
-                          if x >= 0}))
+    roots = tuple(sorted({x for c in (c0, cm)
+                          for x in nonnegative_integer_roots(c)}))
     N = max((start,) + tuple(x + 1 for x in roots))
     scale = lcm_upto(N + m)
     scales = [scale ** (2 * j) for j in range(m)]

@@ -19,9 +19,10 @@ the normal form must examine come from a resultant in k taken at one integer
 n; any extra shift it yields is harmless (see _dispersion_set).  The
 resulting system over Z[n] is triangular in the coefficients of f, so the
 nullspace substitutes them away from f_D down and runs fraction-free
-elimination only on the few conditions left on the c_i (see franel.linalg);
-a solution with nonzero (c_0, .., c_r) yields the operator and the
-certificate
+elimination only on the few conditions left on the c_i (see franel.linalg).
+It is built, and f substituted away, in the image n -> 2**(8*stride) of A,
+B(k-1), C^ and the u^_i (below), with 1-norm bounds built alongside.  A
+solution with nonzero (c_0, .., c_r) yields the operator and the certificate
 
     R(n, k) = B(k-1) f(k) / (C(k) d(k)).
 
@@ -80,12 +81,12 @@ from typing import NamedTuple
 
 from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_deg,
                      kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly, kp_shift_k,
-                     kp_strip, kp_sub)
+                     kp_strip)
 from .errors import ExactDivisionError, TelescoperNotFoundError
 from .hyperterm import HyperTerm, quotient_products, rho_n_shifts
-from .intpoly import (IntPoly, integer_roots, pack_signed, poly_content,
-                      squarefree_part, unpack_signed)
-from .linalg import bareiss_determinant, fraction_free_nullspace
+from .intpoly import (IntPoly, nonnegative_integer_roots, pack_signed,
+                      poly_content, squarefree_part, unpack_poly)
+from .linalg import bareiss_determinant, image_nullspace
 from .operators import (Certificate, RecurrenceOperator,
                         normalize_operator_coeffs)
 
@@ -146,7 +147,7 @@ def _dispersion_set(a_kp, b_kp):
                 matrix.append(row)
         res = bareiss_determinant(matrix)
         if not res.is_zero:
-            return [j for j in integer_roots(res) if j >= 0]
+            return nonnegative_integer_roots(res)
     raise ValueError("degenerate dispersion resultant")
 
 
@@ -230,6 +231,22 @@ def _split_contents(polys):
     return [g for g, _ in pairs], [BiPoly.from_kpoly(c) for _, c in pairs]
 
 
+def _gosper_system(A, Bm1, C_hat, u_hats, D, coeff, sign):
+    """The rows of the Gosper system, columns f_0..f_D then c_0..c_r, with
+    each coefficient in Z[n] of A, B(k-1), C^ and the u^_i mapped by coeff:
+    to its image with sign -1, or to its 1-norm, bounding the entries'."""
+    a, bm1, c_hat = (IntPoly([coeff(c) for c in kp]) for kp in (A, Bm1, C_hat))
+    cols = []
+    for j in range(D + 1):
+        # A(k) (k+1)^j - B(k-1) k^j
+        cols.append(a + sign * IntPoly((0,) * j + bm1.coeffs))
+        a = a + IntPoly((0,) + a.coeffs)
+    cols += [sign * c_hat * IntPoly([coeff(c) for c in u.coeffs])
+             for u in u_hats]
+    return [[col.coeffs[e] if e <= col.degree else 0 for col in cols]
+            for e in range(max(col.degree for col in cols) + 1)]
+
+
 def solve_at_order(term: HyperTerm, r: int):
     """Try to telescope at exactly order r: the one per-order solve.
 
@@ -261,31 +278,18 @@ def solve_at_order(term: HyperTerm, r: int):
     A, B, C = _gosper_normal_form(ratio.num.coeffs, ratio.den.coeffs)
     Bm1 = kp_shift_k(B, -1)
     c_content, C_hat = poly_content(C)
-    cu = [kp_mul(C_hat, u.coeffs) for u in u_hats]
-    deg_p = max(kp_deg(p) for p in cu)
+    deg_p = kp_deg(C_hat) + max(u.deg_k for u in u_hats)
     D = _gosper_degree_bound(A, Bm1, deg_p)
     if D is None:
         return None
 
-    # columns: f_0..f_D then c_0..c_r
-    f_cols = []
-    for j in range(D + 1):
-        # A(k) (k+1)^j - B(k-1) k^j
-        a_part = [IntPoly() for _ in range(kp_deg(A) + j + 1)]
-        for t in range(j + 1):
-            cmb = comb(j, t)
-            for i, ai in enumerate(A):
-                if not ai.is_zero:
-                    a_part[i + t] = a_part[i + t] + cmb * ai
-        b_part = [IntPoly()] * j + list(Bm1)
-        f_cols.append(kp_sub(kp_strip(a_part), b_part))
-    c_cols = [[-e for e in col] for col in cu]
-    all_cols = f_cols + c_cols
-    n_eqs = max(len(col) for col in all_cols)
-    matrix = [[col[e] if e < len(col) else IntPoly() for col in all_cols]
-              for e in range(n_eqs)]
+    parts = (A, Bm1, C_hat, u_hats, D)
     n_f = D + 1
-    solutions = [vec for vec in fraction_free_nullspace(matrix)
+    basis = image_nullspace(
+        _gosper_system(*parts, lambda c: sum(map(abs, c.coeffs)), 1),
+        lambda stride: _gosper_system(
+            *parts, lambda c: pack_signed(c.coeffs, stride), -1))
+    solutions = [vec for vec in basis
                  if any(not c.is_zero for c in vec[n_f:])]
     if not solutions:
         return None
@@ -424,14 +428,8 @@ def _image(p: BiPoly, stride: int) -> IntPoly:
 
 
 def _digits(p_x: IntPoly, stride: int) -> list:
-    """The k-poly in Z[n][k] whose coefficients are the balanced base-X
-    digits of p_x's, X = 2**(8*stride): its image is p_x, and it is the
-    polynomial p_x came from when that one's coefficients lie below X/2.
-    A coefficient of b bits has b // w + 1 digits in base X = 2**w, and
-    the carry of balancing may add one more."""
-    w = 8 * stride
-    return [IntPoly(unpack_signed(c, stride, abs(c).bit_length() // w + 2))
-            for c in p_x.coeffs]
+    """The k-poly in Z[n][k] of each coefficient's `unpack_poly`."""
+    return [unpack_poly(c, stride) for c in p_x.coeffs]
 
 
 def _degrees(p_x: IntPoly, stride: int):
@@ -684,10 +682,7 @@ def analyze_structure(op: RecurrenceOperator, cert: Certificate,
         except ExactDivisionError:
             divides = False
     cont, _ = poly_content(den.coeffs)
-    if cont.degree >= 1:
-        roots = tuple(j for j in integer_roots(cont) if j >= 0)
-    else:
-        roots = ()
+    roots = tuple(nonnegative_integer_roots(cont)) if cont.degree >= 1 else ()
     return StructureReport(
         s=s,
         order=op.order,

@@ -2,9 +2,58 @@
 oracle: a full fraction-free Gauss-Jordan for the nullspace, and a Bareiss
 determinant that pivots on the first nonzero entry and swaps rows.  The
 Gauss-Jordan vectors carry the sign of the last pivot; `canonical_signs`
-puts them in the sign `fraction_free_nullspace` promises."""
+puts them in the sign `fraction_free_nullspace` promises.  Also the
+triangular substitution as it ran in Z[n] before it moved into the image
+n -> 2**(8*stride), and the unpacking of a system given by its images."""
 
-from franel.intpoly import IntPoly, poly_gcd_int
+from franel.intpoly import IntPoly, poly_gcd_int, unpack_poly
+from franel.linalg import _triangular_prefix
+
+
+def reference_schur_block(matrix):
+    """(l_j, Phi, Schur rows) of `linalg.schur_block`, formed in Z[n]: the
+    prefix rows t_j and each other row's first nonzero prefix entry a read
+    from the IntPoly entries, P_j = prod_{i >= j} l_i, and the Horner sums
+    H_a over the pivots, so Phi_j = -(P_{j+1} M[t_j][b..] + H_{j+1}) and
+    the Schur row of r is P_a M[r][b..] + H_a, before its content strip."""
+    ncols = len(matrix[0])
+    tri = _triangular_prefix(matrix, ncols)
+    b, width = len(tri), ncols - len(tri)
+    ells = [matrix[t][j] for j, t in enumerate(tri)]
+
+    def horner(row, a):
+        acc = [IntPoly()] * width
+        for i in range(b - 1, a - 1, -1):
+            if row[i].is_zero:
+                acc = [ells[i] * h for h in acc]
+            else:
+                acc = [ells[i] * h + row[i] * v for h, v in zip(acc, phi[i])]
+        return acc
+
+    dens = [IntPoly.const(1)] * (b + 1)
+    phi = [None] * b
+    for j in range(b - 1, -1, -1):
+        row = matrix[tri[j]]
+        h = horner(row, j + 1)
+        phi[j] = [-(dens[j + 1] * m + x) for m, x in zip(row[b:], h)]
+        dens[j] = dens[j + 1] * ells[j]
+    schur = []
+    for r, row in enumerate(matrix):
+        if r in tri:
+            continue
+        a = next((i for i in range(b) if not row[i].is_zero), b)
+        schur.append([dens[a] * m + x
+                      for m, x in zip(row[b:], horner(row, a))])
+    return ells, phi, schur
+
+
+def unpacked_system(norms, image_at):
+    """The IntPoly matrix a system given to `linalg.image_nullspace`
+    stands for: its image at the stride its entries' 1-norm bounds ask
+    for, unpacked by balanced digits."""
+    bound = max(x for row in norms for x in row)
+    stride = (bound.bit_length() + 8) // 8
+    return [[unpack_poly(x, stride) for x in row] for row in image_at(stride)]
 
 
 def reference_nullspace(matrix):

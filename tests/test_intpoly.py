@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import franel.intpoly as intpoly
 from franel.errors import ExactDivisionError
-from franel.intpoly import (IntPoly, integer_roots, pack_signed, poly_gcd_int,
-                            pseudo_rem, pseudo_rem_coeffs, unpack_signed)
+from franel.intpoly import (IntPoly, integer_roots, nonnegative_integer_roots,
+                            pack_signed, poly_gcd_int, pseudo_rem,
+                            pseudo_rem_coeffs, unpack_signed)
 
 X = IntPoly.variable()
 
@@ -121,6 +123,25 @@ def test_integer_roots_random():
             p = p * (X - r) ** rng.randint(1, 2)
         p = p * (X * X + X + 1)  # irreducible factor, no real roots
         assert integer_roots(p) == roots if roots else integer_roots(p) == []
+
+
+def test_nonnegative_roots_without_a_sign_change_skip_sturm(monkeypatch):
+    # Descartes' rule: x^2 (x+1)^2 (x+3) has coefficients of one sign, so
+    # its only root >= 0 is 0, read from the factor x^2, and the Sturm
+    # path never runs
+    def sturm(p):
+        raise AssertionError("Sturm path taken")
+
+    monkeypatch.setattr(intpoly, "integer_roots", sturm)
+    assert nonnegative_integer_roots(X * X * (X + 1) ** 2 * (X + 3)) == [0]
+    assert nonnegative_integer_roots(-(X + 2) * (X * X + 1)) == []
+    assert nonnegative_integer_roots(IntPoly.const(-7)) == []
+    monkeypatch.undo()
+    p = (X - 3) ** 2 * X ** 3 * (X + 4) * (X * X - X + 1)
+    assert nonnegative_integer_roots(p) == [0, 3]
+    assert nonnegative_integer_roots(X * X - X + 1) == []
+    with pytest.raises(ValueError):
+        nonnegative_integer_roots(IntPoly())
 
 
 def test_eval():

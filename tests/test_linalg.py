@@ -7,12 +7,15 @@ import franel.telescoper as telescoper
 from franel.bipoly import BiPoly
 from franel.errors import TelescoperNotFoundError
 from franel.hyperterm import apery_zeta3_term, binom_power_term
-from franel.intpoly import IntPoly
-from franel.linalg import (_triangular_prefix, bareiss_determinant,
-                           fraction_free_nullspace)
+from franel.intpoly import IntPoly, pack_signed
+from franel.linalg import (_substitute, _triangular_prefix, _zero_pattern,
+                           bareiss_determinant, fraction_free_nullspace,
+                           schur_block)
 
 from reference_linalg import (canonical_signs, reference_determinant,
-                              reference_nullspace)
+                              reference_nullspace, reference_schur_block,
+                              unpacked_system)
+from reference_telescoper import reference_solve_at_order
 
 
 def rand_poly(rng, maxdeg=2, maxc=5):
@@ -170,21 +173,24 @@ def test_nullspace_matches_reference_on_structured_matrices():
 
 
 def _record_gosper_systems(monkeypatch):
-    """Patches the solver's nullspace to record (order, matrix) pairs."""
+    """Patches the solver's nullspace to record (order, matrix, (norms,
+    image_at)) triples: the system as the solver hands it over, and its
+    matrix unpacked from the images."""
     systems = []
-    real = telescoper.fraction_free_nullspace
+    real = telescoper.image_nullspace
     order = telescoper.solve_at_order
 
     def solve(term, r):
-        systems.append((r, None))
+        systems.append((r, None, None))
         return order(term, r)
 
-    def record(matrix):
-        systems[-1] = (systems[-1][0], [list(row) for row in matrix])
-        return real(matrix)
+    def record(norms, image_at):
+        systems[-1] = (systems[-1][0], unpacked_system(norms, image_at),
+                       (norms, image_at))
+        return real(norms, image_at)
 
     monkeypatch.setattr(telescoper, "solve_at_order", solve)
-    monkeypatch.setattr(telescoper, "fraction_free_nullspace", record)
+    monkeypatch.setattr(telescoper, "image_nullspace", record)
     return systems
 
 
@@ -199,9 +205,9 @@ def test_nullspace_matches_reference_on_gosper_systems(monkeypatch):
         telescoper.solve_at_order(apery_zeta3_term(), r)
     # the orders 1..ceil(s/2) tried for s = 1..6, then orders 1 and 2
     # again, the order-4 system of s=7 and Apery's orders 1 and 2
-    assert [r for r, _ in systems] == [1, 1, 1, 2, 1, 2, 1, 2, 3, 1, 2, 3,
-                                       1, 2, 4, 1, 2]
-    for _, matrix in systems:
+    assert [r for r, _, _ in systems] == [1, 1, 1, 2, 1, 2, 1, 2, 3, 1, 2, 3,
+                                          1, 2, 4, 1, 2]
+    for _, matrix, _ in systems:
         assert fraction_free_nullspace(matrix) == \
             canonical_signs(reference_nullspace(matrix))
 
@@ -215,9 +221,105 @@ def test_triangular_prefix_is_the_f_block(monkeypatch):
         for r in range(1, telescoper.expected_order(s) + 1):
             telescoper.solve_at_order(binom_power_term(s), r)
     assert len(systems) == 20
-    for r, matrix in systems:
+    for r, matrix, _ in systems:
         ncols = len(matrix[0])
         assert len(_triangular_prefix(matrix, ncols)) == ncols - (r + 1)
+
+
+def _schur_block_and_strides(norms, image_at):
+    """`schur_block` with the strides at which it asked for images."""
+    strides = []
+
+    def at(stride):
+        strides.append(stride)
+        return image_at(stride)
+
+    return schur_block(norms, at), strides
+
+
+def _norm_program(matrix, norms):
+    """The bounds `schur_block` takes its stride from: the norm program
+    run with the zero pattern of the true matrix."""
+    return _substitute(norms, *_zero_pattern(matrix), 1)
+
+
+def test_schur_block_is_the_intpoly_substitution(monkeypatch):
+    # every value unpacked from the image is the one the substitution forms
+    # in Z[n], its 1-norm is at most the norm program's bound, and that
+    # bound lies below X/2, so each coefficient has at most 8*stride - 1 bits
+    systems = _record_gosper_systems(monkeypatch)
+    for s in range(1, 9):
+        for r in range(1, telescoper.expected_order(s) + 1):
+            telescoper.solve_at_order(binom_power_term(s), r)
+    for r in (1, 2):
+        telescoper.solve_at_order(apery_zeta3_term(), r)
+    assert len(systems) == 22
+    for _, matrix, (norms, image_at) in systems:
+        block, strides = _schur_block_and_strides(norms, image_at)
+        assert block == reference_schur_block(matrix)
+        half = 1 << (8 * strides[-1] - 1)
+        for values, bounds in zip(block[1:], _norm_program(matrix, norms)):
+            for vrow, brow in zip(values, bounds):
+                for v, bound in zip(vrow, brow):
+                    assert sum(map(abs, v.coeffs)) <= bound < half
+                    assert v.max_coeff_bits() <= 8 * strides[-1] - 1
+
+
+def test_degenerate_f_columns_take_their_zero_pattern_from_the_image(
+        monkeypatch):
+    # for binom(n, k)^s with s even, lc_k A = lc_k B(k-1), so the top entry
+    # of every f-column cancels: its 1-norm bound is nonzero while it is 0.
+    # The prefix rows and the Schur rows' first entries come from the image;
+    # read from the bounds, the order-4 system of s=8 loses its solution
+    systems = _record_gosper_systems(monkeypatch)
+    for s in (2, 4, 6, 8):
+        telescoper.solve_at_order(binom_power_term(s),
+                                  telescoper.expected_order(s))
+    for (r, matrix, (norms, _)) in systems:
+        n_f = len(matrix[0]) - (r + 1)
+        for j in range(n_f):
+            top = max(t for t in range(len(norms)) if norms[t][j])
+            assert top >= len(matrix) or matrix[top][j].is_zero
+    term = binom_power_term(8)
+    found = telescoper.solve_at_order(term, 4)
+    assert found is not None
+    assert found == reference_solve_at_order(term, 4)
+
+
+def _planted_prefix_matrix(rng, b, width, extra):
+    """Rows 0..b+extra-1 and a prefix of b columns whose last nonzero rows
+    are 1, 3, .., 2b-1: every row above t_j has a nonzero entry in column
+    j, so the Schur rows carry products of all the pivots.  Column b is
+    zero from row 2b-1 down, which ends the prefix there."""
+    matrix = []
+    for r in range(2 * b + extra):
+        row = [IntPoly() for _ in range(b + width)]
+        for j in range(b + width):
+            while j < b and r <= 2 * j + 1 and row[j].is_zero:
+                row[j] = rand_poly(rng, 2, 60)
+            if j >= b and (j > b or r < 2 * b - 1):
+                row[j] = rand_poly(rng, 2, 60)
+        matrix.append(row)
+    return matrix
+
+
+def test_schur_entries_outgrow_the_entries_bound():
+    # the entries' coefficients have at most 6 bits and their 1-norms fit
+    # 2 bytes, while the Schur rows hold products of four pivots: the
+    # stride the norm program asks for is wider than the entries', and
+    # values unpacked at the entries' stride would be wrong
+    rng = random.Random(2112)
+    for _ in range(12):
+        matrix = _planted_prefix_matrix(rng, 4, 3, 2)
+        assert len(_triangular_prefix(matrix, 7)) == 4
+        norms = [[sum(map(abs, e.coeffs)) for e in row] for row in matrix]
+        block, strides = _schur_block_and_strides(
+            norms, lambda stride: [[pack_signed(e.coeffs, stride)
+                                    for e in row] for row in matrix])
+        assert block == reference_schur_block(matrix)
+        assert fraction_free_nullspace(matrix) == \
+            canonical_signs(reference_nullspace(matrix))
+        assert strides[0] <= 2 < strides[1]
 
 
 def test_nullspace_sign_contract():

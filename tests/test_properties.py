@@ -3,11 +3,13 @@ modular coprimality proof agrees with the integer gcd it replaced, exact
 division undoes a product and a gcd keeps a common factor, the content
 routine agrees with the gcd fold it replaced, the forward elimination
 agrees with the Gauss-Jordan and row-swapping determinant it replaced, the
+substitution in the image agrees with the one in Z[n] it replaced, the
 document parser rejects a damaged document only with DocumentError, the
 certificate check agrees with the full cross multiplication on perturbed
 certificates, an image's balanced digits evaluate back to it, the
-dispersion set agrees with sympy's on polynomials in k, the
-truncated-series inverse and power agree with the product, the row
+dispersion set agrees with sympy's on polynomials in k, the nonnegative
+integer roots by Descartes' rule agree with the Sturm path and with
+sympy's, the truncated-series inverse and power agree with the product, the row
 sum by binary splitting agrees with the stepping loop it replaced, its
 2-adic inverse included, and the telescoper solves binomial products as
 its unscaled reference does, with operators that annihilate their sums."""
@@ -25,9 +27,11 @@ from franel.bipoly import (_KP_KRONECKER_CUTOFF, SPECIALIZATION_POINTS,
 from franel.documents import parse_operator_document
 from franel.errors import DocumentError
 from franel.hyperterm import binom_power_term
-from franel.intpoly import IntPoly, mul_kronecker, poly_content, poly_gcd_int
+from franel.intpoly import (IntPoly, integer_roots, mul_kronecker,
+                            nonnegative_integer_roots, pack_signed,
+                            poly_content, poly_gcd_int)
 from franel.linalg import (_triangular_prefix, bareiss_determinant,
-                           fraction_free_nullspace)
+                           fraction_free_nullspace, schur_block)
 from franel.operators import (Certificate, RecurrenceOperator,
                               apply_operator)
 from franel.sequences import _inverse_mod_pow2, franel
@@ -39,7 +43,7 @@ from franel.telescoper import (_digits, _dispersion_set, _norm,
 
 from reference_hyperterm import binomial_product_term
 from reference_linalg import (canonical_signs, reference_determinant,
-                              reference_nullspace)
+                              reference_nullspace, reference_schur_block)
 from reference_sequences import reference_franel
 from reference_telescoper import (reference_difference, reference_mismatch,
                                   reference_solve_at_order)
@@ -286,6 +290,16 @@ def test_nullspace_with_a_planted_triangular_prefix(case):
 
 
 @hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(planted_prefix_matrices())
+def test_substitution_in_the_image_matches_the_intpoly_one(case):
+    _, matrix = case
+    norms = [[sum(map(abs, e.coeffs)) for e in row] for row in matrix]
+    assert schur_block(norms, lambda stride: [
+        [pack_signed(e.coeffs, stride) for e in row] for row in matrix]) \
+        == reference_schur_block(matrix)
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
 @hypothesis.given(poly_matrices(square=True))
 def test_forward_elimination_determinant_matches_row_swapping(matrix):
     assert bareiss_determinant(matrix) == reference_determinant(matrix, 1, 0)
@@ -453,6 +467,34 @@ def test_dispersion_set_matches_sympy(a, b):
     assert got == want
     if (a, b) == ([5, 6, 1], [-2, -1, 1]):
         assert got == [0, 3, 4, 7]
+
+
+@st.composite
+def planted_root_polys(draw):
+    """A nonzero polynomial with planted integer roots, of either sign and
+    repeated, 0 among them up to multiplicity 3, times a cofactor that
+    may add roots of its own or a sign change."""
+    p = IntPoly.const(draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1))))
+    p = p * IntPoly.variable() ** draw(st.integers(0, 3))
+    for root in draw(st.lists(st.integers(-40, 40), max_size=4)):
+        p = p * IntPoly((-root, 1)) ** draw(st.integers(1, 3))
+    cofactor = IntPoly(draw(st.lists(st.integers(-9, 9), min_size=1,
+                                     max_size=4)))
+    hypothesis.assume(not cofactor.is_zero)
+    return p * cofactor
+
+
+@hypothesis.example(IntPoly((0, 0, 0, 6, 5, 1)))  # x^3 (x+2) (x+3)
+@hypothesis.example(IntPoly((0, 0, 9, -6, 1)))    # x^2 (x-3)^2
+@hypothesis.settings(deadline=None, max_examples=200)
+@hypothesis.given(planted_root_polys())
+def test_nonnegative_integer_roots_match_sturm_and_sympy(p):
+    got = nonnegative_integer_roots(p)
+    assert got == [x for x in integer_roots(p) if x >= 0]
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    roots = sympy.roots(sympy.Poly(p.coeffs[::-1], x), filter="Z")
+    assert got == sorted(int(r) for r in roots if r >= 0)
 
 
 # 127 * 256 + 200 balances to -56 - 128 * 256 + 256**2: its top digit

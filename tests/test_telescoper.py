@@ -12,6 +12,7 @@ from franel.errors import TelescoperNotFoundError
 from franel.hyperterm import (HyperTerm, apery_zeta3_term, binom_power_term,
                               shift_quotient_products)
 from franel.intpoly import IntPoly, integer_roots, poly_content
+from franel.linalg import fraction_free_nullspace
 from franel.operators import (Certificate, RecurrenceOperator,
                               apply_operator, normalize_operator_coeffs)
 from franel.sequences import franel
@@ -25,7 +26,7 @@ from franel.telescoper import (analyze_structure, certificate_mismatch,
 import reference_telescoper
 from reference_hyperterm import (binomial_product_term, operator_numerator,
                                  reference_shift_quotients)
-from reference_linalg import reference_determinant
+from reference_linalg import reference_determinant, unpacked_system
 from reference_telescoper import (reference_mismatch, reference_parts,
                                   reference_residual, reference_solve_at_order)
 
@@ -364,13 +365,15 @@ def test_padding_lemma_one_order_above(order_m_operators, monkeypatch):
     # order-(m+1) nullspace; the solve there returns the order-m operator
     # and its certificate, which is unique for the operator
     bases = []
-    nullspace = telescoper.fraction_free_nullspace
+    nullspace = telescoper.image_nullspace
 
-    def record(matrix):
-        bases.append(nullspace(matrix))
+    def record(norms, image_at):
+        bases.append(nullspace(norms, image_at))
+        assert bases[-1] == fraction_free_nullspace(
+            unpacked_system(norms, image_at))
         return bases[-1]
 
-    monkeypatch.setattr(telescoper, "fraction_free_nullspace", record)
+    monkeypatch.setattr(telescoper, "image_nullspace", record)
     for s in range(1, 5):
         m = expected_order(s)
         bases.clear()
@@ -599,26 +602,28 @@ def test_solve_at_order_equals_the_reference_on_other_terms(make):
 def test_operator_columns_reach_the_nullspace_content_free(monkeypatch):
     # each c-column arrives primitive in Z[n]; the reference's carries
     # prod_{j<i} (n+j+1)^s.  The f-columns and the vector read back from
-    # the nullspace, before the operator is normalized, are the reference's
+    # the nullspace, before the operator is normalized, are the reference's.
+    # The solver hands its system over as images, unpacked here
     seen = {}
 
-    def recording(module, name):
+    def recording(module, name, key, unpack=lambda arg: arg):
         inner = getattr(module, name)
 
-        def record(arg):
-            seen[module, name] = arg
-            return inner(arg)
+        def record(*args):
+            seen[module, key] = unpack(*args)
+            return inner(*args)
 
         monkeypatch.setattr(module, name, record)
 
+    recording(telescoper, "image_nullspace", "nullspace", unpacked_system)
+    recording(reference_telescoper, "fraction_free_nullspace", "nullspace")
     for module in (telescoper, reference_telescoper):
-        recording(module, "fraction_free_nullspace")
-        recording(module, "normalize_operator_coeffs")
+        recording(module, "normalize_operator_coeffs", "normalize")
     for s in range(1, 9):
         term = binom_power_term(s)
         m = expected_order(s)
         assert solve_at_order(term, m) == reference_solve_at_order(term, m)
-        cols, ref_cols = (list(zip(*seen[module, "fraction_free_nullspace"]))
+        cols, ref_cols = (list(zip(*seen[module, "nullspace"]))
                           for module in (telescoper, reference_telescoper))
         n_f = len(cols) - (m + 1)
         assert cols[:n_f] == ref_cols[:n_f]
@@ -627,8 +632,8 @@ def test_operator_columns_reach_the_nullspace_content_free(monkeypatch):
             assert poly_content(cols[n_f + i])[0] == IntPoly.const(1)
             assert poly_content(ref_cols[n_f + i])[0] == content
             content = content * IntPoly((i + 1, 1)) ** s
-        assert seen[telescoper, "normalize_operator_coeffs"] == \
-            seen[reference_telescoper, "normalize_operator_coeffs"]
+        assert seen[telescoper, "normalize"] == \
+            seen[reference_telescoper, "normalize"]
 
 
 def _fit_operator_from_data(values, order, degree):
