@@ -140,52 +140,73 @@ def kp_divexact(a, b):
 # large, so that a leading coefficient in k rarely vanishes at any of them
 SPECIALIZATION_POINTS = (1000003, 1016003, 1032003)
 
-# the Mersenne prime modulo which _coprime_by_specialization runs Euclid
+# the Mersenne prime modulo which the coprimality and primitivity proofs
+# run Euclid
 COPRIME_PRIME = 2 ** 61 - 1
+
+
+def gcd_mod_p(a, b) -> list:
+    """A gcd modulo p = COPRIME_PRIME, up to a unit, of two polynomials given
+    by their integer coefficients, lowest power first.  When p does not
+    divide lc(a), a constant result proves that no g of positive degree
+    divides both: lc(g) divides lc(a), so g mod p would keep its degree
+    and divide the gcd mod p.  A nonconstant one proves nothing.
+    """
+    p = COPRIME_PRIME
+    a, b = [c % p for c in a], [c % p for c in b]
+    while b:
+        if not b[-1]:
+            b.pop()
+            continue
+        # a <- a mod b, then swap
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            q = a[-1] * inv % p
+            shift = len(a) - 1 - db
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return a
 
 
 def _coprime_by_specialization(a, b) -> bool:
     """Prove gcd_k(a, b) is constant from one good point, modulo a prime.
 
-    Euclid runs on a(n0, k) and b(n0, k) modulo p = COPRIME_PRIME, at the
-    first n0 where p does not divide lc_k(a)(n0).  A constant gcd there is
-    a proof that a and b are coprime over Q(n):
-
-    - By Gauss's lemma their gcd over Q(n) can be taken as a primitive g in
-      Z[n][k] with a = g h in Z[n][k], whether a is primitive or not, so
-      lc_k(a) = lc_k(g) lc_k(h) in Z[n].  At n0 the integer lc_k(g)(n0)
-      divides lc_k(a)(n0), which p does not divide, so p does not divide
-      lc_k(g)(n0) either.
-    - Hence g(n0, k) mod p keeps the k-degree of g, and it divides both
-      images mod p.  The gcd mod p has at least that degree, so a constant
-      one forces deg_k g = 0.
-
-    Returns False when inconclusive: a nonconstant gcd mod p (a common
-    factor, or a coincidence at n0 or modulo p) or no usable point.  The
-    caller's exact pseudo-remainder sequence decides those cases.
+    By Gauss's lemma the gcd of a and b over Q(n) can be taken as a
+    primitive g in Z[n][k] with a = g h in Z[n][k], whether a is primitive
+    or not, so lc_k(g)(n0) divides lc_k(a)(n0).  At the first n0 where
+    p = COPRIME_PRIME does not divide lc_k(a)(n0), g(n0, k) keeps the
+    k-degree of g and divides both images, so a constant `gcd_mod_p` of
+    them forces deg_k g = 0.  False when inconclusive (a common factor, a
+    coincidence at n0 or modulo p, or no usable point): the caller's exact
+    pseudo-remainder sequence decides those cases.
     """
-    p = COPRIME_PRIME
     for n0 in SPECIALIZATION_POINTS:
-        pa = [c.eval_int(n0) % p for c in a]
-        if pa[-1] == 0:
-            continue
-        pb = [c.eval_int(n0) % p for c in b]
-        while pb and pb[-1] == 0:
-            pb.pop()
-        while pb:
-            # pa <- pa mod pb, then swap
-            inv = pow(pb[-1], -1, p)
-            db = len(pb) - 1
-            while len(pa) > db:
-                q = pa[-1] * inv % p
-                shift = len(pa) - 1 - db
-                for i, c in enumerate(pb):
-                    pa[shift + i] = (pa[shift + i] - q * c) % p
-                while pa and pa[-1] == 0:
-                    pa.pop()
-            pa, pb = pb, pa
-        return len(pa) == 1
+        if a[-1].eval_int(n0) % COPRIME_PRIME:
+            return len(gcd_mod_p([c.eval_int(n0) for c in a],
+                                 [c.eval_int(n0) for c in b])) == 1
     return False
+
+
+def proved_primitive(polys) -> bool:
+    """Prove that the IntPolys polys have gcd 1 in Z[x], modulo a prime.
+
+    The proof: their integer content is 1, and `gcd_mod_p`, from an entry
+    whose leading coefficient p does not divide through all the others,
+    ends in a constant.  False means no proof; `poly_content` decides.
+    """
+    usable = [c for c in polys if c.lc % COPRIME_PRIME]
+    if int_content(polys) != 1 or not usable:
+        return False
+    first = min(usable, key=lambda c: c.degree)
+    g = first.coeffs
+    for c in polys:
+        if len(g) > 1 and c is not first:
+            g = gcd_mod_p(g, c.coeffs)
+    return len(g) == 1
 
 
 def kp_gcd(a, b):

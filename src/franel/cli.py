@@ -369,20 +369,6 @@ def _precision_bits(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # each subcommand takes only the flags it reads; argparse rejects the rest
-    json_flag = argparse.ArgumentParser(add_help=False)
-    json_flag.add_argument("--json", action="store_true",
-                           help="machine-readable output")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="write output to this path")
-    cache = argparse.ArgumentParser(add_help=False)
-    cache.add_argument("--cache-dir",
-                       help="cache directory (default $FRANEL_CACHE_DIR "
-                            "or ~/.cache/franel)")
-    precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument("--precision-bits", type=_precision_bits,
-                           default=256, help="at least 64 (default 256)")
-
     parser = argparse.ArgumentParser(
         prog="franel",
         description="Exact telescoping recurrences, certificates, and "
@@ -390,43 +376,57 @@ def build_parser() -> argparse.ArgumentParser:
                     "coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", parents=[out],
-                       help="tabulate the deformation coefficient sequences")
+    def command(name, func, summary, *shared):
+        # each subcommand takes only the flags it reads; argparse rejects
+        # the rest.  The shared ones come first, in this order.
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if "json" in shared:
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable output")
+        if "out" in shared:
+            p.add_argument("--out", help="write output to this path")
+        if "cache" in shared:
+            p.add_argument("--cache-dir",
+                           help="cache directory (default $FRANEL_CACHE_DIR "
+                                "or ~/.cache/franel)")
+        if "precision" in shared:
+            p.add_argument("--precision-bits", type=_precision_bits,
+                           default=256, help="at least 64 (default 256)")
+        return p
+
+    p = command("compute", cmd_compute,
+                "tabulate the deformation coefficient sequences", "out")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--J", type=int, default=0)
     p.add_argument("--format", choices=["json", "text"], default="text")
-    p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("telescope", parents=[json_flag, out, cache],
-                       help="find and verify the telescoping operator")
+    p = command("telescope", cmd_telescope,
+                "find and verify the telescoping operator",
+                "json", "out", "cache")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--r-max", type=int, required=True)
-    p.set_defaults(func=cmd_telescope)
 
-    p = sub.add_parser("verify", help="verify an operator document exactly")
+    p = command("verify", cmd_verify, "verify an operator document exactly")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("limits", parents=[json_flag, out, precision],
-                       help="limit estimates against exact targets")
+    p = command("limits", cmd_limits,
+                "limit estimates against exact targets",
+                "json", "out", "precision")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--J", type=int, default=1)
     p.add_argument("--J-force", action="store_true",
                    help="allow J beyond the guaranteed range")
-    p.set_defaults(func=cmd_limits)
 
-    p = sub.add_parser("asym", parents=[precision],
-                       help="growth-formula ratio check")
+    p = command("asym", cmd_asym, "growth-formula ratio check", "precision")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_asym)
 
-    p = sub.add_parser("demo-apery", parents=[precision],
-                       help="the classical zeta(3) convergents")
+    p = command("demo-apery", cmd_demo_apery,
+                "the classical zeta(3) convergents", "precision")
     p.add_argument("--n-max", type=int, required=True)
-    p.set_defaults(func=cmd_demo_apery)
     return parser
 
 

@@ -70,9 +70,11 @@ def bipoly_to_json(p: BiPoly):
 
 
 def bipoly_from_json(data) -> BiPoly:
+    """One pass: each record is checked and stored in the dense column of
+    its power of k; a filled slot is a duplicate (none holds a zero)."""
     if not isinstance(data, list):
         raise DocumentError("bivariate polynomial must be a list of records")
-    terms = {}
+    cols = []
     for rec in data:
         if (not isinstance(rec, list) or len(rec) != 3
                 or not _is_int(rec[1]) or not _is_int(rec[2])
@@ -81,11 +83,16 @@ def bipoly_from_json(data) -> BiPoly:
         coef = _decimal(rec[0])
         if coef == 0:
             raise DocumentError("zero coefficient stored in %r" % (rec,))
-        key = (rec[1], rec[2])
-        if key in terms:
+        dn, dk = rec[1], rec[2]
+        if dk >= len(cols):
+            cols.extend([] for _ in range(dk + 1 - len(cols)))
+        col = cols[dk]
+        if dn >= len(col):
+            col.extend([0] * (dn + 1 - len(col)))
+        elif col[dn]:
             raise DocumentError("duplicate monomial %r" % (rec,))
-        terms[key] = coef
-    return BiPoly(terms)
+        col[dn] = coef
+    return BiPoly.from_kpoly([IntPoly(c) for c in cols])
 
 
 def operator_document(s: int, op: RecurrenceOperator, cert: Certificate,

@@ -12,6 +12,7 @@ compatibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .bipoly import BiPoly, RatFunc
 
@@ -38,10 +39,14 @@ def binom_power_term(s: int) -> HyperTerm:
     """The term binom(n, k)**s, zero outside 0 <= k <= n."""
     if s < 1:
         raise ValueError("the power s must be a positive integer")
-    n = BiPoly.var_n()
-    k = BiPoly.var_k()
-    return HyperTerm(RatFunc((n + 1) ** s, (n + 1 - k) ** s),
-                     RatFunc((n - k) ** s, (k + 1) ** s))
+    # (n + 1)^s, (n - k)^s and (k + 1)^s by the binomial theorem, and
+    # (n + 1 - k)^s from (n - k)^s by n -> n + 1
+    binomials = [(j, comb(s, j)) for j in range(s + 1)]
+    n_minus_k = BiPoly({(s - j, j): (-1) ** j * c for j, c in binomials})
+    return HyperTerm(
+        RatFunc(BiPoly({(j, 0): c for j, c in binomials}),
+                n_minus_k.compose_shift(1, 0)),
+        RatFunc(n_minus_k, BiPoly({(0, j): c for j, c in binomials})))
 
 
 def apery_zeta3_term() -> HyperTerm:

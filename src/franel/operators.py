@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import RatFunc
+from .bipoly import RatFunc, proved_primitive
 from .intpoly import IntPoly, poly_content
 
 
@@ -26,9 +26,10 @@ class RecurrenceOperator:
             raise ValueError("leading coefficient must be nonzero")
         if self.coeffs[-1].lc < 0:
             raise ValueError("leading coefficient must have positive sign")
-        g, _ = poly_content(self.coeffs)
-        if g != 1:
-            raise ValueError("coefficients share the common factor %r" % g)
+        if not proved_primitive(self.coeffs):
+            g, _ = poly_content(self.coeffs)
+            if g != 1:
+                raise ValueError("coefficients share the common factor %r" % g)
 
     @property
     def order(self) -> int:

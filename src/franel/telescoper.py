@@ -81,7 +81,7 @@ from typing import NamedTuple
 
 from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_deg,
                      kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly, kp_shift_k,
-                     kp_strip)
+                     kp_strip, proved_primitive)
 from .errors import ExactDivisionError, TelescoperNotFoundError
 from .hyperterm import HyperTerm, quotient_products, rho_n_shifts
 from .intpoly import (IntPoly, nonnegative_integer_roots, pack_signed,
@@ -681,7 +681,9 @@ def analyze_structure(op: RecurrenceOperator, cert: Certificate,
             divides = True
         except ExactDivisionError:
             divides = False
-    cont, _ = poly_content(den.coeffs)
+    # the content in Z[n] of the denominator, where its roots in n lie
+    cont = (IntPoly.const(1) if proved_primitive(den.coeffs)
+            else poly_content(den.coeffs)[0])
     roots = tuple(nonnegative_integer_roots(cont)) if cont.degree >= 1 else ()
     return StructureReport(
         s=s,

@@ -7,8 +7,10 @@ import pytest
 from franel.bipoly import (_KP_KRONECKER_CUTOFF, COPRIME_PRIME,
                            SPECIALIZATION_POINTS, BiPoly, RatFunc,
                            _coprime_by_specialization, kp_deg, kp_gcd,
-                           kp_mul, kp_shift_k, poly_gcd)
+                           kp_mul, kp_shift_k, poly_gcd, proved_primitive)
 from franel.errors import ExactDivisionError, PoleError
+from franel.intpoly import IntPoly
+from franel.operators import RecurrenceOperator
 
 N = BiPoly.var_n()
 K = BiPoly.var_k()
@@ -254,6 +256,32 @@ def test_coprimality_modulo_the_prime_skips_a_point_where_lc_vanishes():
     a, b = list((g * K).coeffs), list((g * (K + 1)).coeffs)
     assert not _coprime_by_specialization(a, b)
     assert kp_deg(kp_gcd(a, b)) == 1
+
+
+def test_primitivity_proof_on_constant_and_single_coefficients():
+    one, three, x = IntPoly.const(1), IntPoly.const(3), IntPoly.variable()
+    assert proved_primitive([one])
+    assert proved_primitive([IntPoly(), x, one])
+    assert not proved_primitive([three])  # integer content 3
+    assert not proved_primitive([x + 1])  # its own common factor
+    assert not proved_primitive([IntPoly()])
+    RecurrenceOperator((one,))
+    for coeffs in ((three,), (x + 1,), (x, x * x)):
+        with pytest.raises(ValueError, match="share the common factor"):
+            RecurrenceOperator(coeffs)
+
+
+def test_primitivity_proof_skips_leading_coefficients_divisible_by_p():
+    # g = p n + 1 is 1 modulo p, so Euclid from g mod p would "prove" the
+    # coefficients g and g n primitive; both leading coefficients are
+    # multiples of p, so there is no proof and poly_content finds g
+    g = IntPoly((1, COPRIME_PRIME))
+    coeffs = (g, g * IntPoly.variable())
+    assert not proved_primitive(coeffs)
+    with pytest.raises(ValueError, match="share the common factor"):
+        RecurrenceOperator(coeffs)
+    # one leading coefficient prime to p is enough for a proof
+    assert proved_primitive((g, IntPoly((1, 1))))
 
 
 def test_ratfunc_normalization_idempotent():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from franel import operators, telescoper
 from franel.bipoly import BiPoly, RatFunc
 from franel.documents import (bipoly_from_json, bipoly_to_json,
                               document_bytes, intpoly_from_json,
@@ -149,6 +150,30 @@ def test_parse_rejects_json_booleans_and_numbers():
     for s in (1, 2, 3):
         assert parse_operator_document(
             json.dumps(_frozen(s)).encode())[0] == s
+
+
+def test_parse_rejects_an_operator_with_a_common_factor():
+    # the proof modulo p fails on coefficients times n + 1, and the content
+    # pass it falls back to names the factor
+    doc = _frozen(5)
+    doc["coeffs"] = [intpoly_to_json(intpoly_from_json(c) * IntPoly((1, 1)))
+                     for c in doc["coeffs"]]
+    with pytest.raises(DocumentError, match="share the common factor"):
+        parse_operator_document(json.dumps(doc).encode())
+
+
+def test_frozen_documents_parse_and_audit_without_a_content_pass(
+        monkeypatch):
+    def no_content_pass(polys, g=None):
+        raise AssertionError("poly_content reached without a failed proof")
+
+    monkeypatch.setattr(operators, "poly_content", no_content_pass)
+    monkeypatch.setattr(telescoper, "poly_content", no_content_pass)
+    for s in range(1, 8):
+        _, op, cert, _ = parse_operator_document(
+            (REFS / ("operator-s%d.json" % s)).read_bytes())
+        report = telescoper.analyze_structure(op, cert, s)
+        assert report.integer_roots_of_denominator_in_n == ()
 
 
 def test_tool_version_matches_package():

@@ -6,7 +6,9 @@ next to its name; regenerate one with, for example,
     PYTHONPATH=src python -m franel.cli asym --s 5 --n 2000 \\
         > tests/golden/asym-s5-n2000.txt
 
-but only when an output is meant to change.
+but only when an output is meant to change.  The parser's text is frozen
+at 80 columns: `COLUMNS=80 python -m franel.cli telescope --help`, and the
+stderr of the usage error.
 """
 
 import hashlib
@@ -32,6 +34,22 @@ CASES = {
         "--json",
     "asym-s5-n2000.txt": "asym --s 5 --n 2000",
     "demo-apery-n40-512.txt": "demo-apery --n-max 40 --precision-bits 512",
+}
+
+# the parser's text: `--help` of the program and of each subcommand
+HELP_CASES = {
+    "help-franel.txt": "--help",
+    "help-compute.txt": "compute --help",
+    "help-telescope.txt": "telescope --help",
+    "help-verify.txt": "verify --help",
+    "help-limits.txt": "limits --help",
+    "help-asym.txt": "asym --help",
+    "help-demo-apery.txt": "demo-apery --help",
+}
+
+# stderr of one usage error, which exits 2
+USAGE_CASES = {
+    "usage-telescope-unknown-flag.txt": "telescope --s 3 --r-max 4 --bogus",
 }
 
 # outputs too large to keep as files, frozen as the SHA-256 of their bytes
@@ -64,7 +82,8 @@ OPERATOR_DIGESTS = {
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == \
+        sorted([*CASES, *HELP_CASES, *USAGE_CASES])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -72,6 +91,23 @@ def test_output_equals_golden(name, capsys):
     assert cli.main(CASES[name].split()) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_equals_golden(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(HELP_CASES[name].split()) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_usage_error_equals_golden(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(USAGE_CASES[name].split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv", sorted(DIGESTS))

@@ -5,6 +5,8 @@ routine agrees with the gcd fold it replaced, the forward elimination
 agrees with the Gauss-Jordan and row-swapping determinant it replaced, the
 substitution in the image agrees with the one in Z[n] it replaced, the
 document parser rejects a damaged document only with DocumentError, the
+one-pass record decoder agrees with the dict-of-monomials one it replaced,
+the primitivity proof modulo a prime agrees with the content pass, the
 certificate check agrees with the full cross multiplication on perturbed
 certificates, an image's balanced digits evaluate back to it, the
 dispersion set agrees with sympy's on polynomials in k, the nonnegative
@@ -21,10 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from franel.bipoly import (_KP_KRONECKER_CUTOFF, SPECIALIZATION_POINTS,
-                           BiPoly, RatFunc, _coprime_by_specialization,
-                           kp_deg, kp_divexact, kp_gcd, kp_mul)
-from franel.documents import parse_operator_document
+from franel.bipoly import (_KP_KRONECKER_CUTOFF, COPRIME_PRIME,
+                           SPECIALIZATION_POINTS, BiPoly, RatFunc,
+                           _coprime_by_specialization, kp_deg, kp_divexact,
+                           kp_gcd, kp_mul, proved_primitive)
+from franel.documents import bipoly_from_json, parse_operator_document
 from franel.errors import DocumentError
 from franel.hyperterm import binom_power_term
 from franel.intpoly import (IntPoly, integer_roots, mul_kronecker,
@@ -41,6 +44,7 @@ from franel.telescoper import (_digits, _dispersion_set, _norm,
                                certificate_mismatch, verify_certificate,
                                zeilberger)
 
+from reference_documents import reference_bipoly_from_json
 from reference_hyperterm import binomial_product_term
 from reference_linalg import (canonical_signs, reference_determinant,
                               reference_nullspace, reference_schur_block)
@@ -341,6 +345,104 @@ def test_parser_raises_only_document_error(data):
         parse_operator_document(json.dumps(doc).encode())
     except DocumentError:
         pass
+
+
+# one malformed record per class, or a duplicate of a drawn monomial
+_MALFORMED = {
+    "not a list": lambda rec: tuple(rec),
+    "not a list either": lambda rec: {"c": rec[0]},
+    "short": lambda rec: rec[:2],
+    "long": lambda rec: rec + [0],
+    "bool n-exponent": lambda rec: [rec[0], True, rec[2]],
+    "bool k-exponent": lambda rec: [rec[0], rec[1], False],
+    "negative exponent": lambda rec: [rec[0], -1 - rec[1], rec[2]],
+    "float exponent": lambda rec: [rec[0], rec[1], float(rec[2])],
+    "coefficient not a string": lambda rec: [int(rec[0]), rec[1], rec[2]],
+    "coefficient not decimal": lambda rec: ["+" + rec[0], rec[1], rec[2]],
+    "zero coefficient": lambda rec: ["-0", rec[1], rec[2]],
+    "duplicate": lambda rec: ["7", rec[1], rec[2]],
+}
+
+
+@st.composite
+def monomial_records(draw):
+    """The records of a sparse BiPoly in any order, with at most one
+    malformed record added or put in place of another."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                         unique=True, max_size=12))
+    records = [[str(draw(st.integers(-10 ** 30, 10 ** 30).filter(bool))),
+                dn, dk] for dn, dk in keys]
+    kind = draw(st.sampled_from([None, *_MALFORMED]))
+    if kind is not None and records:
+        rec = draw(st.sampled_from(records))
+        bad = _MALFORMED[kind](list(rec))
+        if kind == "duplicate" or draw(st.booleans()):
+            records.insert(draw(st.integers(0, len(records))), bad)
+        else:
+            records[records.index(rec)] = bad
+    return draw(st.permutations(records))
+
+
+def _decoded(decoder, records):
+    try:
+        return decoder(records).coeffs
+    except DocumentError as exc:
+        return "DocumentError: %s" % exc
+
+
+@hypothesis.settings(deadline=None, max_examples=400)
+@hypothesis.given(monomial_records())
+def test_one_pass_decoder_matches_the_dict_of_monomials(records):
+    for data in (records, tuple(records)):
+        assert _decoded(bipoly_from_json, data) == \
+            _decoded(reference_bipoly_from_json, data)
+
+
+@st.composite
+def operator_coefficients(draw):
+    """Coefficients in Z[n], maybe times a planted common factor of
+    positive degree (its leading coefficient sometimes a multiple of
+    2^61 - 1) or an integer content above 1, and sometimes with every
+    leading coefficient a multiple of 2^61 - 1."""
+    coeffs = [IntPoly(draw(st.lists(st.integers(-20, 20), max_size=4)))
+              for _ in range(draw(st.integers(1, 4)))]
+    plant = draw(st.sampled_from(("none", "factor", "content", "lc mod p")))
+    if plant == "factor":
+        g = IntPoly(draw(st.lists(st.integers(-5, 5), min_size=2,
+                                  max_size=3)))
+        hypothesis.assume(g.degree >= 1)
+        if draw(st.booleans()):
+            g = g + IntPoly([0] * g.degree + [COPRIME_PRIME])
+        coeffs = [c * g for c in coeffs]
+    elif plant == "content":
+        content = IntPoly.const(draw(st.integers(2, 6)))
+        coeffs = [c * content for c in coeffs]
+    elif plant == "lc mod p":
+        coeffs = [c + IntPoly([0] * (c.degree + 1) + [COPRIME_PRIME])
+                  for c in coeffs]
+    hypothesis.assume(any(coeffs))
+    return plant, coeffs
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(operator_coefficients())
+def test_primitivity_proof_agrees_with_the_content_pass(case):
+    plant, coeffs = case
+    g, _ = poly_content(coeffs)
+    proved = proved_primitive(coeffs)
+    if proved:
+        assert g == IntPoly.const(1)
+    if plant == "factor":
+        assert g.degree >= 1
+    if plant != "none":
+        assert not proved
+    if coeffs[-1].lc > 0:
+        try:
+            RecurrenceOperator(tuple(coeffs))
+            assert g == IntPoly.const(1)
+        except ValueError as exc:
+            assert g != IntPoly.const(1)
+            assert str(exc) == "coefficients share the common factor %r" % g
 
 
 @st.composite
