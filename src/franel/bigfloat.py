@@ -321,20 +321,23 @@ def pi(prec: int = 256) -> BigFloat:
 
     Both arctangent series are alternating with decreasing terms, so the
     truncation error is below the first omitted term; each term adds at
-    most one unit of flooring error at the working scale.
+    most one unit of flooring error at the working scale.  The terms
+    floor(2**work / ((2i+1) x**(2i+1))) come by nested floors, as
+    floor(floor(a/b)/c) = floor(a/(bc)) for positive integers: p is
+    floor(2**work / x**(2i+1)), and one division by x*x steps it.
     """
     work = prec + 32
 
     def atan_inv(x: int):
         total = 0
-        power = x
+        p = (1 << work) // x
         i = 0
         while True:
-            term = (1 << work) // ((2 * i + 1) * power)
+            term = p // (2 * i + 1)
             if term == 0:
                 break
             total += term if i % 2 == 0 else -term
-            power *= x * x
+            p //= x * x
             i += 1
         return total, i + 1  # value, error in units of 2**-work
 

@@ -368,65 +368,61 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED_INT = {"type": int, "required": True}
+_S = ("--s", _REQUIRED_INT)
+_N_MAX = ("--n-max", _REQUIRED_INT)
+# the shared flags; a subcommand lists the ones it takes first, in this order
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+_OUT = ("--out", {"help": "write output to this path"})
+_CACHE = ("--cache-dir", {"help": "cache directory (default $FRANEL_CACHE_DIR "
+                                  "or ~/.cache/franel)"})
+_PRECISION = ("--precision-bits", {"type": _precision_bits, "default": 256,
+                                   "help": "at least 64 (default 256)"})
+
+# name: (handler, summary, flags), the shared flags first.  Each subcommand
+# takes only the flags it reads; argparse rejects the rest.
+_COMMANDS = {
+    "compute": (cmd_compute, "tabulate the deformation coefficient sequences",
+                (_OUT, _S, _N_MAX, ("--J", {"type": int, "default": 0}),
+                 ("--format", {"choices": ["json", "text"],
+                               "default": "text"}))),
+    "telescope": (cmd_telescope, "find and verify the telescoping operator",
+                  (_JSON, _OUT, _CACHE, _S, ("--r-max", _REQUIRED_INT))),
+    "verify": (cmd_verify, "verify an operator document exactly",
+               (("--in", {"dest": "infile", "required": True}),)),
+    "limits": (cmd_limits, "limit estimates against exact targets",
+               (_JSON, _OUT, _PRECISION, _S, _N_MAX,
+                ("--J", {"type": int, "default": 1}),
+                ("--J-force",
+                 {"action": "store_true",
+                  "help": "allow J beyond the guaranteed range"}))),
+    "asym": (cmd_asym, "growth-formula ratio check",
+             (_PRECISION, _S, ("--n", _REQUIRED_INT))),
+    "demo-apery": (cmd_demo_apery, "the classical zeta(3) convergents",
+                   (_PRECISION, _N_MAX)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `franel` with the subparser of `command` only, or with
+    all of them when command is None."""
     parser = argparse.ArgumentParser(
         prog="franel",
         description="Exact telescoping recurrences, certificates, and "
                     "deformation limits for sums of powers of binomial "
                     "coefficients.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary, *shared):
-        # each subcommand takes only the flags it reads; argparse rejects
-        # the rest.  The shared ones come first, in this order.
+    # with one subparser, the explicit metavar keeps the usage line printed
+    # with "unrecognized arguments"; the full parser derives the same one
+    # from its choices, and its errors name the positional "command"
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        func, summary, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        if "json" in shared:
-            p.add_argument("--json", action="store_true",
-                           help="machine-readable output")
-        if "out" in shared:
-            p.add_argument("--out", help="write output to this path")
-        if "cache" in shared:
-            p.add_argument("--cache-dir",
-                           help="cache directory (default $FRANEL_CACHE_DIR "
-                                "or ~/.cache/franel)")
-        if "precision" in shared:
-            p.add_argument("--precision-bits", type=_precision_bits,
-                           default=256, help="at least 64 (default 256)")
-        return p
-
-    p = command("compute", cmd_compute,
-                "tabulate the deformation coefficient sequences", "out")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--J", type=int, default=0)
-    p.add_argument("--format", choices=["json", "text"], default="text")
-
-    p = command("telescope", cmd_telescope,
-                "find and verify the telescoping operator",
-                "json", "out", "cache")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r-max", type=int, required=True)
-
-    p = command("verify", cmd_verify, "verify an operator document exactly")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = command("limits", cmd_limits,
-                "limit estimates against exact targets",
-                "json", "out", "precision")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--J", type=int, default=1)
-    p.add_argument("--J-force", action="store_true",
-                   help="allow J beyond the guaranteed range")
-
-    p = command("asym", cmd_asym, "growth-formula ratio check", "precision")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("demo-apery", cmd_demo_apery,
-                "the classical zeta(3) convergents", "precision")
-    p.add_argument("--n-max", type=int, required=True)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -435,7 +431,10 @@ def main(argv=None) -> int:
     # which 3.10.0-3.10.6 do not have
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # only the subcommand that runs needs its parser; top-level help and a
+    # missing or unknown command need them all
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

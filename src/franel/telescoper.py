@@ -635,6 +635,31 @@ def expected_certificate_denominator(s: int, m: int | None = None) -> BiPoly:
     return acc ** s
 
 
+def _denominator_audit(den: BiPoly, s: int, m: int):
+    """(matches, divides): whether den is +-E for the rising product
+    E = prod_{j=1..m} (n - k + j)**s, and whether den divides E.
+
+    Equality is decided in the image n -> X = 2**(8*stride), where X/2
+    exceeds the 1-norms of den and of E, ||E||_1 <= prod_j (2+j)**s.  Both
+    are then their images' balanced base-X digits, so den_X == +-E_X iff
+    den == +-E.  E is formed in Z[n][k] only to test divisibility, when
+    they differ.
+    """
+    bound = max(_norm(den.coeffs), prod(range(3, m + 3)) ** s)
+    stride = (bound.bit_length() + 8) // 8  # bound < 2**(8*stride-1)
+    x = 1 << (8 * stride)
+    den_x = _image(den, stride)
+    e_x = prod((IntPoly((x + j, -1)) for j in range(1, m + 1)),
+               start=IntPoly.const(1)) ** s
+    if den_x == e_x or den_x == -e_x:
+        return True, True
+    try:
+        expected_certificate_denominator(s, m).divexact(den)
+    except ExactDivisionError:
+        return False, False
+    return False, True
+
+
 def _delta(r: int, s: int) -> int:
     return 1 if s % r == 0 else 0
 
@@ -666,21 +691,13 @@ def analyze_structure(op: RecurrenceOperator, cert: Certificate,
     """Compare a verified telescoper against the expected shape.
 
     All comparisons are exact polynomial identities.  The denominator audit
-    reports equality with the rising product and, separately, divisibility,
-    so a strictly smaller denominator is visible rather than an error.
+    (see `_denominator_audit`) reports equality with the rising product
+    and, separately, divisibility, so a strictly smaller denominator is
+    visible rather than an error.
     """
     m = expected_order(s)
     den = cert.ratio.den
-    expected_den = expected_certificate_denominator(s, m)
-    matches = den == expected_den or den == -expected_den
-    if matches:
-        divides = True
-    else:
-        try:
-            expected_den.divexact(den)
-            divides = True
-        except ExactDivisionError:
-            divides = False
+    matches, divides = _denominator_audit(den, s, m)
     # the content in Z[n] of the denominator, where its roots in n lie
     cont = (IntPoly.const(1) if proved_primitive(den.coeffs)
             else poly_content(den.coeffs)[0])

@@ -2,18 +2,20 @@
 solve on the unscaled operator columns, and the certificate checks before
 the cofactor cancellation, with the residual
 (P a)/a - (R(n, k+1) rho_k - R(n, k)) by full cross multiplication,
-reduced to lowest terms or reported by its degrees."""
+reduced to lowest terms or reported by its degrees; and the denominator
+audit by products in Z[n][k]."""
 
 from math import comb
 
 from franel.bipoly import (BiPoly, RatFunc, kp_deg, kp_mul, kp_mul_intpoly,
                            kp_shift_k, kp_strip, kp_sub)
+from franel.errors import ExactDivisionError
 from franel.hyperterm import shift_quotient_products
 from franel.intpoly import IntPoly
 from franel.linalg import fraction_free_nullspace
 from franel.operators import Certificate, normalize_operator_coeffs
 from franel.telescoper import (_gosper_degree_bound, _gosper_normal_form,
-                               _gosper_ratio)
+                               _gosper_ratio, expected_certificate_denominator)
 
 from reference_hyperterm import operator_numerator
 
@@ -116,3 +118,16 @@ def reference_mismatch(term, op, cert):
     dens = (bottom, rd1, qd)
     return ((num.deg_n, num.deg_k),
             (sum(d.deg_n for d in dens), sum(d.deg_k for d in dens)))
+
+
+def reference_denominator_audit(den, s, m):
+    """`_denominator_audit` by the rising product formed in Z[n][k]:
+    (den == +-E, den divides E)."""
+    expected = expected_certificate_denominator(s, m)
+    if den == expected or den == -expected:
+        return True, True
+    try:
+        expected.divexact(den)
+    except ExactDivisionError:
+        return False, False
+    return False, True

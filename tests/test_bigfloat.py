@@ -5,6 +5,8 @@ import pytest
 
 from franel.bigfloat import BigFloat, pi
 
+from reference_bigfloat import reference_pi
+
 # 100 decimal digits of pi, an external reference
 PI_100 = Fraction(
     31415926535897932384626433832795028841971693993751058209749445923078164062862089986280348253421170679,
@@ -17,6 +19,13 @@ def test_pi_against_reference():
         assert abs(p.to_fraction() - PI_100) <= \
             p.error_fraction() + Fraction(1, 10 ** 99)
         assert p.error_fraction() < Fraction(1, 2 ** (prec - 8))
+
+
+@pytest.mark.parametrize("prec", [64, 65, 96, 127, 128, 256, 320, 1000,
+                                  2048, 4095, 4096, 8192])
+def test_pi_equals_the_single_division_series(prec):
+    p, q = pi(prec), reference_pi(prec)
+    assert (p.man, p.exp, p.err, p.prec) == (q.man, q.exp, q.err, q.prec)
 
 
 def test_exact_integers():

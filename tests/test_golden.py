@@ -8,7 +8,7 @@ next to its name; regenerate one with, for example,
 
 but only when an output is meant to change.  The parser's text is frozen
 at 80 columns: `COLUMNS=80 python -m franel.cli telescope --help`, and the
-stderr of the usage error.
+stderr of each usage error.
 """
 
 import hashlib
@@ -47,9 +47,21 @@ HELP_CASES = {
     "help-demo-apery.txt": "demo-apery --help",
 }
 
-# stderr of one usage error, which exits 2
+# stderr of usage errors, which exit 2: from the parser of every
+# subcommand (the one `main` builds when the first word names it), and from
+# the full parser, which only top-level help and these errors need
 USAGE_CASES = {
     "usage-telescope-unknown-flag.txt": "telescope --s 3 --r-max 4 --bogus",
+    "usage-franel-no-arguments.txt": "",
+    "usage-franel-unknown-command.txt": "bogus",
+    "usage-compute-missing-s.txt": "compute --n-max 5",
+    "usage-telescope-missing-r-max.txt": "telescope --s 3",
+    "usage-verify-missing-in.txt": "verify",
+    "usage-limits-missing-n-max.txt": "limits --s 3",
+    "usage-asym-missing-n.txt": "asym --s 3",
+    "usage-demo-apery-missing-n-max.txt": "demo-apery",
+    "usage-limits-bad-precision.txt":
+        "limits --s 3 --n-max 10 --precision-bits 32",
 }
 
 # outputs too large to keep as files, frozen as the SHA-256 of their bytes
@@ -108,6 +120,27 @@ def test_usage_error_equals_golden(name, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def _parse(parser, argv, capsys):
+    """The Namespace of argv, or the exit code and output of a parser
+    that exits."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", sorted(
+    {*CASES.values(), *HELP_CASES.values(), *DIGESTS, *USAGE_CASES.values()}
+    - {"--help", "", "bogus"}))
+def test_one_subcommand_parser_equals_the_full_one(argv, capsys,
+                                                   monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    words = argv.split()
+    assert words[0] in cli._COMMANDS
+    assert _parse(cli.build_parser(words[0]), words, capsys) == \
+        _parse(cli.build_parser(), words, capsys)
 
 
 @pytest.mark.parametrize("argv", sorted(DIGESTS))

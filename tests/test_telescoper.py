@@ -27,7 +27,8 @@ import reference_telescoper
 from reference_hyperterm import (binomial_product_term, operator_numerator,
                                  reference_shift_quotients)
 from reference_linalg import reference_determinant, unpacked_system
-from reference_telescoper import (reference_mismatch, reference_parts,
+from reference_telescoper import (reference_denominator_audit,
+                                  reference_mismatch, reference_parts,
                                   reference_residual, reference_solve_at_order)
 
 N = BiPoly.var_n()
@@ -458,6 +459,25 @@ def test_expected_denominator_shape():
     expected = expected_certificate_denominator(4, 2)
     assert expected == ((N - K + 1) * (N - K + 2)) ** 4
     assert expected.deg_n == 8 and expected.deg_k == 8
+
+
+@pytest.mark.parametrize("s", range(1, 8))
+def test_denominator_audit_equals_the_products(s):
+    # the frozen document's denominator, altered: its negative, a multiple,
+    # a sum that is no product, a proper divisor, and audited against the
+    # rising product of the next power
+    _, _, cert, _ = parse_operator_document(
+        (REFS / ("operator-s%d.json" % s)).read_bytes())
+    den = cert.ratio.den
+    m = expected_order(s)
+    cases = [(den, s), (-den, s), (den * (N + 1), s), (den + 1, s),
+             (den.divexact(N - K + 1), s), (den, s + 1)]
+    for case, power in cases:
+        assert telescoper._denominator_audit(case, power, m) == \
+            reference_denominator_audit(case, power, m)
+    assert telescoper._denominator_audit(den, s, m) == (True, True)
+    assert telescoper._denominator_audit(den.divexact(N - K + 1), s, m) == \
+        (False, True)
 
 
 def test_structure_detects_integer_roots():
