@@ -22,6 +22,13 @@ TOOL_VERSION = "0.1.0"
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
+# the largest power of n or k a certificate record may carry.  The s=12
+# document's largest is 130 (of n); a record at (256, 256) added to the
+# s=3 document's certificate still fails verification within 4 s, while
+# an exponent of 3,000,000 ran past 20 s and one of 10^12 exhausted memory,
+# because each column is stored densely
+MAX_EXPONENT = 256
+
 
 def timestamp() -> str:
     """ISO timestamp; honors SOURCE_DATE_EPOCH for reproducible output.
@@ -80,10 +87,13 @@ def bipoly_from_json(data) -> BiPoly:
                 or not _is_int(rec[1]) or not _is_int(rec[2])
                 or rec[1] < 0 or rec[2] < 0):
             raise DocumentError("bad monomial record %r" % (rec,))
+        dn, dk = rec[1], rec[2]
+        if dn > MAX_EXPONENT or dk > MAX_EXPONENT:
+            raise DocumentError("monomial exponent above %d in %r"
+                                % (MAX_EXPONENT, rec))
         coef = _decimal(rec[0])
         if coef == 0:
             raise DocumentError("zero coefficient stored in %r" % (rec,))
-        dn, dk = rec[1], rec[2]
         if dk >= len(cols):
             cols.extend([] for _ in range(dk + 1 - len(cols)))
         col = cols[dk]

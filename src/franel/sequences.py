@@ -57,16 +57,19 @@ where that check ran.
 Which path runs is one rule on the request alone, `recursion_pays`; no
 option selects it and nothing is remembered between calls.  Rows below
 the start plus r come from `deformed`; later rows come from forward
-recursion on the integers A_j(n) L^(2j), L = lcm(1..n_max), a scale the
-L^i bound above proves sufficient, with every division by c_r(n) exact and
-checked, and the last row's head checked against `franel`.
+recursion on the integers A_j(n) L^(2j), L = lcm(1..m) for the window
+whose top row is m, a scale the L^i bound above proves sufficient for every
+row up to m, so it grows by p^(2j) as m passes a power of the prime p.
+Every division by c_r(n) is exact and checked, and the last row's head is
+checked against `franel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import compress
+from math import isqrt, perm, prod
 
 from .hyperterm import binom_power_term
 from .intpoly import IntPoly, nonnegative_integer_roots
@@ -77,7 +80,7 @@ from .telescoper import expected_order, solve_at_order, verify_certificate
 
 
 # terms per leaf of `franel`'s product tree
-_FRANEL_LEAF = 32
+_FRANEL_LEAF = 64
 
 
 def _inverse_mod_pow2(a: int, bits: int) -> int:
@@ -103,22 +106,35 @@ def franel(s: int, n: int) -> int:
 
     By symmetry the sum is 2 S + [n even] binom(n, h)^s with
     S = sum_{k<h} binom(n, k)^s and h = ceil(n/2).  Binary splitting over
-    k < h, with a_k = (n-k)^s and b_k = (k+1)^s, gives P = prod a_k,
-    Q = prod b_k = (h!)^s and T with T/Q = S: a leaf steps
-    T <- (T + P) b_k, and two halves merge by T = T1 Q2 + P1 T2.
-    Every product is reduced modulo 2^(L+e), L = n s + 1 and
-    e = v2(Q) = s sum_i floor(h/2^i), and the sum is read off 2-adically:
+    k < h uses the odd parts a_k and b_k of (n-k)^s and (k+1)^s, so that
+    binom(n, k)^s = 2^(d_k) prod_{i<k} a_i / prod_{i<k} b_i with
+    d_k = s v2(binom(n, k)) = s (popcount(k) + popcount(n-k) - popcount(n))
+    (Kummer).  A segment [lo, hi) is (P, Q, T, m): the odd P = prod a_k and
+    Q = prod b_k over it, an integer T and an exponent m >= 0 with
 
-    - S and binom(n, h)^s = P/Q are integers, so the sum x is one, with
-      0 <= x <= (sum_k binom(n, k))^s = 2^(n s) < 2^L.
-    - Q S = T and Q binom(n, h)^s = P exactly, with v2(Q) = e, so
-      x = (2 T/2^e + [n even] P/2^e) (Q/2^e)^(-1) mod 2^L, Q/2^e odd.
-    - Reduction modulo 2^(L+e) is a ring map, so the reduced tree gives
-      T, P and Q modulo 2^(L+e), hence T/2^e, P/2^e and Q/2^e mod 2^L.
+        sum_{lo<=k<hi} binom(n, k)^s = 2^m (T/Q) prod_{k<lo} a_k / b_k.
+
+    A leaf steps T <- (T + P) (k+1)^s over the full powers, whose T/Q sums
+    2^(d_k - d_lo) prod_{lo<=i<k} a_i / b_i, then strips the powers of two
+    off P and Q, which Legendre's v2(x!) = x - popcount(x) gives, and off
+    T into m = d_lo - v2(Q) + v2(T).  With T odd there, m is the 2-adic
+    valuation of the leaf's sum, an integer, so m >= 0 (the one empty leaf,
+    of n = 0, has T = 0 and m = 0).  Two halves merge
+    by T = 2^(m1-m) T1 Q2 + 2^(m2-m) P1 T2 with m = min(m1, m2), so every
+    shift is by a nonnegative amount.  Every product is reduced modulo 2^L,
+    L = n s + 1, and the sum is read off 2-adically:
+
+    - The sum x is an integer with 0 <= x <= (sum_k binom(n, k))^s
+      = 2^(n s) < 2^L.
+    - At the root S = 2^m T/Q and binom(n, h)^s = 2^(d_h) P/Q with Q odd,
+      so x = (2^(m+1) T + [n even] 2^(d_h) P) Q^(-1) mod 2^L.
+    - Reduction modulo 2^L is a ring map, and a left shift multiplies by a
+      power of two, so the reduced tree gives T, P and Q modulo 2^L.
     - A residue in [0, 2^L) of a number in [0, 2^L) is that number.
 
     So no step divides: the tree's products and one Newton inverse
-    (`_inverse_mod_pow2`) replace a long division per term.
+    (`_inverse_mod_pow2`) replace a long division per term, and no bit
+    above 2^L is carried.
     """
     if s < 1:
         raise ValueError("the power s must be a positive integer")
@@ -126,33 +142,56 @@ def franel(s: int, n: int) -> int:
         raise ValueError("n must be nonnegative")
     h = (n + 1) // 2
     bits = n * s + 1
-    e = s * (h - bin(h).count("1"))  # Legendre: v2(h!) = h - popcount(h)
-    mask = (1 << (bits + e)) - 1
+    mask = (1 << bits) - 1
+    n_ones = n.bit_count()
 
     def split(lo: int, hi: int):
         if hi - lo <= _FRANEL_LEAF:
-            p, q, t = 1, 1, 0
+            p, t = 1, 0
             for k in range(lo, hi):
-                b = (k + 1) ** s
-                t = (t + p) * b
+                t = (t + p) * (k + 1) ** s
                 p *= (n - k) ** s
-                q *= b
-            return p, q, t
+            q = perm(hi, hi - lo) ** s
+            v = (t ^ t - 1).bit_length() - 1  # v2(t), and 0 for t = 0
+            width = hi - lo
+            # v2 of (n-lo)!/(n-hi)! and hi!/lo!, times s
+            vp = s * (width - (n - lo).bit_count() + (n - hi).bit_count())
+            vq = s * (width - hi.bit_count() + lo.bit_count())
+            d_lo = s * (lo.bit_count() + (n - lo).bit_count() - n_ones)
+            return p >> vp, q >> vq, t >> v, d_lo - vq + v
         mid = (lo + hi) // 2
-        p1, q1, t1 = split(lo, mid)
-        p2, q2, t2 = split(mid, hi)
-        return p1 * p2 & mask, q1 * q2 & mask, (t1 * q2 + p1 * t2) & mask
+        p1, q1, t1, m1 = split(lo, mid)
+        p2, q2, t2, m2 = split(mid, hi)
+        m = min(m1, m2)
+        t = (t1 * q2 << m1 - m) + (p1 * t2 << m2 - m)
+        return p1 * p2 & mask, q1 * q2 & mask, t & mask, m
 
-    p, q, t = split(0, h)
-    top = 2 * (t >> e) + (p >> e if n % 2 == 0 else 0)
-    return top * _inverse_mod_pow2(q >> e, bits) & ((1 << bits) - 1)
+    p, q, t, m = split(0, h)
+    top = t << m + 1
+    if n % 2 == 0:
+        top += p << s * h.bit_count()  # d_h, as n - h = h
+    return top * _inverse_mod_pow2(q, bits) & mask
+
+
+def lcm_steps(n: int) -> list:
+    """steps[m] = p when m = p^a, p prime and a >= 1, else 1, for
+    m = 0..n; so lcm(1..m) = lcm(1..m-1) steps[m]."""
+    steps = [1] * (n + 1)
+    prime = bytearray(2) + bytearray([1]) * (n - 1)
+    for p in range(2, isqrt(max(n, 0)) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    for p in compress(range(n + 1), prime):
+        q = p
+        while q <= n:
+            steps[q] = p
+            q *= p
+    return steps
 
 
 def lcm_upto(n: int) -> int:
-    acc = 1
-    for j in range(2, n + 1):
-        acc = acc * j // gcd(acc, j)
-    return acc
+    """lcm(1..n), the product of the steps of `lcm_steps`."""
+    return prod([p for p in lcm_steps(n) if p > 1])
 
 
 def _deformed_numerators(s: int, n: int, span: int):
@@ -396,14 +435,19 @@ def recursion_rows(s: int, J: int, n_from: int, n_to: int,
 
     Rows below start + r come from :func:`coefficient_row`; each later row
     m solves c_r(n) X(m) = -sum_{i<r} c_i(n) X(n+i), n = m - r, on the
-    integers X_j = A_j L^(2j), L = lcm(1..n_to).  Only the last r rows are
-    kept.
+    integers X_j = A_j L^(2j) with L = lcm(1..m), which the L^i bound makes
+    integers for every row up to m.  So the window's scale grows with its
+    top row: when m = p^a, L gains the factor p and column j of the kept
+    rows is multiplied by p^(2j) before row m is solved.  The seed rows are
+    checked integral at the scale of the last of them.  Only the last r
+    rows are kept.
     """
     r = op.order
-    seed_end = start + r
-    scales = [lcm_upto(n_to) ** (2 * j) for j in range(J + 1)]
+    seed_end = min(start + r, n_to + 1)
+    steps = lcm_steps(n_to)
+    scales = [prod(steps[:seed_end]) ** (2 * j) for j in range(J + 1)]
     window = []
-    for m in range(min(seed_end, n_to + 1)):
+    for m in range(seed_end):
         if m < start and m < n_from:
             continue
         row = coefficient_row(s, m, J)
@@ -412,6 +456,11 @@ def recursion_rows(s: int, J: int, n_from: int, n_to: int,
         if m >= n_from:
             yield row
     for m in range(seed_end, n_to + 1):
+        p = steps[m]
+        if p > 1:
+            grow = [p ** (2 * j) for j in range(J + 1)]
+            scales = [sc * g for sc, g in zip(scales, grow)]
+            window = [[x * g for x, g in zip(row, grow)] for row in window]
         n = m - r
         cs = [c.eval_int(n) for c in op.coeffs]
         lead = cs[r]
@@ -486,29 +535,30 @@ def apery_zeta3(n_max: int) -> list:
     with (A(0), A(1)) = (1, 5) and (B(0), B(1)) = (0, 1).
 
     A(n) is computed both by its binomial double-square sum and by forward
-    recursion, and the two must agree exactly.
+    recursion on the integers, each division checked exact, and the two
+    must agree exactly; B(n) is stepped as a Fraction.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    a_vals = [Fraction(1), Fraction(5)]
+    a_vals = [1, 5]
     b_vals = [Fraction(0), Fraction(1)]
     for n in range(1, n_max):
         lead = (n + 1) ** 3
         mid = (2 * n + 1) * (17 * n * n + 17 * n + 5)
-        a_vals.append((mid * a_vals[n] - n ** 3 * a_vals[n - 1]) / lead)
+        a, rem = divmod(mid * a_vals[n] - n ** 3 * a_vals[n - 1], lead)
+        if rem:
+            raise AssertionError("A(%d) is not an integer" % (n + 1))
+        a_vals.append(a)
         b_vals.append((mid * b_vals[n] - n ** 3 * b_vals[n - 1]) / lead)
     out = []
-    lcm3 = 1
+    steps = lcm_steps(n_max)
+    lcm = 1
     for n in range(n_max + 1):
         a = a_vals[n]
-        if a.denominator != 1:
-            raise AssertionError("A(%d) is not an integer" % n)
-        direct = _apery_a_direct(n)
-        if direct != a:
+        if _apery_a_direct(n) != a:
             raise AssertionError("recursion and summation disagree at n=%d"
                                  % n)
-        if n >= 1:
-            lcm3 = lcm3 * n // gcd(lcm3, n)
-        divides = (lcm3 ** 3) % b_vals[n].denominator == 0
-        out.append(AperyPair(n, int(a), b_vals[n], divides))
+        lcm *= steps[n]
+        divides = (lcm ** 3) % b_vals[n].denominator == 0
+        out.append(AperyPair(n, a, b_vals[n], divides))
     return out

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from franel import operators, telescoper
+from franel import cli, operators, telescoper
 from franel.bipoly import BiPoly, RatFunc
-from franel.documents import (bipoly_from_json, bipoly_to_json,
+from franel.documents import (MAX_EXPONENT, bipoly_from_json, bipoly_to_json,
                               document_bytes, intpoly_from_json,
                               intpoly_to_json, operator_document,
                               parse_operator_document, timestamp)
@@ -160,6 +160,32 @@ def test_parse_rejects_an_operator_with_a_common_factor():
                      for c in doc["coeffs"]]
     with pytest.raises(DocumentError, match="share the common factor"):
         parse_operator_document(json.dumps(doc).encode())
+
+
+def test_exponents_above_the_cap_end_in_one_error_line(tmp_path, capsys):
+    # an exponent of 10^12 was stored densely until memory ran out, one of
+    # 3,000,000 ran verify past 20 s; both are refused before any fill
+    for s in range(1, 8):
+        records = [r for part in ("num", "den")
+                   for r in _frozen(s)["certificate"][part]]
+        assert max(max(r[1], r[2]) for r in records) <= MAX_EXPONENT // 4
+    for part in ("num", "den"):
+        for exponent in (MAX_EXPONENT + 1, 3000000, 10 ** 12):
+            for record in (["1", exponent, 0], ["1", 0, exponent]):
+                doc = _frozen(3)
+                doc["certificate"][part].append(record)
+                bad = tmp_path / "huge.json"
+                bad.write_text(json.dumps(doc))
+                assert cli.main(["verify", "--in", str(bad)]) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err == ("error: invalid document: monomial exponent "
+                               "above %d in %r\n" % (MAX_EXPONENT, record))
+    # at the cap a record is read; the certificate then fails to verify
+    doc = _frozen(3)
+    doc["certificate"]["num"].append(["1", MAX_EXPONENT, MAX_EXPONENT])
+    num = parse_operator_document(json.dumps(doc).encode())[2].ratio.num
+    assert (num.deg_n, num.deg_k) == (MAX_EXPONENT, MAX_EXPONENT)
 
 
 def test_frozen_documents_parse_and_audit_without_a_content_pass(

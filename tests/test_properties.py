@@ -13,7 +13,10 @@ dispersion set agrees with sympy's on polynomials in k, the nonnegative
 integer roots by Descartes' rule agree with the Sturm path and with
 sympy's, the truncated-series inverse and power agree with the product, the row
 sum by binary splitting agrees with the stepping loop it replaced, its
-2-adic inverse included, and the telescoper solves binomial products as
+2-adic inverse included, the recursion rows on a scale that grows with the
+window agree with those on one fixed scale, lcm(1..n) from the prime-power
+sieve agrees with the gcd loop, the Apery pairs stepped on integers agree
+with the Fraction recursion, and the telescoper solves binomial products as
 its unscaled reference does, with operators that annihilate their sums."""
 
 import json
@@ -37,7 +40,8 @@ from franel.linalg import (_triangular_prefix, bareiss_determinant,
                            fraction_free_nullspace, schur_block)
 from franel.operators import (Certificate, RecurrenceOperator,
                               apply_operator)
-from franel.sequences import _inverse_mod_pow2, franel
+from franel.sequences import (_FRANEL_LEAF, _inverse_mod_pow2, apery_zeta3,
+                              franel, lcm_upto, recursion_rows)
 from franel.series import series_inv, series_mul, series_pow
 from franel.telescoper import (_digits, _dispersion_set, _norm,
                                _residual_image,
@@ -48,7 +52,8 @@ from reference_documents import reference_bipoly_from_json
 from reference_hyperterm import binomial_product_term
 from reference_linalg import (canonical_signs, reference_determinant,
                               reference_nullspace, reference_schur_block)
-from reference_sequences import reference_franel
+from reference_sequences import (reference_apery_zeta3, reference_franel,
+                                 reference_lcm_upto, reference_recursion_rows)
 from reference_telescoper import (reference_difference, reference_mismatch,
                                   reference_solve_at_order)
 
@@ -647,10 +652,48 @@ def test_series_pow_is_repeated_mul(a, e):
     assert type(series_pow(a, e)[0]) is type(a[0])
 
 
-@hypothesis.settings(deadline=None, max_examples=100)
-@hypothesis.given(st.integers(1, 12), st.integers(0, 2500))
+# n whose h = ceil(n/2) terms fill c leaves exactly, or one term less or
+# more, and n next to a power of two, where the popcounts behind the
+# segments' 2-exponents jump
+_FRANEL_EDGES = sorted(
+    {2 * h - odd for c in range(1, 9)
+     for h in (c * _FRANEL_LEAF - 1, c * _FRANEL_LEAF, c * _FRANEL_LEAF + 1)
+     for odd in (0, 1)}
+    | {2 ** a + d for a in range(13) for d in (-1, 0, 1)})
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(st.integers(1, 12), st.one_of(
+    st.integers(0, 2500), st.sampled_from(_FRANEL_EDGES)))
 def test_franel_by_binary_splitting_matches_the_stepping_loop(s, n):
     assert franel(s, n) == reference_franel(s, n)
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(s=st.integers(1, 8), data=st.data())
+def test_recursion_rows_on_a_growing_scale_match_the_fixed_scale(
+        order_m_operators, s, data):
+    # the operators annihilate from n = 0, so every later start is proven
+    # too; every window from the seeds to n_to passes prime powers
+    op, _ = order_m_operators[s]
+    J = data.draw(st.integers(0, (s - 1) // 2), label="J")
+    start = data.draw(st.integers(0, 12), label="start")
+    n_from = data.draw(st.integers(start + 1, 100), label="n_from")
+    n_to = data.draw(st.integers(n_from, 130), label="n_to")
+    assert list(recursion_rows(s, J, n_from, n_to, op, start)) == \
+        list(reference_recursion_rows(s, J, n_from, n_to, op, start))
+
+
+@hypothesis.settings(deadline=None, max_examples=100)
+@hypothesis.given(st.integers(0, 3000))
+def test_lcm_upto_by_prime_power_steps_matches_the_gcd_loop(n):
+    assert lcm_upto(n) == reference_lcm_upto(n)
+
+
+@hypothesis.settings(deadline=None, max_examples=30)
+@hypothesis.given(st.integers(1, 150))
+def test_apery_pairs_on_integers_match_the_fraction_recursion(n_max):
+    assert apery_zeta3(n_max) == reference_apery_zeta3(n_max)
 
 
 @hypothesis.settings(deadline=None, max_examples=200)
