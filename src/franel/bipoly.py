@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import ExactDivisionError, PoleError
-from .intpoly import (IntPoly, int_content, mul_kronecker, poly_content,
-                      pseudo_rem_coeffs, taylor_shift_coeffs)
+from .intpoly import (IntPoly, int_content, mul_kronecker, pack_signed,
+                      poly_content, pseudo_rem_coeffs, taylor_shift_coeffs)
 
 # ---------------------------------------------------------------------------
 # k-recursive view: list of IntPoly coefficients, index = power of k
@@ -254,6 +254,18 @@ def kp_shift_k(a, j: int):
     return kp_strip(taylor_shift_coeffs(a, j))
 
 
+def kp_norm(a, dk: int = 0) -> int:
+    """A bound on the 1-norm of p(n, k + dk), p given by its k-poly a: p
+    with its coefficients' absolute values at n = 1, k = 1 + |dk|, by
+    Horner's rule, and at least 1, so that a bound built from such bounds
+    by sums and products also bounds each of them.  A shift in n is made
+    on the polynomial first."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * (1 + abs(dk)) + sum(map(abs, c.coeffs))
+    return max(1, acc)
+
+
 # ---------------------------------------------------------------------------
 # bivariate polynomials
 # ---------------------------------------------------------------------------
@@ -429,6 +441,10 @@ class BiPoly:
             return self
         shifted = [c.compose_shift(dn) for c in self.coeffs]
         return BiPoly.from_kpoly(kp_shift_k(shifted, dk))
+
+    def image(self, stride: int) -> IntPoly:
+        """p(X, k) in Z[k] for X = 2**(8*stride)."""
+        return IntPoly([pack_signed(c.coeffs, stride) for c in self.coeffs])
 
     def eval(self, n, k) -> Fraction:
         acc = Fraction(0)

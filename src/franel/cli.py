@@ -19,13 +19,13 @@ from pathlib import Path
 from .bigfloat import BigFloat
 from .documents import (TOOL_VERSION, document_bytes, operator_document,
                         parse_operator_document, timestamp)
-from .errors import DocumentError
+from .errors import DocumentError, TelescoperNotFoundError
 from .hyperterm import binom_power_term
 from .limits import asymptotic_ratio, limit_report, zeta3_reference
 from .sequences import apery_zeta3, coefficient_table, minimality_certificate
 from .telescoper import (analyze_structure, certificate_mismatch,
-                         expected_order, first_valid_row, solve_at_order,
-                         verify_certificate)
+                         expected_order, first_valid_row, verify_certificate,
+                         zeilberger)
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
@@ -169,26 +169,23 @@ def cmd_telescope(args) -> int:
             return _EXIT_USAGE
         # one upward search from r0 = min(m, --r-max), m = ceil(s/2).  By
         # the padding lemma (see solve_at_order) no solution at r0 rules out
-        # every lower order.  A solution at r0 must be the order-m operator
+        # every lower order, and a first solution above r0 has order above
+        # r0.  A solution of order at most r0 must be the order-m operator
         # with its Casoratian certificate; anything else contradicts the
         # weak Franel bound.
         m = expected_order(args.s)
         r0 = min(m, args.r_max)
-        for r in range(r0, args.r_max + 1):
-            found = solve_at_order(term, r)
-            if found is not None:
-                break
-        else:
+        try:
+            op, cert = zeilberger(term, args.r_max, r0)
+        except TelescoperNotFoundError as exc:
             print("no telescoping operator up to order %d (tried %s)"
-                  % (args.r_max, list(range(r0, args.r_max + 1))),
-                  file=sys.stderr)
+                  % (args.r_max, list(exc.orders_tried)), file=sys.stderr)
             return _EXIT_NOT_FOUND
-        op, cert = found
-        if not verify_certificate(term, op, cert):
+        except AssertionError:
             print("internal error: certificate failed exact verification",
                   file=sys.stderr)
             return _EXIT_INTERNAL
-        if r == r0:
+        if op.order <= r0:
             minimality = minimality_certificate(args.s, op, cert)
             if minimality is None:
                 print("internal error: the operator of order %d has no "

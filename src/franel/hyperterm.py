@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .bipoly import BiPoly, RatFunc
+from .bipoly import BiPoly, RatFunc, kp_norm
 
 
 @dataclass(frozen=True)
@@ -26,13 +26,27 @@ class HyperTerm:
         """Mixed-shift consistency of the two quotients.
 
         Shifting first in n and then in k must agree with the other order:
-        rho_n(n, k+1) rho_k(n, k) = rho_k(n+1, k) rho_n(n, k), checked by one
-        cross multiplication.
+        rho_n(n, k+1) rho_k(n, k) = rho_k(n+1, k) rho_n(n, k).  With
+        rho_n = pn/qn and rho_k = pk/qk its cross multiplication is L = R,
+        L = pn(n, k+1) pk qk(n+1, k) qn and R = pk(n+1, k) pn qn(n, k+1) qk,
+        decided in the image of the ring map n -> X = 2**(8*stride): X/2
+        exceeds a bound on ||L||_1 + ||R||_1 >= ||L - R||_1 built by
+        `kp_norm`, so L - R is its own balanced base-X digits and is zero
+        iff its image is.  The shifts in n are made on the polynomials,
+        those in k on the images.
         """
         pn, qn = self.rho_n.num, self.rho_n.den
         pk, qk = self.rho_k.num, self.rho_k.den
-        return (pn.compose_shift(0, 1) * pk * qk.compose_shift(1, 0) * qn
-                == pk.compose_shift(1, 0) * pn * qn.compose_shift(0, 1) * qk)
+        pk1, qk1 = pk.compose_shift(1, 0), qk.compose_shift(1, 0)
+        bound = (kp_norm(pn.coeffs, 1) * kp_norm(pk.coeffs)
+                 * kp_norm(qk1.coeffs) * kp_norm(qn.coeffs)
+                 + kp_norm(pk1.coeffs) * kp_norm(pn.coeffs)
+                 * kp_norm(qn.coeffs, 1) * kp_norm(qk.coeffs))
+        stride = (bound.bit_length() + 8) // 8  # bound < 2**(8*stride-1)
+        pn, qn, pk, qk, pk1, qk1 = (p.image(stride)
+                                    for p in (pn, qn, pk, qk, pk1, qk1))
+        return (pn.compose_shift(1) * pk * qk1 * qn
+                == pk1 * pn * qn.compose_shift(1) * qk)
 
 
 def binom_power_term(s: int) -> HyperTerm:

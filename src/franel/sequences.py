@@ -71,12 +71,13 @@ from fractions import Fraction
 from itertools import compress
 from math import isqrt, perm, prod
 
+from .errors import TelescoperNotFoundError
 from .hyperterm import binom_power_term
 from .intpoly import IntPoly, nonnegative_integer_roots
 from .linalg import bareiss_determinant
 from .operators import Certificate, RecurrenceOperator
 from .series import series_inv, series_pow
-from .telescoper import expected_order, solve_at_order, verify_certificate
+from .telescoper import expected_order, zeilberger
 
 
 # terms per leaf of `franel`'s product tree
@@ -484,23 +485,27 @@ def recursion_rows(s: int, J: int, n_from: int, n_to: int,
 def coefficient_rows(s: int, J: int, n_from: int, n_to: int):
     """Rows (A_0(n), .., A_J(n)) for n = n_from..n_to: the one row source.
 
-    When `recursion_pays`, the order ceil(s/2) telescoper of binom(n, k)^s
-    is solved at that order alone and verified, and `recursion_rows` runs
-    from its proven start; otherwise, or when the solve, the verification
-    or the start check fails, every row comes from :func:`coefficient_row`.
-    Returns an iterator, empty when n_to < n_from.
+    When `recursion_pays`, `zeilberger` searches binom(n, k)^s at order
+    m = ceil(s/2) alone and verifies what it finds, and `recursion_rows`
+    runs from that operator's proven start; otherwise, or when the search
+    finds nothing, the verification fails or the start check fails, every
+    row comes from :func:`coefficient_row`.  Returns an iterator, empty
+    when n_to < n_from.
     """
     if s < 1:
         raise ValueError("the power s must be a positive integer")
     if J < 0 or n_from < 0:
         raise ValueError("n_from and J must be nonnegative")
     if recursion_pays(s, J, range(n_from, n_to + 1)):
-        term = binom_power_term(s)
-        found = solve_at_order(term, expected_order(s))
-        if found is not None and verify_certificate(term, *found):
-            start = recursion_start(*found)
+        m = expected_order(s)
+        try:
+            op, cert = zeilberger(binom_power_term(s), m, r_from=m)
+        except (TelescoperNotFoundError, AssertionError):
+            pass
+        else:
+            start = recursion_start(op, cert)
             if start is not None:
-                return recursion_rows(s, J, n_from, n_to, found[0], start)
+                return recursion_rows(s, J, n_from, n_to, op, start)
     return (coefficient_row(s, n, J) for n in range(n_from, n_to + 1))
 
 

@@ -80,8 +80,8 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_deg,
-                     kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly, kp_shift_k,
-                     kp_strip, proved_primitive)
+                     kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly, kp_norm,
+                     kp_shift_k, kp_strip, proved_primitive)
 from .errors import ExactDivisionError, TelescoperNotFoundError
 from .hyperterm import HyperTerm, quotient_products, rho_n_shifts
 from .intpoly import (IntPoly, nonnegative_integer_roots, pack_signed,
@@ -315,32 +315,37 @@ def solve_at_order(term: HyperTerm, r: int):
     return op, cert
 
 
-def zeilberger(term: HyperTerm, r_max: int):
-    """Least-order telescoping operator and certificate for a term.
+def zeilberger(term: HyperTerm, r_max: int, r_from: int = 1):
+    """The least-order telescoping operator from order r_from on, with its
+    certificate: the one search over `solve_at_order`.
 
-    Orders 1..r_max are tried in turn; raises TelescoperNotFoundError when
-    none admits a telescoper.  The returned pair has already passed the
-    exact certificate identity check.  A term with a zero quotient, or with
-    quotients that fail mixed-shift compatibility (which _gosper_ratio
-    relies on), raises ValueError.
+    Orders r_from..r_max are tried in turn.  By the padding lemma (see
+    `solve_at_order`) no order from r_from to just below the first one
+    with a solution telescopes; orders below r_from are the caller's to
+    rule out, and from r_from = 1 none are left.  The pair returned has
+    passed the exact certificate check; a first solution that fails it
+    raises AssertionError, and no solution raises TelescoperNotFoundError
+    with the orders tried.  Raises ValueError unless 1 <= r_from <= r_max,
+    and for a term with a zero quotient or with quotients that fail
+    mixed-shift compatibility (which _gosper_ratio relies on).
     """
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1")
+    if not 1 <= r_from <= r_max:
+        raise ValueError("need 1 <= r_from <= r_max, not r_from=%d, r_max=%d"
+                         % (r_from, r_max))
     if term.rho_n.is_zero or term.rho_k.is_zero:
         raise ValueError("degenerate term: a shift quotient is zero")
     if not term.is_compatible():
         raise ValueError("shift quotients fail mixed-shift compatibility")
-    for r in range(1, r_max + 1):
+    for r in range(r_from, r_max + 1):
         found = solve_at_order(term, r)
         if found is None:
             continue
-        op, cert = found
-        if not verify_certificate(term, op, cert):
+        if not verify_certificate(term, *found):
             raise AssertionError(
                 "internal error: certificate failed verification at order %d"
                 % r)
-        return op, cert
-    raise TelescoperNotFoundError(range(1, r_max + 1))
+        return found
+    raise TelescoperNotFoundError(range(r_from, r_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +416,6 @@ class _ResidualParts(NamedTuple):
         return self.top() * self.qd - self.rn1 * cof
 
 
-def _norm(kp, dk: int = 0) -> int:
-    """A bound on the 1-norm of p(n, k + dk), p given by its k-poly: p with
-    its coefficients' absolute values at n = 1, k = 1 + |dk|, by Horner's
-    rule, and at least 1, so that a bound built from such bounds by sums
-    and products also bounds each of them."""
-    acc = 0
-    for c in reversed(kp):
-        acc = acc * (1 + abs(dk)) + sum(abs(a) for a in c.coeffs)
-    return max(1, acc)
-
-
-def _image(p: BiPoly, stride: int) -> IntPoly:
-    """p(X, k) in Z[k] for X = 2**(8*stride)."""
-    return IntPoly([pack_signed(c.coeffs, stride) for c in p.coeffs])
-
-
 def _digits(p_x: IntPoly, stride: int) -> list:
     """The k-poly in Z[n][k] of each coefficient's `unpack_poly`."""
     return [unpack_poly(c, stride) for c in p_x.coeffs]
@@ -473,7 +462,7 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
       its value at X is.  `stride` is taken so that X/2 exceeds a bound B
       on the 1-norm of F, of d - rd (so the test lhs_den == rd is the
       polynomial one) and of every input packed (so each packs whole).
-      B comes from ||p(n+a, k+b)||_1 <= |p|(1+|a|, 1+|b|) (see `_norm`),
+      B comes from ||p(n+a, k+b)||_1 <= |p|(1+|a|, 1+|b|) (see `kp_norm`),
       with sums and products of 1-norms bounding those of sums and
       products; the shifts in n are made on the polynomials first.  Since
       B bounds F, the digits of F_X = `parts.full_numerator()` are F's
@@ -506,12 +495,12 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
     ps, qs = rho_n_shifts(term, op.order)
     rn, rd = cert.ratio.num, cert.ratio.den
     qn, qd = term.rho_k.num, term.rho_k.den
-    d_b, u_b = quotient_products([_norm(f.coeffs) for f in ps],
-                                 [_norm(f.coeffs) for f in qs], 1)
-    lhs_b = sum(_norm([c]) * u for c, u in zip(op.coeffs, u_b))
-    rn_b, rd_b = _norm(rn.coeffs), _norm(rd.coeffs)
-    rn1_b, rd1_b = _norm(rn.coeffs, 1), _norm(rd.coeffs, 1)
-    qn_b, qd_b = _norm(qn.coeffs), _norm(qd.coeffs)
+    d_b, u_b = quotient_products([kp_norm(f.coeffs) for f in ps],
+                                 [kp_norm(f.coeffs) for f in qs], 1)
+    lhs_b = sum(kp_norm([c]) * u for c, u in zip(op.coeffs, u_b))
+    rn_b, rd_b = kp_norm(rn.coeffs), kp_norm(rd.coeffs)
+    rn1_b, rd1_b = kp_norm(rn.coeffs, 1), kp_norm(rd.coeffs, 1)
+    qn_b, qd_b = kp_norm(qn.coeffs), kp_norm(qd.coeffs)
     # the shared denominator's bounds hold when d == rd, which the images
     # decide at that stride; otherwise the product's are taken
     for top_b, bottom_b in ((lhs_b + rn_b, rd_b),
@@ -519,24 +508,24 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
         bound = max(top_b * rd1_b * qd_b + rn1_b * qn_b * bottom_b,
                     d_b + rd_b)
         stride = (bound.bit_length() + 8) // 8  # bound < 2**(8*stride-1)
-        d_x, u_x = quotient_products([_image(f, stride) for f in ps],
-                                     [_image(f, stride) for f in qs],
+        d_x, u_x = quotient_products([f.image(stride) for f in ps],
+                                     [f.image(stride) for f in qs],
                                      IntPoly.const(1))
-        rd_x = _image(rd, stride)
+        rd_x = rd.image(stride)
         shared = d_x == rd_x
         if shared:
             break
-    rn_x = _image(rn, stride)
+    rn_x = rn.image(stride)
     lhs_x = sum((pack_signed(c.coeffs, stride) * u
                  for c, u in zip(op.coeffs, u_x)), IntPoly())
     parts = _ResidualParts(lhs_x, d_x, rn_x, rd_x,
                            rd_x if shared else d_x * rd_x,
                            rn_x.compose_shift(1), rd_x.compose_shift(1),
-                           _image(qn, stride), _image(qd, stride))
+                           qn.image(stride), qd.image(stride))
     cof = parts.cofactor()
     if cof is None:
         return _Image(stride, None, shared, False, parts)
-    cof_b = _norm(_digits(cof, stride))
+    cof_b = kp_norm(_digits(cof, stride))
     readable = (max(rd1_b * cof_b, top_b * qd_b + rn1_b * cof_b)
                 < 1 << (8 * stride - 1))
     return _Image(stride, parts.small_numerator(cof), shared, readable,
@@ -645,10 +634,10 @@ def _denominator_audit(den: BiPoly, s: int, m: int):
     den == +-E.  E is formed in Z[n][k] only to test divisibility, when
     they differ.
     """
-    bound = max(_norm(den.coeffs), prod(range(3, m + 3)) ** s)
+    bound = max(kp_norm(den.coeffs), prod(range(3, m + 3)) ** s)
     stride = (bound.bit_length() + 8) // 8  # bound < 2**(8*stride-1)
     x = 1 << (8 * stride)
-    den_x = _image(den, stride)
+    den_x = den.image(stride)
     e_x = prod((IntPoly((x + j, -1)) for j in range(1, m + 1)),
                start=IntPoly.const(1)) ** s
     if den_x == e_x or den_x == -e_x:

@@ -48,3 +48,12 @@ def binomial_product_term(a, b):
         RatFunc((n + 1) ** a * (n + k + 1) ** b,
                 (n + 1 - k) ** a * (n + 1) ** b),
         RatFunc((n - k) ** a * (n + k + 1) ** b, (k + 1) ** (a + b)))
+
+
+def reference_is_compatible(term):
+    """Mixed-shift compatibility by the cross multiplication in Z[n][k]:
+    rho_n(n, k+1) rho_k(n, k) = rho_k(n+1, k) rho_n(n, k)."""
+    pn, qn = term.rho_n.num, term.rho_n.den
+    pk, qk = term.rho_k.num, term.rho_k.den
+    return (pn.compose_shift(0, 1) * pk * qk.compose_shift(1, 0) * qn
+            == pk.compose_shift(1, 0) * pn * qn.compose_shift(0, 1) * qk)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import franel
-from franel import cli
+from franel import cli, telescoper
 from franel.bipoly import BiPoly
 from franel.documents import bipoly_from_json, bipoly_to_json
 
@@ -146,7 +146,7 @@ def test_telescope_reads_source_date_epoch_before_the_search(
     # the s=10 solve, about 10 s
     def solve(term, r):
         raise AssertionError("solve_at_order called")
-    monkeypatch.setattr(cli, "solve_at_order", solve)
+    monkeypatch.setattr(telescoper, "solve_at_order", solve)
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
     assert run(["telescope", "--s", "10", "--r-max", "5"]) == 2
     assert capsys.readouterr().err.startswith("error: SOURCE_DATE_EPOCH=")
@@ -161,12 +161,12 @@ def test_telescope_not_found_exit_3(env):
 def searches(monkeypatch):
     """The order of each `solve_at_order` that `telescope` runs."""
     calls = []
-    solve = cli.solve_at_order
+    solve = telescoper.solve_at_order
 
     def spy(term, r):
         calls.append(r)
         return solve(term, r)
-    monkeypatch.setattr(cli, "solve_at_order", spy)
+    monkeypatch.setattr(telescoper, "solve_at_order", spy)
     return calls
 
 
@@ -177,6 +177,21 @@ def test_telescope_solves_order_m_first(env, searches, capsys):
         summary = json.loads(capsys.readouterr().out)
         assert (summary["order"], summary["minimality"]) == (3, want)
     assert searches == [3]
+
+
+def test_telescope_searches_once_from_order_m(env, monkeypatch):
+    # the benchmark reads a cache hit off a run with no `zeilberger` call
+    calls = []
+    search = cli.zeilberger
+
+    def spy(term, r_max, r_from=1):
+        calls.append((r_max, r_from))
+        return search(term, r_max, r_from)
+    monkeypatch.setattr(cli, "zeilberger", spy)
+    assert run(["telescope", "--s", "5", "--r-max", "4"]) == 0
+    assert calls == [(4, 3)]
+    assert run(["telescope", "--s", "5", "--r-max", "4"]) == 0
+    assert calls == [(4, 3)]
 
 
 def test_below_the_bound_one_solve_and_no_document(env, tmp_path, searches,
@@ -332,7 +347,7 @@ def test_verify_rejects_a_power_beyond_the_certificate_quickly(env, tmp_path,
 
 
 def test_telescope_internal_error_exit_4(env, monkeypatch):
-    monkeypatch.setattr(cli, "verify_certificate",
+    monkeypatch.setattr(telescoper, "verify_certificate",
                         lambda *a, **k: False)
     assert run(["telescope", "--s", "1", "--r-max", "1"]) == 4
 
@@ -499,7 +514,8 @@ def test_exit_code_domain(env, tmp_path, monkeypatch):
     bad.write_text(json.dumps(doc))
     codes.add(run(["verify", "--in", str(bad)]))
     codes.add(run(["telescope", "--s", "3", "--r-max", "1"]))
-    monkeypatch.setattr(cli, "verify_certificate", lambda *a, **k: False)
+    monkeypatch.setattr(telescoper, "verify_certificate",
+                        lambda *a, **k: False)
     codes.add(run(["telescope", "--s", "2", "--r-max", "2"]))
     assert codes == {0, 1, 2, 3, 4}
 

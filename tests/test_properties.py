@@ -8,7 +8,9 @@ document parser rejects a damaged document only with DocumentError, the
 one-pass record decoder agrees with the dict-of-monomials one it replaced,
 the primitivity proof modulo a prime agrees with the content pass, the
 certificate check agrees with the full cross multiplication on perturbed
-certificates, an image's balanced digits evaluate back to it, the
+certificates, an image's balanced digits evaluate back to it, the 1-norm
+bound covers a shift in k, mixed-shift compatibility decided in
+the image agrees with the cross multiplication in Z[n][k], the
 dispersion set agrees with sympy's on polynomials in k, the nonnegative
 integer roots by Descartes' rule agree with the Sturm path and with
 sympy's, the truncated-series inverse and power agree with the product, the row
@@ -29,10 +31,10 @@ import pytest
 from franel.bipoly import (_KP_KRONECKER_CUTOFF, COPRIME_PRIME,
                            SPECIALIZATION_POINTS, BiPoly, RatFunc,
                            _coprime_by_specialization, kp_deg, kp_divexact,
-                           kp_gcd, kp_mul, proved_primitive)
+                           kp_gcd, kp_mul, kp_norm, proved_primitive)
 from franel.documents import bipoly_from_json, parse_operator_document
 from franel.errors import DocumentError
-from franel.hyperterm import binom_power_term
+from franel.hyperterm import HyperTerm, binom_power_term
 from franel.intpoly import (IntPoly, integer_roots, mul_kronecker,
                             nonnegative_integer_roots, pack_signed,
                             poly_content, poly_gcd_int)
@@ -43,13 +45,12 @@ from franel.operators import (Certificate, RecurrenceOperator,
 from franel.sequences import (_FRANEL_LEAF, _inverse_mod_pow2, apery_zeta3,
                               franel, lcm_upto, recursion_rows)
 from franel.series import series_inv, series_mul, series_pow
-from franel.telescoper import (_digits, _dispersion_set, _norm,
-                               _residual_image,
+from franel.telescoper import (_digits, _dispersion_set, _residual_image,
                                certificate_mismatch, verify_certificate,
                                zeilberger)
 
 from reference_documents import reference_bipoly_from_json
-from reference_hyperterm import binomial_product_term
+from reference_hyperterm import binomial_product_term, reference_is_compatible
 from reference_linalg import (canonical_signs, reference_determinant,
                               reference_nullspace, reference_schur_block)
 from reference_sequences import (reference_apery_zeta3, reference_franel,
@@ -622,7 +623,63 @@ def test_digits_are_balanced_and_evaluate_back(values, stride):
     digits = _digits(p_x, stride)
     assert [c.eval_int(x) for c in digits] == list(p_x.coeffs)
     assert all(abs(d) <= x // 2 for c in digits for d in c.coeffs)
-    assert _norm(digits) == max(1, expected)
+    assert kp_norm(digits) == max(1, expected)
+
+
+@hypothesis.settings(deadline=None, max_examples=200)
+@hypothesis.given(st.lists(st.lists(st.integers(-2 ** 70, 2 ** 70),
+                                    max_size=6), max_size=6),
+                  st.integers(-4, 4), st.integers(-4, 4))
+def test_norm_bounds_the_shifted_polynomial(kp, dn, dk):
+    # the shift in n is made on the polynomial, the one in k by the bound
+    p = BiPoly.from_kpoly([IntPoly(c) for c in kp]).compose_shift(dn, 0)
+    shifted = p.compose_shift(0, dk)
+    assert sum(map(abs, shifted.terms.values())) <= kp_norm(p.coeffs, dk)
+
+
+@st.composite
+def hyper_terms(draw):
+    """(term, known): quotient pairs that are compatible (binom(n, k)^s,
+    binomial products with the Apery term among them, and those times a
+    factor free of the other variable), and pairs that mostly are not
+    (quotients of two different terms, a factor in both variables)."""
+    n, k = BiPoly.var_n(), BiPoly.var_k()
+
+    def pick():
+        if draw(st.booleans()):
+            return binom_power_term(draw(st.integers(1, 8)))
+        return binomial_product_term(draw(st.integers(0, 3)),
+                                     draw(st.integers(0, 3)))
+    term = pick()
+    kind = draw(st.sampled_from(("same", "mixed", "free", "perturbed")))
+    if kind == "mixed":
+        return HyperTerm(term.rho_n, pick().rho_k), None
+    if kind == "same":
+        return term, True
+    c, e = draw(st.integers(-3, 3)), draw(st.integers(1, 4))
+    in_n = draw(st.booleans())
+    # a factor free of k in rho_n, or free of n in rho_k, keeps the pair
+    # compatible; one in both variables mostly does not
+    factor = (c * n if in_n else c * k) + e
+    if kind == "perturbed":
+        factor = factor + draw(st.integers(1, 3)) * (k if in_n else n)
+    ratio = term.rho_n if in_n else term.rho_k
+    if draw(st.booleans()):
+        ratio = RatFunc(ratio.num * factor, ratio.den)
+    else:
+        ratio = RatFunc(ratio.num, ratio.den * factor)
+    pair = (ratio, term.rho_k) if in_n else (term.rho_n, ratio)
+    return HyperTerm(*pair), (True if kind == "free" else None)
+
+
+@hypothesis.settings(deadline=None, max_examples=200)
+@hypothesis.given(hyper_terms())
+def test_compatibility_in_the_image_matches_the_products(case):
+    term, known = case
+    verdict = term.is_compatible()
+    assert verdict is reference_is_compatible(term)
+    if known is not None:
+        assert verdict is known
 
 
 # series with constant term 1, over the integers and over the rationals:

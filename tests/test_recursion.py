@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from franel import cli, limits, sequences
+from franel import cli, limits, sequences, telescoper
 from franel.bipoly import BiPoly, RatFunc
 from franel.operators import Certificate, RecurrenceOperator
 from franel.sequences import (_apery_a_direct, coefficient_row,
@@ -32,7 +32,7 @@ def solves(monkeypatch):
     def spy(term, r):
         calls.append(r)
         return solve_at_order(term, r)
-    monkeypatch.setattr(sequences, "solve_at_order", spy)
+    monkeypatch.setattr(telescoper, "solve_at_order", spy)
     return calls
 
 
@@ -93,9 +93,9 @@ def test_start_refused_when_a_boundary_pole_is_identical(
     assert recursion_start(op, crafted) is None
     # the crafted certificate is no telescoper; only the start check is
     # exercised here
-    monkeypatch.setattr(sequences, "solve_at_order",
+    monkeypatch.setattr(telescoper, "solve_at_order",
                         lambda term, r: (op, crafted))
-    monkeypatch.setattr(sequences, "verify_certificate", lambda *a: True)
+    monkeypatch.setattr(telescoper, "verify_certificate", lambda *a: True)
     assert list(coefficient_rows(3, 1, 199, 200)) == \
         [coefficient_row(3, n, 1) for n in (199, 200)]
 
@@ -107,7 +107,7 @@ def test_failed_solve_falls_back_to_direct_rows(order_m_operators,
     bumped = RecurrenceOperator((op.coeffs[0] + 1,) + op.coeffs[1:])
     assert recursion_pays(3, 1, [199, 200])
     for found in (None, (bumped, cert)):
-        monkeypatch.setattr(sequences, "solve_at_order",
+        monkeypatch.setattr(telescoper, "solve_at_order",
                             lambda term, r, found=found: found)
         assert list(coefficient_rows(3, 1, 199, 200)) == \
             [coefficient_row(3, n, 1) for n in (199, 200)]

@@ -337,6 +337,23 @@ def test_not_found_carries_orders():
     assert info.value.orders_tried == (1,)
 
 
+def test_search_from_a_higher_order_carries_the_orders_it_tried():
+    # s = 7 has no telescoper below order 4
+    with pytest.raises(TelescoperNotFoundError) as info:
+        zeilberger(binom_power_term(7), 3, r_from=2)
+    assert info.value.orders_tried == (2, 3)
+    term = binom_power_term(5)
+    assert zeilberger(term, 4, r_from=2) == zeilberger(term, 4, r_from=3) \
+        == zeilberger(term, 4)
+
+
+def test_search_range_must_start_at_one_or_above_and_not_pass_r_max():
+    term = binom_power_term(3)
+    for r_from, r_max in ((0, 2), (3, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            zeilberger(term, r_max, r_from)
+
+
 def test_minimality_below_expected_order():
     # cross-checks of `minimality_certificate`, by the ascending search
     for s in (3, 4):
