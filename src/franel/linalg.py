@@ -28,8 +28,10 @@ substitution, so Bareiss runs only on what is left.
   H_a = e_a Phi_a + l_a H_{a+1}, so no step divides.
 - The Schur block.  Every other row r, with a its first nonzero entry in
   the prefix, becomes P_a M[r][b..] + H_a: the row with x_0..x_{b-1}
-  substituted, times P_a.  Stripped of its integer content it is a row of
-  the Schur complement up to a nonzero factor, and `_eliminate` plus
+  substituted, times P_a.  Stripped of its polynomial content, the gcd in
+  Z[n] of its entries, it is a row of the Schur complement up to a nonzero
+  factor of Q(n), which leaves the nullspace as it is and keeps the
+  entries Bareiss multiplies small, and `_eliminate` plus
   fraction-free back substitution give that block's nullspace.  A vector
   c of it, made primitive, lifts to (prod_{i<j} l_i Phi_j . c for j < b,
   P_0 c), whose gcd divides P_0, so the strip of the lift starts from P_0.
@@ -58,8 +60,7 @@ and a bound at a zero entry still bounds it, so the norm program runs on.
 
 from __future__ import annotations
 
-from .intpoly import (IntPoly, int_content, over_int, pack_signed,
-                      poly_content, unpack_poly)
+from .intpoly import IntPoly, pack_signed, poly_content, unpack_poly
 
 
 def _eliminate(M, ncols):
@@ -180,7 +181,7 @@ def image_nullspace(norms, image_at):
     """`fraction_free_nullspace` of the matrix given as to `schur_block`."""
     ells, phi, schur = schur_block(norms, image_at)
     b, width = len(ells), len(norms[0]) - len(ells)
-    schur = [over_int(row, int_content(row)) for row in schur]
+    schur = [poly_content(row)[1] for row in schur]
     pivots, free, last = _eliminate(schur, width)
     # lows[j] = prod_{i < j} ells[i], the factor lifting x_j over P_0
     lows = [IntPoly.const(1)]

@@ -48,6 +48,19 @@ R = num/den:
   and sum_i c_i(n) A_j(n+i) = 0 for every 2j < s at every n with
   den(n, -1) den(n, n+r+1) != 0.
 
+The same argument, with no deformation, proves Apery's recurrence for
+A(n) = sum_k binom(n, k)^2 binom(n+k, k)^2.  Its term is F(n, k) with
+F(n, x) = (Gamma(n+x+1) / (Gamma(x+1)^2 Gamma(n-x+1)))^2, and at
+x = k - t every term with k < 0 or k > n+i is O(t^2): for k = -1 the
+factor 1/Gamma(-t)^4 = O(t^4) outweighs Gamma(n+i-t)^2, which has at most
+the pole t^(-2) (at n+i = 0), and for k > n+i the factor
+1/Gamma(n+i-k+1+t)^2 is O(t^2) while the rest is finite.  Both boundary
+terms are O(t^2) for the same reason when den has no zero there.  So the
+limit t -> 0 of the telescoped sum gives sum_i c_i(n) A(n+i) = 0 wherever
+`recursion_start`'s three checks pass.  `apery_zeta3` proves its
+recurrence this way, once, from the verified order-2 telescoper of
+`apery_zeta3_term`.
+
 `recursion_start` checks this per operator: it builds the two univariate
 polynomials den(n, -1) and den(n, n+r+1), takes their nonnegative integer
 roots, and adds those of c_r, so that every step past the start both holds
@@ -72,7 +85,7 @@ from itertools import compress
 from math import isqrt, perm, prod
 
 from .errors import TelescoperNotFoundError
-from .hyperterm import binom_power_term
+from .hyperterm import apery_zeta3_term, binom_power_term
 from .intpoly import IntPoly, nonnegative_integer_roots
 from .linalg import bareiss_determinant
 from .operators import Certificate, RecurrenceOperator
@@ -534,17 +547,40 @@ def _apery_a_direct(n: int) -> int:
     return total
 
 
+# (n+1)^3, -(2n+3)(17n^2+51n+39) and (n+2)^3: the classical recurrence as
+# the operator sum_i c_i(n) N^i, lowest coefficient first
+_APERY_OPERATOR = (IntPoly((1, 3, 3, 1)), IntPoly((-117, -231, -153, -34)),
+                   IntPoly((8, 12, 6, 1)))
+
+
 def apery_zeta3(n_max: int) -> list:
     """The two solutions of the classical three-term recurrence
     (n+1)^3 u(n+1) = (2n+1)(17n^2+17n+5) u(n) - n^3 u(n-1)
     with (A(0), A(1)) = (1, 5) and (B(0), B(1)) = (0, 1).
 
-    A(n) is computed both by its binomial double-square sum and by forward
-    recursion on the integers, each division checked exact, and the two
-    must agree exactly; B(n) is stepped as a Fraction.
+    A(n) is stepped by forward recursion on the integers, each division
+    checked exact.  That it is the double-square sum
+    sum_k (binom(n, k) binom(n+k, k))^2 at every n is proven once, not
+    checked per n: `zeilberger` finds the order-2 telescoper of
+    `apery_zeta3_term` and checks its certificate exactly, its operator
+    must be the classical one and `recursion_start` must be 0, so by the
+    module docstring the recurrence annihilates the sum at every n >= 0.
+    Its leading coefficient never vanishes there and the two agree at
+    n = 0 and 1, so by induction they agree everywhere.  The sum itself is
+    compared at n = 0, 1 and n_max only; the tests compare every n with
+    it.  A failed proof or comparison raises AssertionError.  B(n) is
+    stepped as a Fraction.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    try:
+        op, cert = zeilberger(apery_zeta3_term(), 2, r_from=2)
+    except TelescoperNotFoundError:
+        raise AssertionError("no order-2 telescoper for the Apery term") \
+            from None
+    if op.coeffs != _APERY_OPERATOR or recursion_start(op, cert) != 0:
+        raise AssertionError("the Apery telescoper does not prove the "
+                             "classical recurrence from n=0")
     a_vals = [1, 5]
     b_vals = [Fraction(0), Fraction(1)]
     for n in range(1, n_max):
@@ -555,15 +591,15 @@ def apery_zeta3(n_max: int) -> list:
             raise AssertionError("A(%d) is not an integer" % (n + 1))
         a_vals.append(a)
         b_vals.append((mid * b_vals[n] - n ** 3 * b_vals[n - 1]) / lead)
+    for n in (0, 1, n_max):
+        if _apery_a_direct(n) != a_vals[n]:
+            raise AssertionError("recursion and summation disagree at n=%d"
+                                 % n)
     out = []
     steps = lcm_steps(n_max)
     lcm = 1
     for n in range(n_max + 1):
-        a = a_vals[n]
-        if _apery_a_direct(n) != a:
-            raise AssertionError("recursion and summation disagree at n=%d"
-                                 % n)
         lcm *= steps[n]
         divides = (lcm ** 3) % b_vals[n].denominator == 0
-        out.append(AperyPair(n, a, b_vals[n], divides))
+        out.append(AperyPair(n, a_vals[n], b_vals[n], divides))
     return out

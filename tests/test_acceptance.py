@@ -11,8 +11,8 @@ from franel.hyperterm import binom_power_term
 from franel.limits import (ZETA3_REFERENCE_ERROR, ZETA3_REFERENCE_VALUE,
                            asymptotic_ratio, limit_error_sequence,
                            limit_report, phi)
-from franel.sequences import (apery_zeta3, deformed, franel,
-                              minimality_certificate)
+from franel.sequences import (_apery_a_direct, apery_zeta3, deformed,
+                              franel, minimality_certificate)
 from franel.telescoper import (analyze_structure, expected_coefficient_degree,
                                expected_order, first_valid_row,
                                verify_certificate, zeilberger)
@@ -183,7 +183,8 @@ def _euler_maclaurin_zeta3(a=60, p=18):
 
 
 def test_criterion_08_apery_demo():
-    pairs = apery_zeta3(50)  # summation vs recursion asserted internally
+    pairs = apery_zeta3(50)
+    summed_ok = all(pairs[n].a == _apery_a_direct(n) for n in range(51))
     p20 = pairs[20]
     approx = 6 * p20.b / p20.a
     # the frozen pre-build reference, revalidated by an in-test tail bound
@@ -191,10 +192,11 @@ def test_criterion_08_apery_demo():
     frozen_ok = abs(est - ZETA3_REFERENCE_VALUE) <= rem + ZETA3_REFERENCE_ERROR
     digits_ok = abs(approx - ZETA3_REFERENCE_VALUE) \
         <= Fraction(1, 10 ** 30) - ZETA3_REFERENCE_ERROR
-    _report(8, frozen_ok and digits_ok,
-            "A(n) summation = recursion for n <= 50; "
+    _report(8, summed_ok and frozen_ok and digits_ok,
+            "A(n) summation = recursion for n <= 50 (%s); "
             "|6 B(20)/A(20) - zeta3_ref| <= 1e-30 (%s); reference "
-            "revalidated by tail-bounded partial summation" % digits_ok)
+            "revalidated by tail-bounded partial summation"
+            % (summed_ok, digits_ok))
 
 
 def test_criterion_09_oracle_equivalence(telescoped):

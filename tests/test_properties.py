@@ -300,6 +300,26 @@ def test_nullspace_with_a_planted_triangular_prefix(case):
 
 
 @hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(planted_prefix_matrices(), st.data())
+def test_nullspace_with_a_factor_planted_in_the_rows_off_the_prefix(case,
+                                                                     data):
+    # every row off the prefix, and so its Schur row, gains a factor of
+    # positive degree in n, which the Schur strip takes off again
+    _, matrix = case
+    tri = _triangular_prefix(matrix, len(matrix[0]))
+    nonconstant = st.lists(st.integers(-6, 6), min_size=2, max_size=3).map(
+        IntPoly).filter(lambda p: p.degree >= 1)
+    factors = data.draw(st.lists(nonconstant, min_size=len(matrix),
+                                 max_size=len(matrix)))
+    planted = [row if r in tri else [f * e for e in row]
+               for r, (row, f) in enumerate(zip(matrix, factors))]
+    assert _triangular_prefix(planted, len(matrix[0])) == tri
+    basis = fraction_free_nullspace(planted)
+    assert basis == canonical_signs(reference_nullspace(planted))
+    assert basis == fraction_free_nullspace(matrix)
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
 @hypothesis.given(planted_prefix_matrices())
 def test_substitution_in_the_image_matches_the_intpoly_one(case):
     _, matrix = case

@@ -4,9 +4,13 @@ from math import comb, lcm
 
 import pytest
 
-from franel.hyperterm import binom_power_term
-from franel.sequences import (_FRANEL_LEAF, apery_zeta3, coefficient_row,
-                              coefficient_table, deformed, franel, lcm_upto)
+from franel import sequences
+from franel.hyperterm import apery_zeta3_term, binom_power_term
+from franel.intpoly import IntPoly
+from franel.operators import RecurrenceOperator
+from franel.sequences import (_FRANEL_LEAF, _apery_a_direct, apery_zeta3,
+                              coefficient_row, coefficient_table, deformed,
+                              franel, lcm_upto, recursion_start)
 from franel.telescoper import zeilberger
 from reference_sequences import annihilation_check, reference_franel
 
@@ -256,6 +260,43 @@ def test_apery_direct_equals_recursion():
     for p in pairs:
         assert p.a == sum((comb(p.n, k) * comb(p.n + k, k)) ** 2
                           for k in range(p.n + 1))
+
+
+def test_apery_telescoper_is_the_classical_recurrence_from_n_zero():
+    op, cert = zeilberger(apery_zeta3_term(), 2, r_from=2)
+    n1, n2 = IntPoly((1, 1)), IntPoly((2, 1))
+    # (n+1)^3 - (2n+3)(17n^2+51n+39) N + (n+2)^3 N^2
+    assert op.coeffs == (n1 * n1 * n1,
+                         -(IntPoly((3, 2)) * IntPoly((39, 51, 17))),
+                         n2 * n2 * n2)
+    assert recursion_start(op, cert) == 0
+
+
+def test_apery_sums_directly_only_at_the_ends(monkeypatch):
+    seen = []
+    monkeypatch.setattr(sequences, "_apery_a_direct",
+                        lambda n: seen.append(n) or _apery_a_direct(n))
+    apery_zeta3(40)
+    assert seen == [0, 1, 40]
+
+
+def _perturbed_zeilberger(term, r_max, r_from=1):
+    op, cert = zeilberger(term, r_max, r_from)
+    c0 = op.coeffs[0] + IntPoly.const(1)
+    return RecurrenceOperator((c0,) + op.coeffs[1:]), cert
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("zeilberger", _perturbed_zeilberger, "does not prove"),
+    ("recursion_start", lambda op, cert: 1, "does not prove"),
+    ("_apery_a_direct", lambda n: _apery_a_direct(n) + (n == 12),
+     "disagree at n=12"),
+], ids=["perturbed-operator", "late-start", "direct-sum-at-n-max"])
+def test_apery_refuses_an_unproven_recurrence(monkeypatch, name, fake,
+                                              message):
+    monkeypatch.setattr(sequences, name, fake)
+    with pytest.raises(AssertionError, match=message):
+        apery_zeta3(12)
 
 
 def test_invalid_inputs():
