@@ -3,13 +3,15 @@ terms.
 
 A polynomial in Z[n][k] has one representation, its "k-poly": the dense
 list of its IntPoly coefficients in n, indexed by the power of k, with no
-trailing zero.  The kp_* functions below are the whole arithmetic on it;
-BiPoly is an immutable wrapper around the k-poly as a tuple and delegates
-to them.  Products switch from schoolbook over k to one Kronecker product
-of the packed (n, k) grid once the operands are large.  Gcds run a
-subresultant pseudo-remainder sequence over Z[n], which keeps certificate
-reduction fraction-free; a coprimality proof modulo one prime at one
-integer n settles the common coprime case first.
+trailing zero.  BiPoly holds the k-poly as a tuple and runs the dense
+arithmetic of `franel.intpoly` on it, the one that IntPoly runs on integer
+coefficients; this module adds only what is particular to Z[n][k].
+Products switch from schoolbook over k (`intpoly.mul_coeffs`) to one
+Kronecker product of the packed (n, k) grid once the operands are large.
+Gcds run a subresultant pseudo-remainder sequence over Z[n], which keeps
+certificate reduction fraction-free; a coprimality proof modulo one prime
+at one integer n settles the common coprime case first.  `kp_norm` bounds
+1-norms for the images n -> 2**(8*stride).
 
 A RatFunc is a canonical form and has no arithmetic: its constructor
 reduces to lowest terms, so one is built only where a canonical form is
@@ -26,43 +28,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .errors import ExactDivisionError, PoleError
-from .intpoly import (IntPoly, int_content, mul_kronecker, pack_signed,
-                      poly_content, pseudo_rem_coeffs, taylor_shift_coeffs)
+from .errors import PoleError
+from .intpoly import (DensePoly, IntPoly, divexact_coeffs, int_content,
+                      mul_coeffs, mul_kronecker, pack_signed, poly_content,
+                      pseudo_rem_coeffs, strip, taylor_shift_coeffs)
 
 # ---------------------------------------------------------------------------
-# k-recursive view: list of IntPoly coefficients, index = power of k
+# k-polys: lists of IntPoly coefficients, index = power of k
 # ---------------------------------------------------------------------------
-
-
-def kp_strip(cs):
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    return cs
 
 
 def kp_deg(a) -> int:
     return len(a) - 1
-
-
-def kp_is_zero(a) -> bool:
-    return not a
-
-
-def kp_add(a, b):
-    out = list(a) if len(a) >= len(b) else list(b)
-    small = b if len(a) >= len(b) else a
-    for i, c in enumerate(small):
-        out[i] = out[i] + c
-    return kp_strip(out)
-
-
-def kp_neg(a):
-    return [-c for c in a]
-
-
-def kp_sub(a, b):
-    return kp_add(a, kp_neg(b))
 
 
 # pairwise products of n-coefficients from which one packed product of
@@ -83,16 +60,9 @@ def kp_mul(a, b):
         stride = max(c.degree for c in a) + max(c.degree for c in b) + 1
         if stride * cols <= 4_000_000:
             digits = mul_kronecker(_kp_grid(a, stride), _kp_grid(b, stride))
-            return kp_strip([IntPoly(digits[i * stride:(i + 1) * stride])
-                             for i in range(cols)])
-    out = [IntPoly() for _ in range(cols)]
-    for i, ai in enumerate(a):
-        if ai.is_zero:
-            continue
-        for j, bj in enumerate(b):
-            if not bj.is_zero:
-                out[i + j] = out[i + j] + ai * bj
-    return kp_strip(out)
+            return [IntPoly(digits[i * stride:(i + 1) * stride])
+                    for i in range(cols)]
+    return mul_coeffs(a, b, IntPoly())
 
 
 def _kp_grid(a, stride: int) -> list:
@@ -100,40 +70,6 @@ def _kp_grid(a, stride: int) -> list:
     for i, c in enumerate(a):
         grid[i * stride:i * stride + len(c.coeffs)] = c.coeffs
     return grid
-
-
-def kp_mul_intpoly(a, p: IntPoly):
-    if p.is_zero:
-        return []
-    return kp_strip([c * p for c in a])
-
-
-def kp_divexact(a, b):
-    """Exact quotient in Z[n][k]; raises ExactDivisionError if inexact."""
-    if kp_is_zero(b):
-        raise ZeroDivisionError("division by zero polynomial")
-    if kp_is_zero(a):
-        return []
-    lead = b[-1]
-    if len(b) == 1:
-        return kp_strip([c.divexact(lead) for c in a])
-    da, db = kp_deg(a), kp_deg(b)
-    if da < db:
-        raise ExactDivisionError("k-degree of dividend below divisor")
-    rem = list(a)
-    q = [IntPoly() for _ in range(da - db + 1)]
-    for i in range(da - db, -1, -1):
-        top = rem[i + db]
-        if top.is_zero:
-            continue
-        c = top.divexact(lead)
-        q[i] = c
-        for j, bj in enumerate(b):
-            if not bj.is_zero:
-                rem[i + j] = rem[i + j] - c * bj
-    if any(not r.is_zero for r in rem[:db]):
-        raise ExactDivisionError("nonzero remainder in bivariate division")
-    return kp_strip(q)
 
 
 # integers substituted for n where one good point settles a question in k;
@@ -220,10 +156,10 @@ def kp_gcd(a, b):
     taken (its proof needs no primitive inputs) and before any
     pseudo-division happens.
     """
-    a, b = kp_strip(list(a)), kp_strip(list(b))
-    if kp_is_zero(a):
+    a, b = strip(list(a)), strip(list(b))
+    if not a:
         return poly_content(b)[1]
-    if kp_is_zero(b):
+    if not b:
         return poly_content(a)[1]
     if kp_deg(a) < kp_deg(b):
         a, b = b, a
@@ -237,21 +173,15 @@ def kp_gcd(a, b):
         if kp_deg(b) == 0:
             return [IntPoly.const(1)]
         delta = kp_deg(a) - kp_deg(b)
-        r = kp_strip(pseudo_rem_coeffs(a, b))
-        if kp_is_zero(r):
+        r = strip(pseudo_rem_coeffs(a, b))
+        if not r:
             return poly_content(b)[1]
-        divisor = g * h ** delta
         a = b
-        b = [c.divexact(divisor) for c in r]
+        b = divexact_coeffs(r, [g * h ** delta], IntPoly.divexact)
         g = a[-1]
         if delta >= 1:
             h = (g ** delta).divexact(h ** (delta - 1))
         # delta == 0 leaves h unchanged
-
-
-def kp_shift_k(a, j: int):
-    """Substitute k -> k + j for an integer j."""
-    return kp_strip(taylor_shift_coeffs(a, j))
 
 
 def kp_norm(a, dk: int = 0) -> int:
@@ -271,14 +201,20 @@ def kp_norm(a, dk: int = 0) -> int:
 # ---------------------------------------------------------------------------
 
 
-class BiPoly:
+class BiPoly(DensePoly):
     """Immutable polynomial in (n, k) over the integers.
 
     Stored as its k-poly: a tuple of IntPoly coefficients in n, index =
-    power of k, with no trailing zero.
+    power of k, with no trailing zero.  The arithmetic is `DensePoly`'s
+    over the ring Z[n]: IntPoly coefficients, `kp_mul` for products, and
+    ints and IntPolys in n as scalars.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _zero = IntPoly()
+    _scalars = (int, IntPoly)
+    _mul = staticmethod(kp_mul)
+    _quo = staticmethod(IntPoly.divexact)
 
     def __init__(self, terms=None):
         """Build from a map {(deg_n, deg_k): c}; zero coefficients drop."""
@@ -288,10 +224,7 @@ class BiPoly:
             cols[dk].extend([0] * (dn + 1 - len(cols[dk])))
             cols[dk][dn] = c
         object.__setattr__(self, "coeffs",
-                           tuple(kp_strip([IntPoly(c) for c in cols])))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
+                           tuple(strip([IntPoly(c) for c in cols])))
 
     # -- constructors --------------------------------------------------------
 
@@ -313,9 +246,7 @@ class BiPoly:
 
     @classmethod
     def from_kpoly(cls, kp) -> "BiPoly":
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(kp_strip(list(kp))))
-        return p
+        return cls._wrap(list(kp))
 
     @property
     def terms(self) -> dict:
@@ -324,10 +255,6 @@ class BiPoly:
                 for dn, c in enumerate(p.coeffs) if c}
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def deg_n(self) -> int:
@@ -354,19 +281,6 @@ class BiPoly:
     def content_int(self) -> int:
         return int_content(self.coeffs)
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = BiPoly.const(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         terms = self.terms
         if not terms:
@@ -387,60 +301,14 @@ class BiPoly:
                 parts.append(str(c))
         return "BiPoly(%s)" % " + ".join(parts)
 
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = BiPoly.const(other)
-        return BiPoly.from_kpoly(kp_add(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly.from_kpoly(kp_neg(self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = BiPoly.const(other)
-        return BiPoly.from_kpoly(kp_sub(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return BiPoly.from_kpoly(
-                kp_mul_intpoly(self.coeffs, IntPoly.const(other)))
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return BiPoly.from_kpoly(kp_mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def divexact(self, other: "BiPoly") -> "BiPoly":
-        return BiPoly.from_kpoly(kp_divexact(self.coeffs, other.coeffs))
-
     # -- substitution and evaluation --------------------------------------------
 
     def compose_shift(self, dn: int, dk: int) -> "BiPoly":
         """Substitute n -> n + dn and k -> k + dk for integers dn, dk."""
         if dn == 0 and dk == 0:
             return self
-        shifted = [c.compose_shift(dn) for c in self.coeffs]
-        return BiPoly.from_kpoly(kp_shift_k(shifted, dk))
+        return BiPoly._wrap(taylor_shift_coeffs(
+            [c.compose_shift(dn) for c in self.coeffs], dk))
 
     def image(self, stride: int) -> IntPoly:
         """p(X, k) in Z[k] for X = 2**(8*stride)."""
@@ -469,8 +337,7 @@ def poly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:
     # kp_gcd leaves out the content in Z[n] of the gcd, which is the gcd of
     # all k-coefficients of a and b together; its integer content goes
     cont, _ = poly_content(a.coeffs + b.coeffs)
-    g = BiPoly.from_kpoly(kp_mul_intpoly(kp_gcd(a.coeffs, b.coeffs),
-                                         cont.primitive()))
+    g = BiPoly.from_kpoly(kp_gcd(a.coeffs, b.coeffs)) * cont.primitive()
     return g if g.lc_grlex() > 0 else -g
 
 

@@ -436,7 +436,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
-    return args.func(args)
+    # a failed internal check (a proof, an exact division, a comparison
+    # with the direct sum) is exit 4 under every command, as documented
+    try:
+        return args.func(args)
+    except AssertionError as exc:
+        print("internal error: %s" % (str(exc) or "a check failed"),
+              file=sys.stderr)
+        return _EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .bipoly import BiPoly, RatFunc, kp_norm
+from .intpoly import stride_for
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class HyperTerm:
                  * kp_norm(qk1.coeffs) * kp_norm(qn.coeffs)
                  + kp_norm(pk1.coeffs) * kp_norm(pn.coeffs)
                  * kp_norm(qn.coeffs, 1) * kp_norm(qk.coeffs))
-        stride = (bound.bit_length() + 8) // 8  # bound < 2**(8*stride-1)
+        stride = stride_for(bound)
         pn, qn, pk, qk, pk1, qk1 = (p.image(stride)
                                     for p in (pn, qn, pk, qk, pk1, qk1))
         return (pn.compose_shift(1) * pk * qk1 * qn

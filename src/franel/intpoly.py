@@ -1,13 +1,18 @@
-"""Dense univariate polynomials over the integers.
+"""Dense polynomials over the integers, and the one dense arithmetic that
+both Z[x] and Z[n][k] run.
 
-Coefficients are stored low degree first with trailing zeros stripped; the
-zero polynomial has an empty coefficient tuple.  These polynomials carry the
-recurrence coefficients in n and back the fraction-free linear algebra, so
-multiplication switches to Kronecker substitution (packing coefficients into
-one big integer) once operands are large enough for Python's subquadratic
-integer multiplication to win.  The pseudo-remainder and the Taylor shift
-run on coefficient lists, so one loop each serves both Z[x] and Z[n][k]
-(IntPoly coefficients).
+A dense polynomial is the tuple of its coefficients, low degree first,
+with trailing zeros stripped; the zero polynomial has an empty tuple.  The
+arithmetic is a set of functions on coefficient lists whose entries are
+ints (Z[x]) or IntPolys (Z[n][k]): strip, add, negate, subtract,
+schoolbook product, exact long division, square-and-multiply power,
+pseudo-remainder and Taylor shift, one loop each.  `DensePoly` wraps them
+for IntPoly here and for `franel.bipoly.BiPoly`; a ring supplies only its
+coefficient zero, its exact coefficient quotient and its product of lists.
+These polynomials carry the recurrence coefficients in n and back the
+fraction-free linear algebra, so the product in Z[x] switches to Kronecker
+substitution (packing coefficients into one big integer) once operands are
+large enough for Python's subquadratic integer multiplication to win.
 """
 
 from __future__ import annotations
@@ -20,6 +25,13 @@ from .errors import ExactDivisionError
 # ---------------------------------------------------------------------------
 # signed coefficient packing (shared with the bivariate layer)
 # ---------------------------------------------------------------------------
+
+
+def stride_for(bound: int) -> int:
+    """The least stride in bytes with bound < 2**(8*stride-1), so that
+    balanced base-2**(8*stride) digits recover every value of absolute
+    value at most bound."""
+    return (bound.bit_length() + 8) // 8
 
 
 def pack_signed(coeffs, stride_bytes: int) -> int:
@@ -88,22 +100,50 @@ def mul_kronecker(a, b):
     return unpack_signed(prod, stride_bytes, count)
 
 
-_KRONECKER_CUTOFF = 600  # pairwise coefficient products; schoolbook below
+# ---------------------------------------------------------------------------
+# dense coefficient lists: the arithmetic of Z[x] and of Z[n][k]
+# ---------------------------------------------------------------------------
+#
+# Lists run low degree first.  Their entries need only +, -, * and truth
+# testing, so ints (Z[x]) and IntPolys (Z[n][k]) both work; what else a
+# function needs of the ring is an argument.  Inputs carry no trailing
+# zero; only sums can end in one, and `DensePoly` strips every result.
 
 
-def _mul_coeffs(a, b):
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
+def strip(cs: list) -> list:
+    """cs without its trailing zeros, stripped in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def add_coeffs(a, b) -> list:
+    out = [x + y for x, y in zip(a, b)]
+    out += a[len(b):] if len(a) > len(b) else b[len(a):]
+    return out
+
+
+def neg_coeffs(a) -> list:
+    return [-c for c in a]
+
+
+def sub_coeffs(a, b) -> list:
+    out = [x - y for x, y in zip(a, b)]
+    out += a[len(b):] if len(a) > len(b) else neg_coeffs(b[len(a):])
+    return out
+
+
+def mul_coeffs(a, b, zero=0) -> list:
+    """The schoolbook product; zero is the coefficient ring's zero."""
+    if not a or not b:
         return []
-    if la == 1:
+    if len(a) == 1:
         c = a[0]
         return [c * x for x in b]
-    if lb == 1:
+    if len(b) == 1:
         c = b[0]
-        return [c * x for x in a]
-    if la * lb >= _KRONECKER_CUTOFF:
-        return mul_kronecker(a, b)
-    out = [0] * (la + lb - 1)
+        return [x * c for x in a]
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -112,24 +152,164 @@ def _mul_coeffs(a, b):
     return out
 
 
+def divexact_coeffs(a, b, quo, zero=0) -> list:
+    """The exact quotient a / b by long division.  quo(c, lead) is the
+    exact quotient of a coefficient by b's leading one, raising
+    ExactDivisionError when there is none; so does a nonzero remainder."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return []
+    lead, db = b[-1], len(b) - 1
+    if not db:
+        return [quo(c, lead) for c in a]
+    if len(a) < len(b):
+        raise ExactDivisionError("degree of dividend below divisor")
+    rem = list(a)
+    q = [zero] * (len(a) - db)
+    for i in range(len(a) - len(b), -1, -1):
+        top = rem[i + db]
+        if not top:
+            continue
+        c = q[i] = quo(top, lead)
+        for j, bj in enumerate(b):
+            if bj:
+                rem[i + j] -= c * bj
+    if any(rem[:db]):
+        raise ExactDivisionError("nonzero remainder")
+    return q
+
+
+def pow_coeffs(a, e: int, mul, one) -> list:
+    """a**e for an integer e >= 0 by square and multiply, with the ring's
+    product of lists mul and its unit, the list one."""
+    if e < 0:
+        raise ValueError("negative power of a polynomial")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return list(result)
+
+
+def _int_quo(c: int, lead: int) -> int:
+    q, r = divmod(c, lead)
+    if r:
+        raise ExactDivisionError("inexact leading coefficient")
+    return q
+
+
+_KRONECKER_CUTOFF = 600  # pairwise coefficient products; schoolbook below
+
+
+def _mul_coeffs(a, b):
+    """The product in Z[x]: one packed product once the operands have
+    _KRONECKER_CUTOFF pairwise products, schoolbook below."""
+    if len(a) > 1 and len(b) > 1 and len(a) * len(b) >= _KRONECKER_CUTOFF:
+        return mul_kronecker(a, b)
+    return mul_coeffs(a, b)
+
+
 # ---------------------------------------------------------------------------
-# polynomial type
+# polynomial types
 # ---------------------------------------------------------------------------
 
 
-class IntPoly:
-    """Immutable dense polynomial in one variable over the integers."""
+class DensePoly:
+    """Immutable dense polynomial: the tuple `coeffs`, low degree first,
+    with no trailing zero.
+
+    The arithmetic is the coefficient-list functions above.  A subclass
+    names its ring: `const`, the coefficient zero `_zero`, the scalars
+    `_scalars` that multiply coefficientwise, the product of lists `_mul`
+    and the exact coefficient quotient `_quo`.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    @classmethod
+    def _wrap(cls, cs: list):
+        """The polynomial of the coefficient list cs, stripped in place."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(strip(cs)))
+        return p
 
     def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = self.const(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self.const(other)
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        return self._wrap(add_coeffs(self.coeffs, other.coeffs))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap(neg_coeffs(self.coeffs))
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            other = self.const(other)
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        return self._wrap(sub_coeffs(self.coeffs, other.coeffs))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._wrap(self._mul(self.coeffs, other.coeffs))
+        if isinstance(other, self._scalars):
+            return self._wrap([c * other for c in self.coeffs])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        return self._wrap(pow_coeffs(self.coeffs, e, self._mul,
+                                     self.const(1).coeffs))
+
+    def divexact(self, divisor):
+        """Exact quotient self / divisor; raises ExactDivisionError if the
+        division is inexact."""
+        return self._wrap(divexact_coeffs(self.coeffs, divisor.coeffs,
+                                          self._quo, self._zero))
+
+
+class IntPoly(DensePoly):
+    """Immutable dense polynomial in one variable over the integers."""
+
+    __slots__ = ()
+    _zero = 0
+    _scalars = int
+    _mul = staticmethod(_mul_coeffs)
+    _quo = staticmethod(_int_quo)
+
+    def __init__(self, coeffs=()):
+        object.__setattr__(self, "coeffs", tuple(strip(list(coeffs))))
 
     # -- constructors --------------------------------------------------------
 
@@ -149,26 +329,9 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def lc(self) -> int:
         """Leading coefficient (0 for the zero polynomial)."""
         return self.coeffs[-1] if self.coeffs else 0
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -184,81 +347,6 @@ class IntPoly:
             else:
                 parts.append("%d*x^%d" % (c, i))
         return "IntPoly(%s)" % " + ".join(parts)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return IntPoly()
-            return IntPoly(tuple(c * other for c in self.coeffs))
-        return IntPoly(_mul_coeffs(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = IntPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def divexact(self, divisor: "IntPoly") -> "IntPoly":
-        """Exact quotient self / divisor; raises if the division is inexact."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return IntPoly()
-        da, dd = self.degree, divisor.degree
-        if da < dd:
-            raise ExactDivisionError("degree of dividend below divisor")
-        rem = list(self.coeffs)
-        div = divisor.coeffs
-        lead = div[-1]
-        q = [0] * (da - dd + 1)
-        for i in range(da - dd, -1, -1):
-            top = rem[i + dd]
-            if top == 0:
-                continue
-            c, r = divmod(top, lead)
-            if r:
-                raise ExactDivisionError("inexact leading coefficient")
-            q[i] = c
-            for j, dj in enumerate(div):
-                rem[i + j] -= c * dj
-        if any(rem[:dd]):
-            raise ExactDivisionError("nonzero remainder")
-        return IntPoly(q)
 
     # -- substitution and evaluation ------------------------------------------
 

@@ -60,7 +60,8 @@ and a bound at a zero entry still bounds it, so the norm program runs on.
 
 from __future__ import annotations
 
-from .intpoly import IntPoly, pack_signed, poly_content, unpack_poly
+from .intpoly import (IntPoly, pack_signed, poly_content, stride_for,
+                      unpack_poly)
 
 
 def _eliminate(M, ncols):
@@ -161,9 +162,9 @@ def schur_block(norms, image_at):
     """(l_j, Phi, Schur rows) in Z[n] of the matrix with image_at(stride)
     its image at X = 2**(8*stride) and norms bounds on its entries' 1-norms,
     which may bound zero rows below its last (see the module docstring)."""
-    def stride_of(*values):  # the least with each bound below 2**(8*stride-1)
-        bound = max([0] + [x for rows in values for row in rows for x in row])
-        return (bound.bit_length() + 8) // 8
+    def stride_of(*values):  # the `stride_for` of the largest bound
+        return stride_for(max(
+            [0] + [x for rows in values for row in rows for x in row]))
 
     stride = stride_of(norms)
     M = image_at(stride)

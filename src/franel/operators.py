@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import RatFunc, proved_primitive
-from .intpoly import IntPoly, poly_content
+from .intpoly import IntPoly, poly_content, strip
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,8 @@ def normalize_operator_coeffs(coeffs):
     so a certificate attached to the raw coefficients must be divided by g to
     stay consistent with the normalized operator.
     """
-    cs = [c if isinstance(c, IntPoly) else IntPoly.const(c) for c in coeffs]
-    while cs and cs[-1].is_zero:
-        cs.pop()
+    cs = strip([c if isinstance(c, IntPoly) else IntPoly.const(c)
+                for c in coeffs])
     if not cs:
         raise ValueError("all coefficients are zero")
     g, cs = poly_content(cs)

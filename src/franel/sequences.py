@@ -558,9 +558,10 @@ def apery_zeta3(n_max: int) -> list:
     (n+1)^3 u(n+1) = (2n+1)(17n^2+17n+5) u(n) - n^3 u(n-1)
     with (A(0), A(1)) = (1, 5) and (B(0), B(1)) = (0, 1).
 
-    A(n) is stepped by forward recursion on the integers, each division
-    checked exact.  That it is the double-square sum
-    sum_k (binom(n, k) binom(n+k, k))^2 at every n is proven once, not
+    Both are stepped by forward recursion with the coefficients of the
+    proven operator below, A(n) on the integers with each division
+    checked exact and B(n) as a Fraction.  That A(n) is the double-square
+    sum sum_k (binom(n, k) binom(n+k, k))^2 at every n is proven once, not
     checked per n: `zeilberger` finds the order-2 telescoper of
     `apery_zeta3_term` and checks its certificate exactly, its operator
     must be the classical one and `recursion_start` must be 0, so by the
@@ -568,8 +569,7 @@ def apery_zeta3(n_max: int) -> list:
     Its leading coefficient never vanishes there and the two agree at
     n = 0 and 1, so by induction they agree everywhere.  The sum itself is
     compared at n = 0, 1 and n_max only; the tests compare every n with
-    it.  A failed proof or comparison raises AssertionError.  B(n) is
-    stepped as a Fraction.
+    it.  A failed proof or comparison raises AssertionError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -584,13 +584,13 @@ def apery_zeta3(n_max: int) -> list:
     a_vals = [1, 5]
     b_vals = [Fraction(0), Fraction(1)]
     for n in range(1, n_max):
-        lead = (n + 1) ** 3
-        mid = (2 * n + 1) * (17 * n * n + 17 * n + 5)
-        a, rem = divmod(mid * a_vals[n] - n ** 3 * a_vals[n - 1], lead)
+        # c_0(m) u(m) + c_1(m) u(m+1) + c_2(m) u(m+2) = 0 at m = n - 1
+        c0, c1, c2 = (c.eval_int(n - 1) for c in op.coeffs)
+        a, rem = divmod(c0 * a_vals[n - 1] + c1 * a_vals[n], -c2)
         if rem:
             raise AssertionError("A(%d) is not an integer" % (n + 1))
         a_vals.append(a)
-        b_vals.append((mid * b_vals[n] - n ** 3 * b_vals[n - 1]) / lead)
+        b_vals.append((c0 * b_vals[n - 1] + c1 * b_vals[n]) / -c2)
     for n in (0, 1, n_max):
         if _apery_a_direct(n) != a_vals[n]:
             raise AssertionError("recursion and summation disagree at n=%d"

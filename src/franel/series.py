@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import NonInvertibleSeriesError
+from .intpoly import pow_coeffs
 
 
 def series_mul(a, b):
@@ -35,14 +36,7 @@ def series_pow(a, e: int):
     """a**e truncated at len(a), for an integer e >= 0, by squaring."""
     if e < 0:
         raise ValueError("series_pow expects a nonnegative exponent")
-    result = [a[0] ** 0] + [0] * (len(a) - 1)
-    while e:
-        if e & 1:
-            result = series_mul(result, a)
-        e >>= 1
-        if e:
-            a = series_mul(a, a)
-    return result
+    return pow_coeffs(a, e, series_mul, [a[0] ** 0] + [0] * (len(a) - 1))
 
 
 def series_inv(a):

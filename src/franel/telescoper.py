@@ -79,13 +79,12 @@ from fractions import Fraction
 from math import comb, prod
 from typing import NamedTuple
 
-from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_deg,
-                     kp_divexact, kp_gcd, kp_mul, kp_mul_intpoly, kp_norm,
-                     kp_shift_k, kp_strip, proved_primitive)
+from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_gcd,
+                     kp_norm, proved_primitive)
 from .errors import ExactDivisionError, TelescoperNotFoundError
 from .hyperterm import HyperTerm, quotient_products, rho_n_shifts
 from .intpoly import (IntPoly, nonnegative_integer_roots, pack_signed,
-                      poly_content, squarefree_part, unpack_poly)
+                      poly_content, squarefree_part, stride_for, unpack_poly)
 from .linalg import bareiss_determinant, image_nullspace
 from .operators import (Certificate, RecurrenceOperator,
                         normalize_operator_coeffs)
@@ -103,7 +102,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _dispersion_set(a_kp, b_kp):
+def _dispersion_set(a: BiPoly, b: BiPoly):
     """Sorted j >= 0 including every j with gcd(a(k), b(k+j)) nonconstant.
 
     The resultant Res_k(a(k), b(k+h)) is taken at one integer n = n0 where
@@ -125,13 +124,13 @@ def _dispersion_set(a_kp, b_kp):
     - a(n0, k) and b(n0, k) are replaced by their squarefree parts, which
       have the same roots, so the resultant vanishes at the same h.
     """
-    if kp_deg(a_kp) < 1 or kp_deg(b_kp) < 1:
+    if a.deg_k < 1 or b.deg_k < 1:
         return []
     for n0 in SPECIALIZATION_POINTS:
-        if a_kp[-1].eval_int(n0) == 0 or b_kp[-1].eval_int(n0) == 0:
+        if a.coeffs[-1].eval_int(n0) == 0 or b.coeffs[-1].eval_int(n0) == 0:
             continue
-        a0, b0 = (squarefree_part(IntPoly([c.eval_int(n0) for c in kp]))
-                  for kp in (a_kp, b_kp))
+        a0, b0 = (squarefree_part(IntPoly([c.eval_int(n0) for c in p.coeffs]))
+                  for p in (a, b))
         da, db = a0.degree, b0.degree
         a0 = [IntPoly.const(c) for c in a0.coeffs]
         b0 = b0.coeffs
@@ -151,26 +150,26 @@ def _dispersion_set(a_kp, b_kp):
     raise ValueError("degenerate dispersion resultant")
 
 
-def _gosper_normal_form(qhat_kp, rhat_kp):
+def _gosper_normal_form(q: BiPoly, r: BiPoly):
     """Rewrite q(k)/r(k) as (C(k+1)/C(k)) A(k)/B(k), GP condition on A, B."""
-    A = list(qhat_kp)
-    B = list(rhat_kp)
-    C = [IntPoly.const(1)]
+    A, B, C = q, r, BiPoly.const(1)
     for j in _dispersion_set(A, B):
         while True:
-            g = kp_gcd(A, kp_shift_k(B, j))
-            if kp_deg(g) < 1:
+            g = BiPoly.from_kpoly(kp_gcd(A.coeffs,
+                                         B.compose_shift(0, j).coeffs))
+            if g.deg_k < 1:
                 break
-            A = kp_divexact(A, g)
-            B = kp_divexact(B, kp_shift_k(g, -j))
+            A = A.divexact(g)
+            B = B.divexact(g.compose_shift(0, -j))
             for i in range(1, j + 1):
-                C = kp_mul(C, kp_shift_k(g, -i))
+                C = C * g.compose_shift(0, -i)
     return A, B, C
 
 
-def _gosper_degree_bound(a_kp, bm1_kp, deg_p):
+def _gosper_degree_bound(a: BiPoly, bm1: BiPoly, deg_p):
     """Upper bound for deg_k of the unknown polynomial, or None."""
-    da, db = kp_deg(a_kp), kp_deg(bm1_kp)
+    a_kp, bm1_kp = a.coeffs, bm1.coeffs
+    da, db = a.deg_k, bm1.deg_k
     mu = max(da, db)
     candidates = []
     degenerate = (da == db and a_kp[-1] == bm1_kp[-1])
@@ -235,7 +234,8 @@ def _gosper_system(A, Bm1, C_hat, u_hats, D, coeff, sign):
     """The rows of the Gosper system, columns f_0..f_D then c_0..c_r, with
     each coefficient in Z[n] of A, B(k-1), C^ and the u^_i mapped by coeff:
     to its image with sign -1, or to its 1-norm, bounding the entries'."""
-    a, bm1, c_hat = (IntPoly([coeff(c) for c in kp]) for kp in (A, Bm1, C_hat))
+    a, bm1, c_hat = (IntPoly([coeff(c) for c in p.coeffs])
+                     for p in (A, Bm1, C_hat))
     cols = []
     for j in range(D + 1):
         # A(k) (k+1)^j - B(k-1) k^j
@@ -275,10 +275,10 @@ def solve_at_order(term: HyperTerm, r: int):
     cqs, q_hats = _split_contents(qs)
     d_hat, u_hats = quotient_products(p_hats, q_hats, BiPoly.const(1))
     ratio = _gosper_ratio(term, r)
-    A, B, C = _gosper_normal_form(ratio.num.coeffs, ratio.den.coeffs)
-    Bm1 = kp_shift_k(B, -1)
-    c_content, C_hat = poly_content(C)
-    deg_p = kp_deg(C_hat) + max(u.deg_k for u in u_hats)
+    A, B, C = _gosper_normal_form(ratio.num, ratio.den)
+    Bm1 = B.compose_shift(0, -1)
+    (c_content,), (C_hat,) = _split_contents([C])
+    deg_p = C_hat.deg_k + max(u.deg_k for u in u_hats)
     D = _gosper_degree_bound(A, Bm1, deg_p)
     if D is None:
         return None
@@ -304,13 +304,9 @@ def solve_at_order(term: HyperTerm, r: int):
                  for vec in solutions]
     vec = min(solutions, key=lambda v: (max(c.degree for c in v[n_f:]),
                                         sum(c.degree for c in v[n_f:])))
-    f_kp = kp_strip(list(vec[:n_f]))
-    c_raw = list(vec[n_f:])
-    while c_raw and c_raw[-1].is_zero:
-        c_raw.pop()
-    op, scale = normalize_operator_coeffs(c_raw)
-    num = BiPoly.from_kpoly(kp_mul(Bm1, f_kp))
-    den = BiPoly.from_kpoly(kp_mul_intpoly(C, scale * q_content)) * d_hat
+    op, scale = normalize_operator_coeffs(vec[n_f:])
+    num = Bm1 * BiPoly.from_kpoly(vec[:n_f])
+    den = C * (scale * q_content) * d_hat
     cert = Certificate(RatFunc(num, den))
     return op, cert
 
@@ -507,7 +503,7 @@ def _residual_image(term: HyperTerm, op: RecurrenceOperator,
                             (lhs_b * rd_b + rn_b * d_b, d_b * rd_b)):
         bound = max(top_b * rd1_b * qd_b + rn1_b * qn_b * bottom_b,
                     d_b + rd_b)
-        stride = (bound.bit_length() + 8) // 8  # bound < 2**(8*stride-1)
+        stride = stride_for(bound)
         d_x, u_x = quotient_products([f.image(stride) for f in ps],
                                      [f.image(stride) for f in qs],
                                      IntPoly.const(1))
@@ -634,8 +630,8 @@ def _denominator_audit(den: BiPoly, s: int, m: int):
     den == +-E.  E is formed in Z[n][k] only to test divisibility, when
     they differ.
     """
-    bound = max(kp_norm(den.coeffs), prod(range(3, m + 3)) ** s)
-    stride = (bound.bit_length() + 8) // 8  # bound < 2**(8*stride-1)
+    stride = stride_for(max(kp_norm(den.coeffs),
+                            prod(range(3, m + 3)) ** s))
     x = 1 << (8 * stride)
     den_x = den.image(stride)
     e_x = prod((IntPoly((x + j, -1)) for j in range(1, m + 1)),

@@ -5,10 +5,7 @@ the cofactor cancellation, with the residual
 reduced to lowest terms or reported by its degrees; and the denominator
 audit by products in Z[n][k]."""
 
-from math import comb
-
-from franel.bipoly import (BiPoly, RatFunc, kp_deg, kp_mul, kp_mul_intpoly,
-                           kp_shift_k, kp_strip, kp_sub)
+from franel.bipoly import BiPoly, RatFunc
 from franel.errors import ExactDivisionError
 from franel.hyperterm import shift_quotient_products
 from franel.intpoly import IntPoly
@@ -26,27 +23,18 @@ def reference_solve_at_order(term, r):
     `fraction_free_nullspace` returns it."""
     d, u_polys = shift_quotient_products(term, r)
     ratio = _gosper_ratio(term, r)
-    A, B, C = _gosper_normal_form(ratio.num.coeffs, ratio.den.coeffs)
-    Bm1 = kp_shift_k(B, -1)
-    cu = [kp_mul(C, u.coeffs) for u in u_polys]
-    deg_p = max(kp_deg(p) for p in cu)
+    A, B, C = _gosper_normal_form(ratio.num, ratio.den)
+    Bm1 = B.compose_shift(0, -1)
+    cu = [C * u for u in u_polys]
+    deg_p = max(p.deg_k for p in cu)
     D = _gosper_degree_bound(A, Bm1, deg_p)
     if D is None:
         return None
 
     # columns: f_0..f_D then c_0..c_r
-    f_cols = []
-    for j in range(D + 1):
-        # A(k) (k+1)^j - B(k-1) k^j
-        a_part = [IntPoly() for _ in range(kp_deg(A) + j + 1)]
-        for t in range(j + 1):
-            cmb = comb(j, t)
-            for i, ai in enumerate(A):
-                if not ai.is_zero:
-                    a_part[i + t] = a_part[i + t] + cmb * ai
-        b_part = [IntPoly()] * j + list(Bm1)
-        f_cols.append(kp_sub(kp_strip(a_part), b_part))
-    c_cols = [[-e for e in col] for col in cu]
+    k = BiPoly.var_k()
+    f_cols = [(A * (k + 1) ** j - Bm1 * k ** j).coeffs for j in range(D + 1)]
+    c_cols = [(-p).coeffs for p in cu]
     all_cols = f_cols + c_cols
     n_eqs = max(len(col) for col in all_cols)
     matrix = [[col[e] if e < len(col) else IntPoly() for col in all_cols]
@@ -58,13 +46,9 @@ def reference_solve_at_order(term, r):
         return None
     vec = min(solutions, key=lambda v: (max(c.degree for c in v[n_f:]),
                                         sum(c.degree for c in v[n_f:])))
-    f_kp = kp_strip(list(vec[:n_f]))
-    c_raw = list(vec[n_f:])
-    while c_raw and c_raw[-1].is_zero:
-        c_raw.pop()
-    op, scale = normalize_operator_coeffs(c_raw)
-    num = BiPoly.from_kpoly(kp_mul(Bm1, f_kp))
-    den = BiPoly.from_kpoly(kp_mul_intpoly(C, scale)) * d
+    op, scale = normalize_operator_coeffs(vec[n_f:])
+    num = Bm1 * BiPoly.from_kpoly(vec[:n_f])
+    den = C * scale * d
     cert = Certificate(RatFunc(num, den))
     return op, cert
 

@@ -7,7 +7,7 @@ import pytest
 from franel.bipoly import (_KP_KRONECKER_CUTOFF, COPRIME_PRIME,
                            SPECIALIZATION_POINTS, BiPoly, RatFunc,
                            _coprime_by_specialization, kp_deg, kp_gcd,
-                           kp_mul, kp_shift_k, poly_gcd, proved_primitive)
+                           kp_mul, poly_gcd, proved_primitive)
 from franel.errors import ExactDivisionError, PoleError
 from franel.intpoly import IntPoly
 from franel.operators import RecurrenceOperator
@@ -171,16 +171,29 @@ def test_arithmetic_matches_sparse_reference():
         assert (pa * pb).terms == reference_mul(a, b)
         assert (3 * pa - 2).terms == reference_add(
             reference_mul(a, {(0, 0): 3}), {(0, 0): -2})
+        # an IntPoly in n is a scalar, on either side
+        assert (pa * IntPoly((2, -1))).terms == \
+            (IntPoly((2, -1)) * pa).terms == \
+            reference_mul(a, {(0, 0): 2, (1, 0): -1})
         sides.add(packed(pa, pb))
         if not pb.is_zero:
             assert (pa * pb).divexact(pb) == pa
     assert sides == {False, True}
-    for _ in range(10):
-        a = rand_terms(rng, 2, 20, 4)
+    # small bases, then ones whose squares and higher powers take the
+    # packed product, and are divided by them again
+    sides = set()
+    for trial in range(14):
+        big = trial >= 10
+        a = rand_terms(rng, 2 + 4 * big, 20 * 10 ** (10 * big), 4 + 20 * big)
         power = {(0, 0): 1}
         for e in range(5):
-            assert (BiPoly(a) ** e).terms == power
+            p = BiPoly(a) ** e
+            assert p.terms == power
+            if e and power:
+                assert p.divexact(BiPoly(a)) == BiPoly(a) ** (e - 1)
+                sides.add(packed(BiPoly(a) ** (e - 1), BiPoly(a)))
             power = reference_mul(power, a)
+    assert sides == {False, True}
 
 
 def test_divexact():
@@ -234,8 +247,7 @@ def test_compose_shift():
 def test_kp_shift_and_gcd():
     # k-poly helpers: q/r = (k+2)/k has normal form C = (k+1)k
     q = list((K + 2).coeffs)
-    r = list(K.coeffs)
-    g = kp_gcd(q, kp_shift_k(r, 2))
+    g = kp_gcd(q, K.compose_shift(0, 2).coeffs)
     assert BiPoly.from_kpoly(g) == K + 2
 
 

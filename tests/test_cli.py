@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import franel
-from franel import cli, telescoper
+from franel import cli, sequences, telescoper
 from franel.bipoly import BiPoly
 from franel.documents import bipoly_from_json, bipoly_to_json
 
@@ -537,3 +537,24 @@ def test_limits_s4_against_target(env, capsys):
     out = capsys.readouterr().out
     # 2 pi^2 / 3 = 6.57973626739290...
     assert "6.57973626739290" in out
+
+
+def test_failed_internal_checks_exit_4_under_every_command(env, monkeypatch,
+                                                          capsys):
+    # an AssertionError from a proof or an exact check ends any command in
+    # exit 4 with one line on stderr, not in a traceback with exit 1
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "recursion_start", lambda *a: 1)
+        assert run(["demo-apery", "--n-max", "5"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal error: the Apery telescoper does not prove the "
+                   "classical recurrence from n=0\n")
+    monkeypatch.setattr(sequences, "franel", lambda s, n: -1)
+    for argv in (["compute", "--s", "3", "--n-max", "4", "--J", "1"],
+                 ["limits", "--s", "3", "--n-max", "6", "--J", "1"]):
+        assert run(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("internal error: constant term disagrees with the "
+                       "direct sum\n")

@@ -30,8 +30,8 @@ import pytest
 
 from franel.bipoly import (_KP_KRONECKER_CUTOFF, COPRIME_PRIME,
                            SPECIALIZATION_POINTS, BiPoly, RatFunc,
-                           _coprime_by_specialization, kp_deg, kp_divexact,
-                           kp_gcd, kp_mul, kp_norm, proved_primitive)
+                           _coprime_by_specialization, kp_deg, kp_gcd,
+                           kp_mul, kp_norm, proved_primitive)
 from franel.documents import bipoly_from_json, parse_operator_document
 from franel.errors import DocumentError
 from franel.hyperterm import HyperTerm, binom_power_term
@@ -124,7 +124,8 @@ def test_packed_kp_mul_matches_schoolbook(pair):
         for j, row_b in enumerate(gb):
             for m, c in enumerate(schoolbook(row_a, row_b)):
                 expected[i + j][m] += c
-    assert kp_mul(ka, kb) == [IntPoly(row) for row in expected]
+    product = BiPoly.from_kpoly(ka) * BiPoly.from_kpoly(kb)
+    assert list(product.coeffs) == [IntPoly(row) for row in expected]
 
 
 def coprime_by_integer_gcd(a, b):
@@ -169,10 +170,20 @@ def test_modular_coprimality_proof_implies_integer_gcd_is_constant(
         assert kp_deg(kp_gcd(a, b)) >= kp_deg(factor)
 
 
+# the cube of a full k-poly of the strategy has n-degree 9 and k-degree 12,
+# so it and its product with a power cross _KP_KRONECKER_CUTOFF
 @hypothesis.settings(deadline=None, max_examples=150)
-@hypothesis.given(k_polys(min_k_degree=0), k_polys(min_k_degree=0))
-def test_exact_division_undoes_the_product(a, b):
-    assert kp_divexact(kp_mul(a, b), b) == a
+@hypothesis.given(k_polys(min_k_degree=0), k_polys(min_k_degree=0),
+                  st.integers(1, 3))
+@hypothesis.example([IntPoly((-30, 29, 30, 1))] * 5,
+                    [IntPoly((7, 0, -30, 30))] * 5, 3)
+def test_exact_division_undoes_the_product(a, b, e):
+    a, b = BiPoly.from_kpoly(a), BiPoly.from_kpoly(b)
+    assert (a * b).divexact(b) == a
+    # powers, and division by them
+    power = a ** e
+    assert power.divexact(a) == a ** (e - 1)
+    assert (power * b ** e).divexact(b ** e) == power
 
 
 @hypothesis.settings(deadline=None, max_examples=100)
@@ -180,14 +191,26 @@ def test_exact_division_undoes_the_product(a, b):
                   k_polys(min_k_degree=0))
 def test_gcd_keeps_a_common_factor(g, a, b):
     # kp_gcd leaves out contents in Z[n], so it is divisible by the
-    # primitive part of g; kp_divexact raises if it is not
-    kp_divexact(kp_gcd(kp_mul(g, a), kp_mul(g, b)), poly_content(g)[1])
+    # primitive part of g; divexact raises if it is not
+    g, a, b = (BiPoly.from_kpoly(p) for p in (g, a, b))
+    BiPoly.from_kpoly(kp_gcd((g * a).coeffs, (g * b).coeffs)).divexact(
+        BiPoly.from_kpoly(poly_content(g.coeffs)[1]))
 
 
 def int_polys():
     """Small IntPolys, zero about a quarter of the time."""
     return st.one_of(st.just(IntPoly()), st.lists(
         st.integers(-6, 6), min_size=1, max_size=3).map(IntPoly))
+
+
+def nonzero_int_polys(min_degree=0):
+    """Small IntPolys of degree min_degree to 2, drawn directly as a
+    nonzero leading coefficient over the lower ones, so that no draw is
+    rejected."""
+    return st.builds(lambda low, lead: IntPoly(low + [lead]),
+                     st.lists(st.integers(-6, 6), min_size=min_degree,
+                              max_size=2),
+                     st.sampled_from([c for c in range(-6, 7) if c]))
 
 
 def fold_gcd(polys):
@@ -260,7 +283,7 @@ def planted_prefix_matrices(draw):
     nr = b + q
     tri = sorted(draw(st.lists(st.integers(0, nr - 1), min_size=b,
                                max_size=b, unique=True)))
-    nonzero = int_polys().filter(lambda p: not p.is_zero)
+    nonzero = nonzero_int_polys()
     matrix = [[None] * (b + w) for _ in range(nr)]
     for j, t in enumerate(tri):
         for r in range(nr):
@@ -307,8 +330,7 @@ def test_nullspace_with_a_factor_planted_in_the_rows_off_the_prefix(case,
     # positive degree in n, which the Schur strip takes off again
     _, matrix = case
     tri = _triangular_prefix(matrix, len(matrix[0]))
-    nonconstant = st.lists(st.integers(-6, 6), min_size=2, max_size=3).map(
-        IntPoly).filter(lambda p: p.degree >= 1)
+    nonconstant = nonzero_int_polys(min_degree=1)
     factors = data.draw(st.lists(nonconstant, min_size=len(matrix),
                                  max_size=len(matrix)))
     planted = [row if r in tri else [f * e for e in row]
@@ -590,8 +612,8 @@ def test_dispersion_set_matches_sympy(a, b):
     k = sympy.Symbol("k")
     want = sorted(dispersionset(sympy.Poly(a[::-1], k),
                                 sympy.Poly(b[::-1], k)))
-    got = _dispersion_set([IntPoly.const(c) for c in a],
-                          [IntPoly.const(c) for c in b])
+    got = _dispersion_set(*(BiPoly.from_kpoly([IntPoly.const(c) for c in p])
+                            for p in (a, b)))
     assert got == want
     if (a, b) == ([5, 6, 1], [-2, -1, 1]):
         assert got == [0, 3, 4, 7]

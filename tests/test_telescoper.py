@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import franel.telescoper as telescoper
-from franel.bipoly import BiPoly, RatFunc, kp_deg
+from franel.bipoly import BiPoly, RatFunc
 from franel.documents import (document_bytes, operator_document,
                               parse_operator_document, timestamp)
 from franel.errors import TelescoperNotFoundError
@@ -746,13 +746,14 @@ def test_operator_matches_data_fit():
 # ---------------------------------------------------------------------------
 
 
-def _resultant_in_k_shifted(a_kp, b_kp) -> BiPoly:
+def _resultant_in_k_shifted(a: BiPoly, b: BiPoly) -> BiPoly:
     """Res_k(a(k), b(k+h)) as a polynomial in (n, h), over Z[n, h].
 
-    Both inputs are k-polys over Z[n]; the result reuses BiPoly with the
-    first variable n and the second variable h.
+    The result reuses BiPoly with the first variable n and the second
+    variable h.
     """
-    da, db = kp_deg(a_kp), kp_deg(b_kp)
+    a_kp, b_kp = a.coeffs, b.coeffs
+    da, db = a.deg_k, b.deg_k
     # rows of b(k+h): coefficient of k^m is sum_{i>=m} C(i,m) b_i(n) h^(i-m)
     b_shift = []
     for m in range(db + 1):
@@ -778,17 +779,17 @@ def _resultant_in_k_shifted(a_kp, b_kp) -> BiPoly:
     return reference_determinant(matrix, BiPoly.const(1), BiPoly())
 
 
-def _generic_dispersion_set(a_kp, b_kp):
+def _generic_dispersion_set(a: BiPoly, b: BiPoly):
     """The dispersion set over Q(n), from the bivariate resultant.
 
     Candidates are the integer roots of one nonzero n-degree slice of the
     resultant; a candidate j stays only if the resultant vanishes
     identically in n at h = j.
     """
-    if kp_deg(a_kp) < 1 or kp_deg(b_kp) < 1:
+    if a.deg_k < 1 or b.deg_k < 1:
         return []
     # h-poly over Z[n]
-    rows = list(_resultant_in_k_shifted(a_kp, b_kp).coeffs)
+    rows = list(_resultant_in_k_shifted(a, b).coeffs)
     max_n_deg = max(p.degree for p in rows)
     slice_poly = None
     for delta in range(max_n_deg + 1):
@@ -812,9 +813,9 @@ def _recorded_dispersion_pairs(monkeypatch, terms_and_orders):
     pairs = []
     real = telescoper._dispersion_set
 
-    def record(a_kp, b_kp):
-        pairs.append((list(a_kp), list(b_kp)))
-        return real(a_kp, b_kp)
+    def record(a, b):
+        pairs.append((a, b))
+        return real(a, b)
 
     with monkeypatch.context() as patch:
         patch.setattr(telescoper, "_dispersion_set", record)
@@ -828,14 +829,14 @@ def test_specialized_dispersion_contains_generic_set(monkeypatch):
              for r in range(1, 4)]
     pairs = _recorded_dispersion_pairs(monkeypatch, cases)
     assert len(pairs) == len(cases)
-    for a_kp, b_kp in pairs:
-        generic = _generic_dispersion_set(a_kp, b_kp)
-        assert set(generic) <= set(telescoper._dispersion_set(a_kp, b_kp))
+    for a, b in pairs:
+        generic = _generic_dispersion_set(a, b)
+        assert set(generic) <= set(telescoper._dispersion_set(a, b))
 
-    (a_kp, b_kp), = _recorded_dispersion_pairs(
+    (a, b), = _recorded_dispersion_pairs(
         monkeypatch, [(_weighted_binomial_term(), 1)])
-    assert _generic_dispersion_set(a_kp, b_kp) == [1]
-    assert 1 in telescoper._dispersion_set(a_kp, b_kp)
+    assert _generic_dispersion_set(a, b) == [1]
+    assert 1 in telescoper._dispersion_set(a, b)
 
 
 def test_false_dispersion_candidate_leaves_normal_form_unchanged(
@@ -843,16 +844,15 @@ def test_false_dispersion_candidate_leaves_normal_form_unchanged(
     # a = k + 2, b = n + 1 - k: b(k + h) vanishes at the root k = -2 of a
     # only where h = n + 3, which is no integer constant, but is the integer
     # n0 + 3 once n is specialized to n0
-    a_kp = [IntPoly.const(2), IntPoly.const(1)]
-    b_kp = [IntPoly((1, 1)), IntPoly.const(-1)]
+    a, b = K + 2, N + 1 - K
     n0 = telescoper.SPECIALIZATION_POINTS[0]
-    assert telescoper._dispersion_set(a_kp, b_kp) == [n0 + 3]
-    assert _generic_dispersion_set(a_kp, b_kp) == []
-    fast = telescoper._gosper_normal_form(a_kp, b_kp)
+    assert telescoper._dispersion_set(a, b) == [n0 + 3]
+    assert _generic_dispersion_set(a, b) == []
+    fast = telescoper._gosper_normal_form(a, b)
     monkeypatch.setattr(telescoper, "_dispersion_set",
                         _generic_dispersion_set)
-    assert telescoper._gosper_normal_form(a_kp, b_kp) == fast
-    assert fast == (a_kp, b_kp, [IntPoly.const(1)])
+    assert telescoper._gosper_normal_form(a, b) == fast
+    assert fast == (a, b, BiPoly.const(1))
 
 
 def test_dispersion_determinants_are_univariate(monkeypatch):
@@ -910,7 +910,7 @@ def test_gosper_ratio_is_the_reduced_product(monkeypatch):
     normal_form = telescoper._gosper_normal_form
 
     def capture(q, r):
-        seen.append((BiPoly.from_kpoly(q), BiPoly.from_kpoly(r)))
+        seen.append((q, r))
         return normal_form(q, r)
 
     monkeypatch.setattr(telescoper, "_gosper_normal_form", capture)
