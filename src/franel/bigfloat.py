@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from .intpoly import power
+
 _ERR_BITS = 16  # error mantissas are compressed to this many bits, upward
 
 
@@ -273,15 +275,8 @@ class BigFloat:
     def pow_int(self, e: int) -> "BigFloat":
         if e < 0:
             return BigFloat.from_int(1, self.prec) / self.pow_int(-e)
-        result = BigFloat.from_int(1, self.prec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, BigFloat.__mul__,
+                     BigFloat.from_int(1, self.prec))
 
 
 def _frac_to_err_upper(x: Fraction):

@@ -29,9 +29,10 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import PoleError
-from .intpoly import (DensePoly, IntPoly, divexact_coeffs, int_content,
-                      mul_coeffs, mul_kronecker, pack_signed, poly_content,
-                      pseudo_rem_coeffs, strip, taylor_shift_coeffs)
+from .intpoly import (DensePoly, IntPoly, divexact_coeffs, horner,
+                      int_content, mul_coeffs, mul_kronecker, pack_signed,
+                      poly_content, pseudo_rem_coeffs, strip,
+                      taylor_shift_coeffs)
 
 # ---------------------------------------------------------------------------
 # k-polys: lists of IntPoly coefficients, index = power of k
@@ -90,10 +91,7 @@ def gcd_mod_p(a, b) -> list:
     """
     p = COPRIME_PRIME
     a, b = [c % p for c in a], [c % p for c in b]
-    while b:
-        if not b[-1]:
-            b.pop()
-            continue
+    while strip(b):
         # a <- a mod b, then swap
         inv = pow(b[-1], -1, p)
         db = len(b) - 1
@@ -102,8 +100,7 @@ def gcd_mod_p(a, b) -> list:
             shift = len(a) - 1 - db
             for i, c in enumerate(b):
                 a[shift + i] = (a[shift + i] - q * c) % p
-            while a and a[-1] == 0:
-                a.pop()
+            strip(a)
         a, b = b, a
     return a
 
@@ -190,10 +187,7 @@ def kp_norm(a, dk: int = 0) -> int:
     Horner's rule, and at least 1, so that a bound built from such bounds
     by sums and products also bounds each of them.  A shift in n is made
     on the polynomial first."""
-    acc = 0
-    for c in reversed(a):
-        acc = acc * (1 + abs(dk)) + sum(map(abs, c.coeffs))
-    return max(1, acc)
+    return max(1, horner([sum(map(abs, c.coeffs)) for c in a], 1 + abs(dk)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +309,8 @@ class BiPoly(DensePoly):
         return IntPoly([pack_signed(c.coeffs, stride) for c in self.coeffs])
 
     def eval(self, n, k) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * k + c.eval_fraction(n)
-        return acc
+        return horner([c.eval_fraction(n) for c in self.coeffs], k,
+                      Fraction(0))
 
 
 def poly_gcd(a: BiPoly, b: BiPoly) -> BiPoly:

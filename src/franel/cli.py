@@ -118,8 +118,7 @@ def cmd_compute(args) -> int:
             "n_max": table.n_max,
             "rows": [[_frac_str(c) for c in row] for row in table.rows],
         }
-        data = (json.dumps(doc, sort_keys=True, indent=2,
-                           separators=(",", ": ")) + "\n").encode()
+        data = document_bytes(doc)
     else:
         headers = ["n"] + ["A_%d" % j for j in range(table.J + 1)]
         rows = [[str(n)] + [_frac_str(c) for c in row]
@@ -220,7 +219,7 @@ def cmd_telescope(args) -> int:
         "cached_document": str(cache_path),
     }
     if args.json:
-        print(json.dumps(summary, sort_keys=True, indent=2))
+        sys.stdout.write(document_bytes(summary).decode())
     else:
         for key, val in summary.items():
             print("%s: %s" % (key, val))

@@ -126,6 +126,8 @@ def operator_document(s: int, op: RecurrenceOperator, cert: Certificate,
 
 
 def document_bytes(doc: dict) -> bytes:
+    """The one JSON encoding of documents, and of the `compute` tables and
+    `telescope` summaries: sorted keys, indent 2, a final newline."""
     return (json.dumps(doc, sort_keys=True, indent=2,
                        separators=(",", ": ")) + "\n").encode("utf-8")
 
@@ -137,6 +139,8 @@ def parse_operator_document(raw: bytes):
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DocumentError("not valid JSON: %s" % exc) from exc
+    except RecursionError as exc:
+        raise DocumentError("not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     version = doc.get("schema_version")

@@ -5,10 +5,13 @@ A dense polynomial is the tuple of its coefficients, low degree first,
 with trailing zeros stripped; the zero polynomial has an empty tuple.  The
 arithmetic is a set of functions on coefficient lists whose entries are
 ints (Z[x]) or IntPolys (Z[n][k]): strip, add, negate, subtract,
-schoolbook product, exact long division, square-and-multiply power,
-pseudo-remainder and Taylor shift, one loop each.  `DensePoly` wraps them
-for IntPoly here and for `franel.bipoly.BiPoly`; a ring supplies only its
-coefficient zero, its exact coefficient quotient and its product of lists.
+schoolbook product, exact long division, pseudo-remainder and Taylor
+shift, one loop each.  Two loops serve any ring: `horner` evaluates
+coefficients at a point (an int, a Fraction, an IntPoly) and `power` is
+the one square-and-multiply, which the series and the enclosures of
+`franel.bigfloat` run too.  `DensePoly` wraps them for IntPoly here and
+for `franel.bipoly.BiPoly`; a ring supplies only its coefficient zero,
+its exact coefficient quotient and its product of lists.
 These polynomials carry the recurrence coefficients in n and back the
 fraction-free linear algebra, so the product in Z[x] switches to Kronecker
 substitution (packing coefficients into one big integer) once operands are
@@ -58,25 +61,15 @@ def unpack_signed(value: int, stride_bytes: int, count: int) -> list:
     """
     if value < 0:
         return [-d for d in unpack_signed(-value, stride_bytes, count)]
-    stride_bits = 8 * stride_bytes
-    half = 1 << (stride_bits - 1)
-    full = 1 << stride_bits
-    raw = value.to_bytes(stride_bytes * (count + 1), "little")
-    out = []
-    carry = 0
-    for i in range(count):
-        d = int.from_bytes(raw[i * stride_bytes:(i + 1) * stride_bytes],
-                           "little") + carry
-        if d >= half:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        out.append(d)
-    top = int.from_bytes(raw[count * stride_bytes:], "little")
-    if top or carry:
-        raise OverflowError("packed digit overflow during unpacking")
-    return out
+    # with X/2 added at every digit, each balanced digit d in [-X/2, X/2)
+    # is the unsigned field d + X/2 of one byte string; a value with more
+    # digits than count makes to_bytes raise OverflowError
+    half = 1 << (8 * stride_bytes - 1)
+    offset = int.from_bytes((bytes(stride_bytes - 1) + b"\x80") * count,
+                            "little")
+    raw = (value + offset).to_bytes(stride_bytes * count, "little")
+    return [int.from_bytes(raw[i:i + stride_bytes], "little") - half
+            for i in range(0, len(raw), stride_bytes)]
 
 
 def unpack_poly(value: int, stride: int) -> "IntPoly":
@@ -180,9 +173,19 @@ def divexact_coeffs(a, b, quo, zero=0) -> list:
     return q
 
 
-def pow_coeffs(a, e: int, mul, one) -> list:
+def horner(coeffs, x, acc=0):
+    """sum(c_i * x**i) by Horner's rule, for coefficients low degree first;
+    acc is the zero of the ring the value lies in (an int, a Fraction, an
+    IntPoly)."""
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def power(a, e: int, mul, one):
     """a**e for an integer e >= 0 by square and multiply, with the ring's
-    product of lists mul and its unit, the list one."""
+    product mul and its unit one; the value is the ring's own (a list for
+    coefficient lists)."""
     if e < 0:
         raise ValueError("negative power of a polynomial")
     result = one
@@ -192,7 +195,7 @@ def pow_coeffs(a, e: int, mul, one) -> list:
         e >>= 1
         if e:
             a = mul(a, a)
-    return list(result)
+    return result
 
 
 def _int_quo(c: int, lead: int) -> int:
@@ -289,8 +292,8 @@ class DensePoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        return self._wrap(pow_coeffs(self.coeffs, e, self._mul,
-                                     self.const(1).coeffs))
+        return self._wrap(list(power(self.coeffs, e, self._mul,
+                                     self.const(1).coeffs)))
 
     def divexact(self, divisor):
         """Exact quotient self / divisor; raises ExactDivisionError if the
@@ -355,34 +358,20 @@ class IntPoly(DensePoly):
         return IntPoly(taylor_shift_coeffs(self.coeffs, d))
 
     def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def eval_fraction(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x, Fraction(0))
 
     # -- content ---------------------------------------------------------------
 
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = int_gcd(g, c)
-            if g == 1:
-                return 1
-        return g
+        return int_gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         """Quotient by the content; the sign of the polynomial is preserved."""
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return IntPoly(tuple(c // g for c in self.coeffs))
+        return over_int([self], self.content())[0]
 
     def max_coeff_bits(self) -> int:
         return max((abs(c).bit_length() for c in self.coeffs), default=0)
@@ -417,11 +406,13 @@ def pseudo_rem_coeffs(a, b) -> list:
     return rem
 
 
-def taylor_shift_coeffs(a, d: int) -> list:
-    """Coefficients of a(x + d) for an integer d, by repeated Horner steps.
+def taylor_shift_coeffs(a, d) -> list:
+    """Coefficients of a(x + d), by repeated Horner steps.
 
     Lists run low degree first; the entries need only + and multiplication
-    by an int, so ints (Z[x]) and IntPolys (Z[n][k]) both work.
+    by d, so ints (Z[x]) and IntPolys (Z[n][k]) both work, with d an int,
+    or with d an IntPoly when the entries are IntPolys (then the shift
+    is by a polynomial in another variable).
     """
     out = list(a)
     if d:
@@ -468,12 +459,7 @@ def poly_gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def int_content(polys) -> int:
     """Nonnegative gcd of the integer coefficients of every entry."""
-    g = 0
-    for p in polys:
-        g = int_gcd(g, p.content())
-        if g == 1:
-            break
-    return g
+    return int_gcd(*(p.content() for p in polys))
 
 
 def over_int(polys: list, c: int) -> list:

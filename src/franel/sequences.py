@@ -86,7 +86,7 @@ from math import isqrt, perm, prod
 
 from .errors import TelescoperNotFoundError
 from .hyperterm import apery_zeta3_term, binom_power_term
-from .intpoly import IntPoly, nonnegative_integer_roots
+from .intpoly import IntPoly, horner, nonnegative_integer_roots
 from .linalg import bareiss_determinant
 from .operators import Certificate, RecurrenceOperator
 from .series import series_inv, series_pow
@@ -334,14 +334,6 @@ def recursion_pays(s: int, J: int, rows) -> bool:
     return direct / _SOLVE_S > 3 ** s
 
 
-def _at_k(den_kpoly, k: IntPoly) -> IntPoly:
-    """A k-poly with k replaced by a polynomial in n, by Horner's rule."""
-    acc = IntPoly()
-    for c in reversed(den_kpoly):
-        acc = acc * k + c
-    return acc
-
-
 def recursion_start(op: RecurrenceOperator,
                     cert: Certificate) -> int | None:
     """Least n0 such that, for every n >= n0, the operator annihilates
@@ -354,8 +346,8 @@ def recursion_start(op: RecurrenceOperator,
     r = op.order
     den = cert.ratio.den.coeffs
     roots = []
-    for poly in (_at_k(den, IntPoly.const(-1)),
-                 _at_k(den, IntPoly([r + 1, 1])), op.coeffs[r]):
+    for poly in (horner(den, IntPoly.const(-1), IntPoly()),
+                 horner(den, IntPoly([r + 1, 1]), IntPoly()), op.coeffs[r]):
         if poly.is_zero:
             return None
         roots.extend(nonnegative_integer_roots(poly))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import NonInvertibleSeriesError
-from .intpoly import pow_coeffs
+from .intpoly import power
 
 
 def series_mul(a, b):
@@ -36,7 +36,7 @@ def series_pow(a, e: int):
     """a**e truncated at len(a), for an integer e >= 0, by squaring."""
     if e < 0:
         raise ValueError("series_pow expects a nonnegative exponent")
-    return pow_coeffs(a, e, series_mul, [a[0] ** 0] + [0] * (len(a) - 1))
+    return power(a, e, series_mul, [a[0] ** 0] + [0] * (len(a) - 1))
 
 
 def series_inv(a):

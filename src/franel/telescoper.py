@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 from typing import NamedTuple
 
 from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_gcd,
@@ -84,7 +84,8 @@ from .bipoly import (SPECIALIZATION_POINTS, BiPoly, RatFunc, kp_gcd,
 from .errors import ExactDivisionError, TelescoperNotFoundError
 from .hyperterm import HyperTerm, quotient_products, rho_n_shifts
 from .intpoly import (IntPoly, nonnegative_integer_roots, pack_signed,
-                      poly_content, squarefree_part, stride_for, unpack_poly)
+                      poly_content, squarefree_part, stride_for,
+                      taylor_shift_coeffs, unpack_poly)
 from .linalg import bareiss_determinant, image_nullspace
 from .operators import (Certificate, RecurrenceOperator,
                         normalize_operator_coeffs)
@@ -133,10 +134,9 @@ def _dispersion_set(a: BiPoly, b: BiPoly):
                   for p in (a, b))
         da, db = a0.degree, b0.degree
         a0 = [IntPoly.const(c) for c in a0.coeffs]
-        b0 = b0.coeffs
-        # coefficient of k^m in b(k+h): sum_{i>=m} C(i,m) b_i h^(i-m)
-        b_shift = [IntPoly([comb(i, m) * b0[i] for i in range(m, db + 1)])
-                   for m in range(db + 1)]
+        # the coefficients in k of b(k+h), polynomials in h
+        b_shift = taylor_shift_coeffs([IntPoly.const(c) for c in b0.coeffs],
+                                      IntPoly.variable())
         matrix = []
         for rows, count in ((a0, db), (b_shift, da)):
             for shift in range(count):

@@ -97,6 +97,10 @@ def test_pow_int():
     got = x.pow_int(9)
     assert abs(got.to_fraction() - true) <= got.error_fraction()
     assert x.pow_int(0).to_fraction() == 1
+    for e in range(13):
+        got = x.pow_int(e)
+        assert abs(got.to_fraction() - Fraction(3, 7) ** e) \
+            <= got.error_fraction()
 
 
 def test_mul_2exp_exact():

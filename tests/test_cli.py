@@ -130,6 +130,21 @@ def test_verify_rejects_a_certificate_without_a_part(env, tmp_path, capsys,
                             "the field %s\n" % part)
 
 
+# 1,000 nested arrays, 2,000 bytes: json.loads raises RecursionError,
+# which once ended verify in a traceback with exit 1
+_NESTED = "[" * 1000 + "]" * 1000
+
+
+def test_verify_rejects_a_deeply_nested_document(env, tmp_path, capsys):
+    bad = tmp_path / "nested.json"
+    bad.write_text(_NESTED)
+    assert run(["verify", "--in", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid document: not valid JSON: "
+                            "nested too deeply\n")
+
+
 def test_telescope_rejects_a_malformed_source_date_epoch(env, monkeypatch,
                                                          capsys):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
@@ -412,6 +427,19 @@ def test_cache_corruption_recomputes(env, tmp_path, capsys):
     assert "corrupt cache" in err
     # cache healed
     json.loads(cache.read_text())
+
+
+def test_deeply_nested_cache_entry_recomputes(env, tmp_path, capsys):
+    assert run(["telescope", "--s", "1", "--r-max", "1"]) == 0
+    cache = tmp_path / "cache" / "telescope-s1-v0.1.0.json"
+    good = cache.read_bytes()
+    cache.write_text(_NESTED)
+    capsys.readouterr()
+    assert run(["telescope", "--s", "1", "--r-max", "1"]) == 0
+    assert capsys.readouterr().err == ("warning: ignoring corrupt cache "
+                                       "entry: not valid JSON: nested too "
+                                       "deeply\n")
+    assert cache.read_bytes() == good
 
 
 def test_cache_respects_smaller_r_max(env, tmp_path):

@@ -51,6 +51,15 @@ def test_pack_unpack_roundtrip():
         vec = [rng.randint(-2 ** 60, 2 ** 60) for _ in range(rng.randint(1, 40))]
         packed = pack_signed(vec, 16)
         assert unpack_signed(packed, 16, len(vec)) == vec
+        # a negative value, and a count above the digits needed
+        assert unpack_signed(-packed, 16, len(vec)) == [-c for c in vec]
+        assert unpack_signed(packed, 16, len(vec) + 3) == vec + [0, 0, 0]
+    # digits at +-(X/2 - 1), the largest the balanced digits recover
+    top = 2 ** 127 - 1
+    for vec in ([top, -top, top], [-top] * 5, [0, top, 0, -top]):
+        packed = pack_signed(vec, 16)
+        assert unpack_signed(packed, 16, len(vec) + 2) == vec + [0, 0]
+        assert unpack_signed(-packed, 16, len(vec)) == [-c for c in vec]
 
 
 def test_pseudo_rem_scaling():
@@ -149,6 +158,19 @@ def test_eval():
     assert p.eval_int(10) == 985
     from fractions import Fraction
     assert p.eval_fraction(Fraction(1, 2)) == Fraction(33, 8)
+    assert IntPoly().eval_int(7) == 0
+    assert IntPoly().eval_fraction(Fraction(1, 3)) == 0
+    rng = random.Random(5)
+    for _ in range(40):
+        q = rand_poly(rng, 8, 50)
+        for x in (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                  rand_poly(rng, 3, 9)):
+            want = sum((c * x ** i for i, c in enumerate(q.coeffs)),
+                       0 * x)
+            got = intpoly.horner(q.coeffs, x, 0 * x)
+            assert got == want and type(got) is type(want)
+            if isinstance(x, Fraction):
+                assert q.eval_fraction(x) == want
 
 
 def test_compose_shift():

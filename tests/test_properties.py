@@ -145,11 +145,14 @@ def coprime_by_integer_gcd(a, b):
 
 @st.composite
 def k_polys(draw, min_k_degree=1):
-    """A k-poly with small integer coefficients, n-degree at most 3."""
+    """A k-poly with small integer coefficients, n-degree at most 3.  The
+    top coefficient in k is drawn nonzero directly, as a nonzero leading
+    coefficient in n over the lower ones, so that no draw is rejected."""
     coeffs = [IntPoly(draw(st.lists(st.integers(-30, 30), max_size=4)))
-              for _ in range(draw(st.integers(min_k_degree, 4)) + 1)]
-    hypothesis.assume(not coeffs[-1].is_zero)
-    return coeffs
+              for _ in range(draw(st.integers(min_k_degree, 4)))]
+    top = draw(st.lists(st.integers(-30, 30), max_size=3))
+    top.append(draw(st.one_of(st.integers(-30, -1), st.integers(1, 30))))
+    return coeffs + [IntPoly(top)]
 
 
 @hypothesis.settings(deadline=None, max_examples=150)
@@ -418,8 +421,8 @@ def monomial_records(draw):
     malformed record added or put in place of another."""
     keys = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                          unique=True, max_size=12))
-    records = [[str(draw(st.integers(-10 ** 30, 10 ** 30).filter(bool))),
-                dn, dk] for dn, dk in keys]
+    nonzero = st.one_of(st.integers(-10 ** 30, -1), st.integers(1, 10 ** 30))
+    records = [[str(draw(nonzero)), dn, dk] for dn, dk in keys]
     kind = draw(st.sampled_from([None, *_MALFORMED]))
     if kind is not None and records:
         rec = draw(st.sampled_from(records))
@@ -504,7 +507,7 @@ def perturbed_certificates(draw):
         (REFS / ("operator-s%d.json" % s)).read_bytes())
     num, den = cert.ratio.num, cert.ratio.den
     part = draw(st.sampled_from(("none", "op", "num", "den", "den factor")))
-    c = draw(st.integers(-3, 3).filter(bool))
+    c = draw(st.one_of(st.integers(-3, -1), st.integers(1, 3)))
     a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     N, K = BiPoly.var_n(), BiPoly.var_k()
     if part == "op":
