@@ -458,8 +458,14 @@ def poly_gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def int_content(polys) -> int:
-    """Nonnegative gcd of the integer coefficients of every entry."""
-    return int_gcd(*(p.content() for p in polys))
+    """Nonnegative gcd of the integer coefficients of every entry (0 for
+    none); it stops at the first entry that brings it to 1."""
+    g = 0
+    for p in polys:
+        g = int_gcd(g, p.content())
+        if g == 1:
+            break
+    return g
 
 
 def over_int(polys: list, c: int) -> list:

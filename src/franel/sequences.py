@@ -58,8 +58,17 @@ the pole t^(-2) (at n+i = 0), and for k > n+i the factor
 terms are O(t^2) for the same reason when den has no zero there.  So the
 limit t -> 0 of the telescoped sum gives sum_i c_i(n) A(n+i) = 0 wherever
 `recursion_start`'s three checks pass.  `apery_zeta3` proves its
-recurrence this way, once, from the verified order-2 telescoper of
-`apery_zeta3_term`.
+recurrence this way, once per call, from the stored order-2 telescoper of
+`apery_zeta3_term`, whose certificate it verifies exactly first.
+
+Who found an operator does not enter the argument: it needs a verified
+certificate, not a search.  So the row source takes its order-m operator
+from the document of s in the package's `frozen/` table (the bytes
+`telescope` writes for s = 1..8 with SOURCE_DATE_EPOCH=0) and verifies its
+certificate exactly in the same call; only when the entry is missing, does
+not parse, names another s or fails to verify does `zeilberger` search at
+order m.  The search stays the oracle: the tests compare each entry with
+a fresh `telescope` document, and the rows that both give.
 
 `recursion_start` checks this per operator: it builds the two univariate
 polynomials den(n, -1) and den(n, n+r+1), takes their nonnegative integer
@@ -68,29 +77,33 @@ and can be solved for its last row.  Annihilation is claimed only from
 where that check ran.
 
 Which path runs is one rule on the request alone, `recursion_pays`; no
-option selects it and nothing is remembered between calls.  Rows below
-the start plus r come from `deformed`; later rows come from forward
-recursion on the integers A_j(n) L^(2j), L = lcm(1..m) for the window
-whose top row is m, a scale the L^i bound above proves sufficient for every
-row up to m, so it grows by p^(2j) as m passes a power of the prime p.
-Every division by c_r(n) is exact and checked, and the last row's head is
-checked against `franel`.
+option selects it and nothing is remembered between calls, so each call
+reads and verifies its operator anew.  Rows below the start plus r come
+from `deformed`; later rows come from forward recursion on the integers
+A_j(n) L^(2j), L = lcm(1..m) for the window whose top row is m, a scale
+the L^i bound above proves sufficient for every row up to m, so it grows
+by p^(2j) as m passes a power of the prime p.  Every division by c_r(n)
+is exact and checked, and the last row's head is checked against
+`franel`.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, perm, prod
 
-from .errors import TelescoperNotFoundError
+from .bipoly import BiPoly, RatFunc
+from .documents import parse_operator_document
+from .errors import DocumentError, TelescoperNotFoundError
 from .hyperterm import apery_zeta3_term, binom_power_term
 from .intpoly import IntPoly, horner, nonnegative_integer_roots
 from .linalg import bareiss_determinant
 from .operators import Certificate, RecurrenceOperator
 from .series import series_inv, series_pow
-from .telescoper import expected_order, zeilberger
+from .telescoper import expected_order, verify_certificate, zeilberger
 
 
 # terms per leaf of `franel`'s product tree
@@ -310,7 +323,9 @@ def coefficient_table(s: int, n_max: int, J: int) -> SequenceTable:
 # timings of direct rows and of solves for s = 1..8 (2 cores, Python 3.11.7);
 # the solve constant was refitted when the nullspace began substituting
 # away the triangular f-block, which made the s = 5..8 solves 0.31-0.36 of
-# their earlier times on one host
+# their earlier times on one host.  For s = 1..8 the row source now reads
+# and verifies a table entry instead, at 0.1-0.3 of that solve, so the rule
+# overprices the recursion there; the crossovers stay pinned as they are
 _DIRECT_STEP_S = 2.2e-6
 _DIRECT_TERM_S = 1.9e-6
 _DIRECT_DIGIT_S = 1.2e-8
@@ -487,24 +502,49 @@ def recursion_rows(s: int, J: int, n_from: int, n_to: int,
             yield tuple(Fraction(x, sc) for x, sc in zip(new, scales))
 
 
+# the order-m documents of `_order_m_telescoper`, operator-s<s>.json
+_FROZEN = os.path.join(os.path.dirname(__file__), "frozen")
+
+
+def _order_m_telescoper(s: int):
+    """An order m = ceil(s/2) telescoper of binom(n, k)^s with its
+    certificate, verified exactly in this call.
+
+    The frozen document of s is parsed and its certificate checked by
+    `verify_certificate`; when the file is missing, does not parse, names
+    another s or fails the check, `zeilberger` searches order m alone,
+    raising as it does when that finds nothing.
+    """
+    term = binom_power_term(s)
+    try:
+        with open(os.path.join(_FROZEN, "operator-s%d.json" % s), "rb") as f:
+            doc_s, op, cert, _ = parse_operator_document(f.read())
+    except (OSError, DocumentError):
+        pass
+    else:
+        if doc_s == s and verify_certificate(term, op, cert):
+            return op, cert
+    m = expected_order(s)
+    return zeilberger(term, m, r_from=m)
+
+
 def coefficient_rows(s: int, J: int, n_from: int, n_to: int):
     """Rows (A_0(n), .., A_J(n)) for n = n_from..n_to: the one row source.
 
-    When `recursion_pays`, `zeilberger` searches binom(n, k)^s at order
-    m = ceil(s/2) alone and verifies what it finds, and `recursion_rows`
-    runs from that operator's proven start; otherwise, or when the search
-    finds nothing, the verification fails or the start check fails, every
-    row comes from :func:`coefficient_row`.  Returns an iterator, empty
-    when n_to < n_from.
+    When `recursion_pays`, `recursion_rows` runs from the proven start of
+    the order-m operator, m = ceil(s/2), that `_order_m_telescoper` reads
+    from the frozen table or searches for, verified in this call;
+    otherwise, or when none verifies or the start check fails, every row
+    comes from :func:`coefficient_row`.  Returns an iterator, empty when
+    n_to < n_from.
     """
     if s < 1:
         raise ValueError("the power s must be a positive integer")
     if J < 0 or n_from < 0:
         raise ValueError("n_from and J must be nonnegative")
     if recursion_pays(s, J, range(n_from, n_to + 1)):
-        m = expected_order(s)
         try:
-            op, cert = zeilberger(binom_power_term(s), m, r_from=m)
+            op, cert = _order_m_telescoper(s)
         except (TelescoperNotFoundError, AssertionError):
             pass
         else:
@@ -544,6 +584,15 @@ def _apery_a_direct(n: int) -> int:
 _APERY_OPERATOR = (IntPoly((1, 3, 3, 1)), IntPoly((-117, -231, -153, -34)),
                    IntPoly((8, 12, 6, 1)))
 
+# its certificate, the one `zeilberger` finds at order 2, as (num, den) by
+# powers of k: num = 4 k^4 (2n+3) (2k^2 - 3k - 4(n+1)(n+2)) and
+# den = ((n-k+1)(n-k+2))^2
+_APERY_CERTIFICATE = (
+    (IntPoly(), IntPoly(), IntPoly(), IntPoly(),
+     IntPoly((-96, -208, -144, -32)), IntPoly((-36, -24)), IntPoly((24, 16))),
+    (IntPoly((4, 12, 13, 6, 1)), IntPoly((-12, -26, -18, -4)),
+     IntPoly((13, 18, 6)), IntPoly((-6, -4)), IntPoly((1,))))
+
 
 def apery_zeta3(n_max: int) -> list:
     """The two solutions of the classical three-term recurrence
@@ -554,10 +603,11 @@ def apery_zeta3(n_max: int) -> list:
     proven operator below, A(n) on the integers with each division
     checked exact and B(n) as a Fraction.  That A(n) is the double-square
     sum sum_k (binom(n, k) binom(n+k, k))^2 at every n is proven once, not
-    checked per n: `zeilberger` finds the order-2 telescoper of
-    `apery_zeta3_term` and checks its certificate exactly, its operator
-    must be the classical one and `recursion_start` must be 0, so by the
-    module docstring the recurrence annihilates the sum at every n >= 0.
+    checked per n: the stored certificate of the classical operator must
+    pass `verify_certificate` for `apery_zeta3_term` in this call, and
+    `recursion_start` must be 0, so by the module docstring the recurrence
+    annihilates the sum at every n >= 0.  The certificate is the one
+    `zeilberger` finds at order 2, which the tests check.
     Its leading coefficient never vanishes there and the two agree at
     n = 0 and 1, so by induction they agree everywhere.  The sum itself is
     compared at n = 0, 1 and n_max only; the tests compare every n with
@@ -565,12 +615,12 @@ def apery_zeta3(n_max: int) -> list:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    try:
-        op, cert = zeilberger(apery_zeta3_term(), 2, r_from=2)
-    except TelescoperNotFoundError:
-        raise AssertionError("no order-2 telescoper for the Apery term") \
-            from None
-    if op.coeffs != _APERY_OPERATOR or recursion_start(op, cert) != 0:
+    op = RecurrenceOperator(_APERY_OPERATOR)
+    num, den = _APERY_CERTIFICATE
+    cert = Certificate(RatFunc(BiPoly.from_kpoly(num),
+                               BiPoly.from_kpoly(den)))
+    if not verify_certificate(apery_zeta3_term(), op, cert) or \
+            recursion_start(op, cert) != 0:
         raise AssertionError("the Apery telescoper does not prove the "
                              "classical recurrence from n=0")
     a_vals = [1, 5]

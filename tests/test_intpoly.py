@@ -191,3 +191,28 @@ def test_unpack_overflow_detected():
     # a digit at exactly the half boundary cannot be represented
     with _pytest.raises(OverflowError):
         unpack_signed(1 << 15, 2, 1)
+
+
+class _Unread:
+    """An entry whose content must not be taken."""
+
+    def content(self):
+        raise AssertionError("content taken past a gcd of 1")
+
+
+def test_int_content_stops_at_one():
+    from math import gcd
+    assert intpoly.int_content([]) == 0
+    assert intpoly.int_content([IntPoly(), IntPoly()]) == 0
+    assert intpoly.int_content([IntPoly((6, -4)), IntPoly(),
+                                IntPoly((0, 10))]) == 2
+    assert intpoly.int_content([IntPoly((6, -4)), IntPoly((9,))]) == 1
+    assert intpoly.int_content(iter([IntPoly((3, 5)), _Unread()])) == 1
+    assert intpoly.int_content([IntPoly((4,)), IntPoly((-6,)), IntPoly((3,)),
+                                _Unread()]) == 1
+    rng = random.Random(7)
+    for _ in range(200):
+        polys = [rand_poly(rng) * rng.randint(-4, 4)
+                 for _ in range(rng.randint(0, 4))]
+        assert intpoly.int_content(polys) == \
+            gcd(*(c for p in polys for c in p.coeffs))

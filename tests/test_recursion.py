@@ -12,7 +12,7 @@ from franel.sequences import (_apery_a_direct, coefficient_row,
                               coefficient_rows, recursion_pays,
                               recursion_rows, recursion_start)
 from franel.telescoper import (analyze_structure, first_valid_row,
-                               solve_at_order)
+                               verify_certificate)
 
 
 def _crossover(s, J, two_rows):
@@ -25,15 +25,31 @@ def _crossover(s, J, two_rows):
 
 
 @pytest.fixture
-def solves(monkeypatch):
-    """Counts the solves the row source starts."""
-    calls = []
+def obtained(monkeypatch):
+    """The orders of the operators the row source obtains, from the table
+    or from the search, one entry per operator; each must have passed
+    `verify_certificate` within the call that obtained it."""
+    orders, verified = [], []
+    check, obtain = verify_certificate, sequences._order_m_telescoper
 
-    def spy(term, r):
-        calls.append(r)
-        return solve_at_order(term, r)
-    monkeypatch.setattr(telescoper, "solve_at_order", spy)
-    return calls
+    def verify(term, op, cert):
+        ok = check(term, op, cert)
+        if ok:
+            verified.append(op)
+        return ok
+
+    def spy(s):
+        verified.clear()
+        op, cert = obtain(s)
+        assert any(v is op for v in verified)
+        orders.append(op.order)
+        return op, cert
+    # the table path checks through sequences' name, the search through
+    # telescoper's
+    monkeypatch.setattr(sequences, "verify_certificate", verify)
+    monkeypatch.setattr(telescoper, "verify_certificate", verify)
+    monkeypatch.setattr(sequences, "_order_m_telescoper", spy)
+    return orders
 
 
 def test_recursion_rows_equal_direct_rows(order_m_operators):
@@ -87,12 +103,13 @@ def test_start_covers_first_valid_row(order_m_operators):
 
 
 def test_start_refused_when_a_boundary_pole_is_identical(
-        order_m_operators, monkeypatch):
+        order_m_operators, monkeypatch, tmp_path):
     op, cert = order_m_operators[3]
     crafted = _crafted(cert, BiPoly.var_k() + 1)
     assert recursion_start(op, crafted) is None
     # the crafted certificate is no telescoper; only the start check is
-    # exercised here
+    # exercised here, on the search path of an empty table
+    monkeypatch.setattr(sequences, "_FROZEN", str(tmp_path))
     monkeypatch.setattr(telescoper, "solve_at_order",
                         lambda term, r: (op, crafted))
     monkeypatch.setattr(telescoper, "verify_certificate", lambda *a: True)
@@ -101,8 +118,10 @@ def test_start_refused_when_a_boundary_pole_is_identical(
 
 
 def test_failed_solve_falls_back_to_direct_rows(order_m_operators,
-                                                monkeypatch):
-    # no solution at order m, then one that fails verification
+                                                monkeypatch, tmp_path):
+    # no solution at order m, then one that fails verification, searched
+    # for with an empty table
+    monkeypatch.setattr(sequences, "_FROZEN", str(tmp_path))
     op, cert = order_m_operators[3]
     bumped = RecurrenceOperator((op.coeffs[0] + 1,) + op.coeffs[1:])
     assert recursion_pays(3, 1, [199, 200])
@@ -155,47 +174,47 @@ def test_rule_matches_the_float_product_it_replaced():
                 assert recursion_pays(s, J, rows) is float_rule(s, J, rows)
 
 
-def test_rule_follows_the_request(solves):
+def test_rule_follows_the_request(obtained):
     assert list(coefficient_rows(5, 2, 0, 20)) == \
         [coefficient_row(5, n, 2) for n in range(21)]
-    assert solves == []
+    assert obtained == []
     table = sequences.coefficient_table(3, 60, 1)
-    assert solves == [2]
+    assert obtained == [2]
     assert table.rows[59:] == (coefficient_row(3, 59, 1),
                                coefficient_row(3, 60, 1))
 
 
-def test_no_solve_beyond_the_proven_range(solves, capsys):
+def test_no_solve_beyond_the_proven_range(obtained, capsys):
     # requests the rule would send to the recursion at a J in range, made
-    # at 2J >= s, with --J-force or without, start no solve
+    # at 2J >= s, with --J-force or without, obtain no operator
     assert recursion_pays(5, 2, [599, 600])
     assert cli.main(["limits", "--s", "5", "--n-max", "600", "--J", "3",
                      "--J-force", "--json"]) == 0
     assert recursion_pays(4, 1, range(101))
     assert cli.main(["compute", "--s", "4", "--n-max", "100", "--J",
                      "2"]) == 0
-    assert solves == []
+    assert obtained == []
     capsys.readouterr()
 
 
-def test_no_operator_outlives_a_call(solves, capsys):
+def test_no_operator_outlives_a_call(obtained, capsys):
     argv = ["limits", "--s", "3", "--n-max", "400", "--J", "1", "--json"]
     assert cli.main(argv) == 0
     assert cli.main(argv) == 0
-    assert solves == [2, 2]
+    assert obtained == [2, 2]
     first, second = capsys.readouterr().out.split("]\n", 1)
     assert first + "]\n" == second
 
 
-def test_library_api_takes_the_same_source(solves):
+def test_library_api_takes_the_same_source(obtained):
     errs = limits.limit_error_sequence(3, 1, 200, 260, 256)
-    assert solves == [2]
+    assert obtained == [2]
     assert [n for n, _ in errs] == list(range(200, 261))
     direct = limits._row_ratio(coefficient_row(3, 230, 1), 1, 256)
     target = limits.pi(256).pow_int(2) * limits.phi(3, 1)[1]
     assert errs[30][1].to_fraction() == abs(direct - target).to_fraction()
     est = limits.limit_estimate(3, 1, 600)
-    assert solves == [2, 2]
+    assert obtained == [2, 2]
     assert est.to_fraction() == \
         limits._row_ratio(coefficient_row(3, 600, 1), 1, 256).to_fraction()
     assert limits.limit_error_sequence(3, 1, 5, 4) == []

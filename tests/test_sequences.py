@@ -5,9 +5,9 @@ from math import comb, lcm
 import pytest
 
 from franel import sequences
+from franel.bipoly import BiPoly
 from franel.hyperterm import apery_zeta3_term, binom_power_term
 from franel.intpoly import IntPoly
-from franel.operators import RecurrenceOperator
 from franel.sequences import (_FRANEL_LEAF, _apery_a_direct, apery_zeta3,
                               coefficient_row, coefficient_table, deformed,
                               franel, lcm_upto, recursion_start)
@@ -262,6 +262,10 @@ def test_apery_direct_equals_recursion():
                           for k in range(p.n + 1))
 
 
+# the certificate apery_zeta3 stores, as (num, den) by powers of k
+_NUM, _DEN = sequences._APERY_CERTIFICATE
+
+
 def test_apery_telescoper_is_the_classical_recurrence_from_n_zero():
     op, cert = zeilberger(apery_zeta3_term(), 2, r_from=2)
     n1, n2 = IntPoly((1, 1)), IntPoly((2, 1))
@@ -270,6 +274,10 @@ def test_apery_telescoper_is_the_classical_recurrence_from_n_zero():
                          -(IntPoly((3, 2)) * IntPoly((39, 51, 17))),
                          n2 * n2 * n2)
     assert recursion_start(op, cert) == 0
+    # the search still finds the operator and certificate apery_zeta3 stores
+    assert op.coeffs == sequences._APERY_OPERATOR
+    assert (cert.ratio.num, cert.ratio.den) == \
+        (BiPoly.from_kpoly(_NUM), BiPoly.from_kpoly(_DEN))
 
 
 def test_apery_sums_directly_only_at_the_ends(monkeypatch):
@@ -280,18 +288,16 @@ def test_apery_sums_directly_only_at_the_ends(monkeypatch):
     assert seen == [0, 1, 40]
 
 
-def _perturbed_zeilberger(term, r_max, r_from=1):
-    op, cert = zeilberger(term, r_max, r_from)
-    c0 = op.coeffs[0] + IntPoly.const(1)
-    return RecurrenceOperator((c0,) + op.coeffs[1:]), cert
-
-
 @pytest.mark.parametrize("name, fake, message", [
-    ("zeilberger", _perturbed_zeilberger, "does not prove"),
+    ("_APERY_OPERATOR", (sequences._APERY_OPERATOR[0] + IntPoly.const(1),)
+     + sequences._APERY_OPERATOR[1:], "does not prove"),
+    ("_APERY_CERTIFICATE", (_NUM[:-1] + (_NUM[-1] + IntPoly.const(1),), _DEN),
+     "does not prove"),
     ("recursion_start", lambda op, cert: 1, "does not prove"),
     ("_apery_a_direct", lambda n: _apery_a_direct(n) + (n == 12),
      "disagree at n=12"),
-], ids=["perturbed-operator", "late-start", "direct-sum-at-n-max"])
+], ids=["perturbed-operator", "perturbed-certificate", "late-start",
+        "direct-sum-at-n-max"])
 def test_apery_refuses_an_unproven_recurrence(monkeypatch, name, fake,
                                               message):
     monkeypatch.setattr(sequences, name, fake)
