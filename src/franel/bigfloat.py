@@ -141,14 +141,18 @@ class BigFloat:
                                           float(self.error_fraction()))
 
     def decimal(self, places: int = 30) -> str:
-        """Decimal rendering of the center with the given fractional places."""
+        """Decimal rendering of the center with the given fractional places;
+        with none, the rounded integer without a point."""
+        if places < 0:
+            raise ValueError("places must be nonnegative")
         v = self.to_fraction()
         sign = "-" if v < 0 else ""
         v = abs(v)
         scaled = (v.numerator * 10 ** places * 2 +
                   v.denominator) // (2 * v.denominator)
         digits = str(scaled).rjust(places + 1, "0")
-        return "%s%s.%s" % (sign, digits[:-places] or "0", digits[-places:])
+        point = len(digits) - places
+        return sign + digits[:point] + ("." if places else "") + digits[point:]
 
     # -- arithmetic ------------------------------------------------------------
 

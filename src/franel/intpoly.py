@@ -16,6 +16,8 @@ These polynomials carry the recurrence coefficients in n and back the
 fraction-free linear algebra, so the product in Z[x] switches to Kronecker
 substitution (packing coefficients into one big integer) once operands are
 large enough for Python's subquadratic integer multiplication to win.
+Integer roots, where a proof's recurrence may not run, are found by
+Descartes' rule of signs alone, on bisected intervals.
 """
 
 from __future__ import annotations
@@ -384,7 +386,8 @@ def pseudo_rem_coeffs(a, b) -> list:
     need only *, - and truth testing, so ints (Z[x]) and IntPolys (Z[n][k])
     both work.  The remainder is rescaled by lc(b) at every one of the
     da - db + 1 elimination steps, so the overall scaling exponent is fixed;
-    the Sturm chain construction relies on that for sign bookkeeping.
+    the subresultant PRS of `franel.bipoly.kp_gcd` relies on that, since its
+    exact division of each remainder by g h^delta holds only at that scaling.
     Trailing zeros of the result are not stripped.
     """
     if not b:
@@ -512,7 +515,7 @@ def poly_content(polys, g=IntPoly()):
 
 
 # ---------------------------------------------------------------------------
-# integer roots via Sturm sequences
+# integer roots by Descartes' rule of signs
 # ---------------------------------------------------------------------------
 
 
@@ -526,73 +529,60 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     return p.divexact(poly_gcd_int(p, derivative(p)))
 
 
-def _sturm_chain(p: IntPoly):
-    """Sturm chain of a squarefree polynomial, up to positive rescaling."""
-    chain = [p, derivative(p)]
-    while chain[-1].degree > 0:
-        a, b = chain[-2], chain[-1]
-        r = pseudo_rem(a, b)
-        if r.is_zero:
-            break
-        # r = lc(b)^delta * (a mod b); the Sturm chain needs a positive
-        # multiple of -(a mod b), so flip unless the scaling was negative.
-        delta = a.degree - b.degree + 1
-        if not (b.lc < 0 and delta % 2 == 1):
-            r = -r
-        chain.append(r.primitive())
-    return chain
+def _sign_change(cs) -> bool:
+    """Whether the nonzero entries of cs take both signs."""
+    return len({c > 0 for c in cs if c}) > 1
 
 
-def _sign_variations(chain, x: int) -> int:
-    signs = []
-    for q in chain:
-        v = q.eval_int(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+def _roots_between(p: IntPoly, lo: int, hi: int) -> list:
+    """Sorted integer roots of p in the open interval (lo, hi).
+
+    With v(u) = p(lo + (hi - lo) u), the roots of p in (lo, hi) are those
+    of v in (0, 1), and u -> 1/(1 + u) takes them to the positive roots of
+    (1 + u)^d v(1/(1 + u)): the Taylor shift by 1 of v's coefficients
+    reversed.  By Descartes' rule an interval where that shows no sign
+    change holds no root (Collins and Akritas, "Polynomial real root
+    isolation using Descartes' rule of signs", SYMSAC 1976).  Any other
+    has its midpoint tested exactly and both halves searched, down to
+    halves narrower than 2, which hold no integer.
+    """
+    roots, stack = [], [(lo, hi)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        v = [c * (hi - lo) ** i
+             for i, c in enumerate(taylor_shift_coeffs(p.coeffs, lo))]
+        if _sign_change(taylor_shift_coeffs(v[::-1], 1)):
+            mid = (lo + hi) // 2
+            if not p.eval_int(mid):
+                roots.append(mid)
+            stack += [(lo, mid), (mid, hi)]
+    return sorted(roots)
+
+
+def _integer_roots(p: IntPoly, negative: bool) -> list:
+    """The sorted distinct integer roots of p, the negative ones if asked:
+    those of p's squarefree part in (-B, B), or in (-1, B) for the
+    nonnegative ones, B = 2 + max|c| // |lc| the Cauchy bound."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has every integer as a root")
+    sf = squarefree_part(p)
+    bound = 2 + max(abs(c) for c in sf.coeffs) // abs(sf.lc)
+    return _roots_between(sf, -bound if negative else -1, bound)
 
 
 def integer_roots(p: IntPoly):
     """Sorted list of the distinct integer roots of p (p must be nonzero)."""
-    if p.is_zero:
-        raise ValueError("the zero polynomial has every integer as a root")
-    roots = set()
-    coeffs = list(p.coeffs)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.add(0)
-    q = IntPoly(coeffs)
-    if q.degree <= 0:
-        return sorted(roots)
-    sf = squarefree_part(q)
-    if sf.degree == 0:
-        return sorted(roots)
-    chain = _sturm_chain(sf)
-    bound = 2 + max(abs(c) for c in sf.coeffs) // abs(sf.lc)
-
-    stack = [(-bound, bound)]
-    while stack:
-        lo, hi = stack.pop()
-        if _sign_variations(chain, lo) - _sign_variations(chain, hi) == 0:
-            continue
-        if hi - lo == 1:
-            if sf.eval_int(hi) == 0:
-                roots.add(hi)
-            continue
-        mid = (lo + hi) // 2
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    return sorted(roots)
+    return _integer_roots(p, negative=True)
 
 
 def nonnegative_integer_roots(p: IntPoly):
     """Sorted distinct integer roots x >= 0 of p (p nonzero).  With
     p = x**e q, q(0) != 0, 0 is a root iff e > 0, and by Descartes' rule q
     has no positive root when its coefficients, p's nonzero ones, show no
-    sign change; otherwise `integer_roots` decides (and rejects p = 0)."""
-    if len({c > 0 for c in p.coeffs if c}) != 1:
-        return [x for x in integer_roots(p) if x >= 0]
+    sign change; otherwise the search runs on (-1, B) alone, no negative
+    root sought (and rejects p = 0)."""
+    if p.is_zero or _sign_change(p.coeffs):
+        return _integer_roots(p, negative=False)
     return [0] if p.coeffs[0] == 0 else []

@@ -600,8 +600,11 @@ def apery_zeta3(n_max: int) -> list:
     with (A(0), A(1)) = (1, 5) and (B(0), B(1)) = (0, 1).
 
     Both are stepped by forward recursion with the coefficients of the
-    proven operator below, A(n) on the integers with each division
-    checked exact and B(n) as a Fraction.  That A(n) is the double-square
+    proven operator below, on the integers with each division checked
+    exact: A(n), and X(n) = lcm(1..n)^3 B(n), whose window is scaled by
+    p^3 when n = p^a, as in `recursion_rows`.  So the exact divisions prove
+    that lcm(1..n)^3 is a multiple of B(n)'s denominator, and B(n) is
+    X(n) / lcm(1..n)^3.  That A(n) is the double-square
     sum sum_k (binom(n, k) binom(n+k, k))^2 at every n is proven once, not
     checked per n: the stored certificate of the classical operator must
     pass `verify_certificate` for `apery_zeta3_term` in this call, and
@@ -623,25 +626,27 @@ def apery_zeta3(n_max: int) -> list:
             recursion_start(op, cert) != 0:
         raise AssertionError("the Apery telescoper does not prove the "
                              "classical recurrence from n=0")
-    a_vals = [1, 5]
-    b_vals = [Fraction(0), Fraction(1)]
+    steps = lcm_steps(n_max)
+    a_vals, b_vals = [1, 5], [Fraction(0), Fraction(1)]
+    cube, x_vals = 1, [0, 1]  # lcm(1..n)^3 and (X(n-1), X(n)) at that scale
     for n in range(1, n_max):
         # c_0(m) u(m) + c_1(m) u(m+1) + c_2(m) u(m+2) = 0 at m = n - 1
         c0, c1, c2 = (c.eval_int(n - 1) for c in op.coeffs)
-        a, rem = divmod(c0 * a_vals[n - 1] + c1 * a_vals[n], -c2)
-        if rem:
-            raise AssertionError("A(%d) is not an integer" % (n + 1))
+        p = steps[n + 1]
+        if p > 1:  # n + 1 = p^a: lcm(1..n+1) = p lcm(1..n)
+            cube *= p ** 3
+            x_vals = [x * p ** 3 for x in x_vals]
+        (a, rem_a), (x, rem_x) = (divmod(c0 * u[-2] + c1 * u[-1], -c2)
+                                  for u in (a_vals, x_vals))
+        if rem_a or rem_x:
+            raise AssertionError("A(%d) or lcm(1..%d)^3 B(%d) is not an "
+                                 "integer" % (n + 1, n + 1, n + 1))
         a_vals.append(a)
-        b_vals.append((c0 * b_vals[n - 1] + c1 * b_vals[n]) / -c2)
+        x_vals = [x_vals[1], x]
+        b_vals.append(Fraction(x, cube))
     for n in (0, 1, n_max):
         if _apery_a_direct(n) != a_vals[n]:
             raise AssertionError("recursion and summation disagree at n=%d"
                                  % n)
-    out = []
-    steps = lcm_steps(n_max)
-    lcm = 1
-    for n in range(n_max + 1):
-        lcm *= steps[n]
-        divides = (lcm ** 3) % b_vals[n].denominator == 0
-        out.append(AperyPair(n, a_vals[n], b_vals[n], divides))
-    return out
+    return [AperyPair(n, a_vals[n], b_vals[n], True)
+            for n in range(n_max + 1)]

@@ -160,6 +160,17 @@ def test_decimal_rendering():
     assert y.decimal(2) == "-2.50"
 
 
+def test_decimal_rendering_without_places():
+    # no places: the rounded integer without a point, halves rounded up
+    assert BigFloat.from_fraction(Fraction(7, 2), 128).decimal(0) == "4"
+    assert BigFloat.from_int(5, 128).decimal(0) == "5"
+    assert BigFloat.from_fraction(Fraction(-12, 5), 128).decimal(0) == "-2"
+    assert BigFloat.from_fraction(Fraction(1, 3), 128).decimal(0) == "0"
+    assert BigFloat.from_int(123, 128).decimal(1) == "123.0"
+    with pytest.raises(ValueError):
+        BigFloat.from_int(5, 128).decimal(-1)
+
+
 def test_add_with_huge_exponent_gap():
     big = BigFloat.from_int(1, 128).mul_2exp(1000)
     tiny = BigFloat.from_int(1, 128).mul_2exp(-1000)

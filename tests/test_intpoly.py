@@ -8,6 +8,8 @@ from franel.intpoly import (IntPoly, integer_roots, nonnegative_integer_roots,
                             pack_signed, poly_gcd_int, pseudo_rem,
                             pseudo_rem_coeffs, unpack_signed)
 
+from reference_intpoly import integer_roots as sturm_integer_roots
+
 X = IntPoly.variable()
 
 
@@ -121,6 +123,10 @@ def test_integer_roots_known():
     # large roots are still found exactly
     q = (X - 10 ** 9) * (X + 4)
     assert integer_roots(q) == [-4, 10 ** 9]
+    for poly in (p, X, IntPoly.const(7), q):
+        assert integer_roots(poly) == sturm_integer_roots(poly)
+    with pytest.raises(ValueError):
+        integer_roots(IntPoly())
 
 
 def test_integer_roots_random():
@@ -132,16 +138,17 @@ def test_integer_roots_random():
             p = p * (X - r) ** rng.randint(1, 2)
         p = p * (X * X + X + 1)  # irreducible factor, no real roots
         assert integer_roots(p) == roots if roots else integer_roots(p) == []
+        assert integer_roots(p) == sturm_integer_roots(p)
 
 
 def test_nonnegative_roots_without_a_sign_change_skip_sturm(monkeypatch):
     # Descartes' rule: x^2 (x+1)^2 (x+3) has coefficients of one sign, so
-    # its only root >= 0 is 0, read from the factor x^2, and the Sturm
-    # path never runs
-    def sturm(p):
-        raise AssertionError("Sturm path taken")
+    # its only root >= 0 is 0, read from the factor x^2, and the bisection
+    # never runs
+    def bisection(p, lo, hi):
+        raise AssertionError("bisection taken")
 
-    monkeypatch.setattr(intpoly, "integer_roots", sturm)
+    monkeypatch.setattr(intpoly, "_roots_between", bisection)
     assert nonnegative_integer_roots(X * X * (X + 1) ** 2 * (X + 3)) == [0]
     assert nonnegative_integer_roots(-(X + 2) * (X * X + 1)) == []
     assert nonnegative_integer_roots(IntPoly.const(-7)) == []

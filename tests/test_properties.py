@@ -11,15 +11,16 @@ certificate check agrees with the full cross multiplication on perturbed
 certificates, an image's balanced digits evaluate back to it, the 1-norm
 bound covers a shift in k, mixed-shift compatibility decided in
 the image agrees with the cross multiplication in Z[n][k], the
-dispersion set agrees with sympy's on polynomials in k, the nonnegative
-integer roots by Descartes' rule agree with the Sturm path and with
-sympy's, the truncated-series inverse and power agree with the product, the row
-sum by binary splitting agrees with the stepping loop it replaced, its
-2-adic inverse included, the recursion rows on a scale that grows with the
-window agree with those on one fixed scale, lcm(1..n) from the prime-power
-sieve agrees with the gcd loop, the Apery pairs stepped on integers agree
-with the Fraction recursion, and the telescoper solves binomial products as
-its unscaled reference does, with operators that annihilate their sums."""
+dispersion set agrees with sympy's on polynomials in k, the integer roots
+by Descartes' rule, all of them and the nonnegative ones, agree with the
+Sturm oracle and with sympy's, the truncated-series inverse and power agree
+with the product, the row sum by binary splitting agrees with the stepping
+loop it replaced, its 2-adic inverse included, the recursion rows on a
+scale that grows with the window agree with those on one fixed scale,
+lcm(1..n) from the prime-power sieve agrees with the gcd loop, the Apery
+pairs stepped on integers agree with the Fraction recursion, and the
+telescoper solves binomial products as its unscaled reference does, with
+operators that annihilate their sums."""
 
 import json
 from fractions import Fraction
@@ -51,6 +52,7 @@ from franel.telescoper import (_digits, _dispersion_set, _residual_image,
 
 from reference_documents import reference_bipoly_from_json
 from reference_hyperterm import binomial_product_term, reference_is_compatible
+from reference_intpoly import integer_roots as sturm_integer_roots
 from reference_linalg import (canonical_signs, reference_determinant,
                               reference_nullspace, reference_schur_block)
 from reference_sequences import (reference_apery_zeta3, reference_franel,
@@ -415,14 +417,22 @@ _MALFORMED = {
 }
 
 
+# the exponent pairs a record may carry; the first entries of a random
+# permutation of them are distinct keys drawn without retries
+_MONOMIAL_KEYS = [(dn, dk) for dn in range(13) for dk in range(13)]
+
+
 @st.composite
 def monomial_records(draw):
     """The records of a sparse BiPoly in any order, with at most one
     malformed record added or put in place of another."""
-    keys = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
-                         unique=True, max_size=12))
+    size = draw(st.integers(0, 12))
+    keys = list(_MONOMIAL_KEYS)
+    for i in range(size):  # keys[:size] is drawn as by Fisher-Yates
+        j = draw(st.integers(i, len(keys) - 1))
+        keys[i], keys[j] = keys[j], keys[i]
     nonzero = st.one_of(st.integers(-10 ** 30, -1), st.integers(1, 10 ** 30))
-    records = [[str(draw(nonzero)), dn, dk] for dn, dk in keys]
+    records = [[str(draw(nonzero)), dn, dk] for dn, dk in keys[:size]]
     kind = draw(st.sampled_from([None, *_MALFORMED]))
     if kind is not None and records:
         rec = draw(st.sampled_from(records))
@@ -643,11 +653,39 @@ def planted_root_polys(draw):
 @hypothesis.given(planted_root_polys())
 def test_nonnegative_integer_roots_match_sturm_and_sympy(p):
     got = nonnegative_integer_roots(p)
-    assert got == [x for x in integer_roots(p) if x >= 0]
+    assert got == [x for x in sturm_integer_roots(p) if x >= 0]
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     roots = sympy.roots(sympy.Poly(p.coeffs[::-1], x), filter="Z")
     assert got == sorted(int(r) for r in roots if r >= 0)
+
+
+@st.composite
+def roots_beside_complex_pairs(draw):
+    """A planted-root polynomial times factors (x - m)^2 + 1 with m in the
+    planted range: each pair of complex roots m +- i lies close enough to
+    the real axis that Descartes' rule counts sign changes near m on
+    intervals that hold no real root."""
+    p = draw(planted_root_polys())
+    for m in draw(st.lists(st.integers(-40, 40), min_size=1, max_size=2)):
+        p = p * IntPoly((m * m + 1, -2 * m, 1))
+    return p
+
+
+# (x - 2)(x + 2)(3 - x) ((x - 3)^2 + 1): roots of both signs, one of them
+# beside a complex pair
+@hypothesis.example(IntPoly((-12, 4, 3, -1)) * IntPoly((10, -6, 1)))
+@hypothesis.settings(deadline=None, max_examples=200)
+@hypothesis.given(roots_beside_complex_pairs())
+def test_integer_roots_match_sturm_and_sympy(p):
+    got = integer_roots(p)
+    assert got == sturm_integer_roots(p)
+    assert got == sorted(set(got))
+    assert nonnegative_integer_roots(p) == [x for x in got if x >= 0]
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    assert got == sorted(int(r) for r in sympy.roots(
+        sympy.Poly(p.coeffs[::-1], x), filter="Z"))
 
 
 # 127 * 256 + 200 balances to -56 - 128 * 256 + 256**2: its top digit
