@@ -64,11 +64,12 @@ recurrence this way, once per call, from the stored order-2 telescoper of
 Who found an operator does not enter the argument: it needs a verified
 certificate, not a search.  So the row source takes its order-m operator
 from the document of s in the package's `frozen/` table (the bytes
-`telescope` writes for s = 1..8 with SOURCE_DATE_EPOCH=0) and verifies its
-certificate exactly in the same call; only when the entry is missing, does
-not parse, names another s or fails to verify does `zeilberger` search at
-order m.  The search stays the oracle: the tests compare each entry with
-a fresh `telescope` document, and the rows that both give.
+`telescope` writes for s = 1..12 with SOURCE_DATE_EPOCH=0) and verifies
+its certificate exactly in the same call; when the entry is missing, does
+not parse, names another s or fails to verify, the rows are direct.  The
+row source never searches.  The search stays the oracle: the tests
+compare each entry with a fresh `telescope` document or its pinned
+digest, and the rows of the recursion with the direct rows.
 
 `recursion_start` checks this per operator: it builds the two univariate
 polynomials den(n, -1) and den(n, n+r+1), takes their nonnegative integer
@@ -76,15 +77,16 @@ roots, and adds those of c_r, so that every step past the start both holds
 and can be solved for its last row.  Annihilation is claimed only from
 where that check ran.
 
-Which path runs is one rule on the request alone, `recursion_pays`; no
-option selects it and nothing is remembered between calls, so each call
-reads and verifies its operator anew.  Rows below the start plus r come
-from `deformed`; later rows come from forward recursion on the integers
-A_j(n) L^(2j), L = lcm(1..m) for the window whose top row is m, a scale
-the L^i bound above proves sufficient for every row up to m, so it grows
-by p^(2j) as m passes a power of the prime p.  Every division by c_r(n)
-is exact and checked, and the last row's head is checked against
-`franel`.
+Which path runs is one rule on the request alone: recursion when 2J < s
+and the table verifies an entry for s, direct rows otherwise.  No option
+selects it and nothing is remembered between calls, so each call reads
+and verifies its operator anew.  Rows below the start plus r come from
+`deformed`; later rows come from `_stepped_rows`, forward recursion on
+the integers A_j(n) L^(2j), L = lcm(1..m) for the window whose top row is
+m, a scale the L^i bound above proves sufficient for every row up to m,
+so it grows by p^(2j) as m passes a power of the prime p.  Every division
+by c_r(n) is exact and checked, and the last row's head is checked
+against `franel`.
 """
 
 from __future__ import annotations
@@ -94,16 +96,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, perm, prod
+from operator import mul
 
 from .bipoly import BiPoly, RatFunc
 from .documents import parse_operator_document
-from .errors import DocumentError, TelescoperNotFoundError
+from .errors import DocumentError
 from .hyperterm import apery_zeta3_term, binom_power_term
 from .intpoly import IntPoly, horner, nonnegative_integer_roots
 from .linalg import bareiss_determinant
 from .operators import Certificate, RecurrenceOperator
 from .series import series_inv, series_pow
-from .telescoper import expected_order, verify_certificate, zeilberger
+from .telescoper import expected_order, verify_certificate
 
 
 # terms per leaf of `franel`'s product tree
@@ -316,39 +319,6 @@ def coefficient_table(s: int, n_max: int, J: int) -> SequenceTable:
     return SequenceTable(s, J, tuple(coefficient_rows(s, J, 0, n_max)))
 
 
-# the modelled cost in seconds: a direct row n takes about
-# n (step + w (term + digit n)) with w = s (J+1), the k-steps times the
-# series work per step on numbers of about n digits; the order ceil(s/2)
-# solve for binom(n, k)^s takes about solve 3^s.  Fitted to one-run
-# timings of direct rows and of solves for s = 1..8 (2 cores, Python 3.11.7);
-# the solve constant was refitted when the nullspace began substituting
-# away the triangular f-block, which made the s = 5..8 solves 0.31-0.36 of
-# their earlier times on one host.  For s = 1..8 the row source now reads
-# and verifies a table entry instead, at 0.1-0.3 of that solve, so the rule
-# overprices the recursion there; the crossovers stay pinned as they are
-_DIRECT_STEP_S = 2.2e-6
-_DIRECT_TERM_S = 1.9e-6
-_DIRECT_DIGIT_S = 1.2e-8
-_SOLVE_S = 1.3e-4
-
-
-def recursion_pays(s: int, J: int, rows) -> bool:
-    """Whether the rows asked for are cheaper by recursion than directly.
-
-    False when 2J >= s, where the operator need not annihilate A_J;
-    otherwise whether the modelled cost of computing each row directly
-    exceeds that of one solve.  A predicate on (s, J, rows) alone.
-    """
-    if 2 * J >= s:
-        return False
-    w = s * (J + 1)
-    direct = sum(n * (_DIRECT_STEP_S + w * (_DIRECT_TERM_S
-                                            + _DIRECT_DIGIT_S * n))
-                 for n in rows)
-    # exact: a float compares with the int 3**s, which would overflow one
-    return direct / _SOLVE_S > 3 ** s
-
-
 def recursion_start(op: RecurrenceOperator,
                     cert: Certificate) -> int | None:
     """Least n0 such that, for every n >= n0, the operator annihilates
@@ -370,11 +340,12 @@ def recursion_start(op: RecurrenceOperator,
 
 
 def _integer_row(row, scales, n: int) -> list:
-    """The row (A_0(n), .., A_J(n)) times scales[j] = L^(2j), L = lcm(1..M)
-    for some M >= n, as integers; the L^i bound says they are."""
+    """Row n times its scales, column by column, as integers; for the row
+    (A_0(n), .., A_J(n)) at scales[j] = L^(2j), L = lcm(1..M) for some
+    M >= n, the L^i bound says they are."""
     ints = [a * sc for a, sc in zip(row, scales)]
     if any(x.denominator != 1 for x in ints):
-        raise AssertionError("row %d is not integral over L^(2j)" % n)
+        raise AssertionError("row %d is not integral at its scales" % n)
     return [x.numerator for x in ints]
 
 
@@ -449,52 +420,68 @@ def minimality_certificate(s: int, op: RecurrenceOperator,
                                  Fraction(w_n, scale ** (m * (m - 1))))
 
 
+def _stepped_rows(op: RecurrenceOperator, m0: int, seeds, exponents,
+                  m_to: int):
+    """Rows m0+r..m_to of sum_i c_i(n) X(n+i) = 0, n = m - r, from the r
+    exact rows m0..m0+r-1 in seeds: yields (row, scales) with row the
+    integers X_j(m) scales[j], scales[j] = lcm(1..m)^exponents[j].
+
+    Each row m solves c_r(n) X(m) = -sum_{i<r} c_i(n) X(n+i) on the
+    integers, every division checked exact, so an exact step proves row m
+    integral at its scale.  The window's scale grows with its top row:
+    when m = p^a, lcm gains the factor p and column j of the kept rows is
+    multiplied by p^exponents[j] before row m is solved.  The seeds are
+    checked integral at the scale of the last of them, and only the last
+    r rows are kept.
+    """
+    r = op.order
+    steps = lcm_steps(m_to)
+    scale = lcm_upto(m0 + r - 1)
+    scales = [scale ** e for e in exponents]
+    window = [_integer_row(row, scales, m) for m, row in enumerate(seeds, m0)]
+    for m in range(m0 + r, m_to + 1):
+        p = steps[m]
+        if p > 1:
+            grow = [p ** e for e in exponents]
+            scales = [sc * g for sc, g in zip(scales, grow)]
+            window = [[x * g for x, g in zip(row, grow)] for row in window]
+        cs = [c.eval_int(m - r) for c in op.coeffs]
+        lead = -cs.pop()
+        new = []
+        for column in zip(*window):
+            q, rem = divmod(sum(map(mul, cs, column)), lead)
+            if rem:
+                raise AssertionError("inexact recursion step at n=%d" % m)
+            new.append(q)
+        window = window[1:] + [new]
+        yield new, scales
+
+
 def recursion_rows(s: int, J: int, n_from: int, n_to: int,
                    op: RecurrenceOperator, start: int):
     """Rows n_from..n_to from a verified operator whose annihilation of
     A_0..A_J is proved from n = start on (see `recursion_start`).
 
-    Rows below start + r come from :func:`coefficient_row`; each later row
-    m solves c_r(n) X(m) = -sum_{i<r} c_i(n) X(n+i), n = m - r, on the
-    integers X_j = A_j L^(2j) with L = lcm(1..m), which the L^i bound makes
-    integers for every row up to m.  So the window's scale grows with its
-    top row: when m = p^a, L gains the factor p and column j of the kept
-    rows is multiplied by p^(2j) before row m is solved.  The seed rows are
-    checked integral at the scale of the last of them.  Only the last r
-    rows are kept.
+    Rows below start + r come from :func:`coefficient_row`; later rows
+    from `_stepped_rows` on the integers X_j = A_j L^(2j), L = lcm(1..m),
+    which the L^i bound makes integers for every row up to m.  The last
+    row's head is checked against `franel`.
     """
-    r = op.order
-    seed_end = min(start + r, n_to + 1)
-    steps = lcm_steps(n_to)
-    scales = [prod(steps[:seed_end]) ** (2 * j) for j in range(J + 1)]
-    window = []
+    seed_end = min(start + op.order, n_to + 1)
+    seeds = []
     for m in range(seed_end):
         if m < start and m < n_from:
             continue
         row = coefficient_row(s, m, J)
         if m >= start:
-            window.append(_integer_row(row, scales, m))
+            seeds.append(row)
         if m >= n_from:
             yield row
-    for m in range(seed_end, n_to + 1):
-        p = steps[m]
-        if p > 1:
-            grow = [p ** (2 * j) for j in range(J + 1)]
-            scales = [sc * g for sc, g in zip(scales, grow)]
-            window = [[x * g for x, g in zip(row, grow)] for row in window]
-        n = m - r
-        cs = [c.eval_int(n) for c in op.coeffs]
-        lead = cs[r]
-        new = []
-        for j in range(J + 1):
-            acc = 0
-            for i in range(r):
-                acc -= cs[i] * window[i][j]
-            q, rem = divmod(acc, lead)
-            if rem:
-                raise AssertionError("inexact recursion step at n=%d" % m)
-            new.append(q)
-        window = window[1:] + [new]
+    if seed_end > n_to:
+        return
+    exponents = [2 * j for j in range(J + 1)]
+    stepped = _stepped_rows(op, start, seeds, exponents, n_to)
+    for m, (new, scales) in enumerate(stepped, seed_end):
         if m == n_to and new[0] != franel(s, m):
             raise AssertionError("recursion head disagrees with the direct "
                                  "sum at n=%d" % m)
@@ -507,50 +494,41 @@ _FROZEN = os.path.join(os.path.dirname(__file__), "frozen")
 
 
 def _order_m_telescoper(s: int):
-    """An order m = ceil(s/2) telescoper of binom(n, k)^s with its
-    certificate, verified exactly in this call.
-
-    The frozen document of s is parsed and its certificate checked by
-    `verify_certificate`; when the file is missing, does not parse, names
-    another s or fails the check, `zeilberger` searches order m alone,
-    raising as it does when that finds nothing.
+    """The order m = ceil(s/2) telescoper of binom(n, k)^s in the frozen
+    table, with its certificate, verified exactly in this call; None when
+    the file is missing, does not parse, names another s or fails
+    `verify_certificate`.  Nothing is searched for.
     """
-    term = binom_power_term(s)
     try:
         with open(os.path.join(_FROZEN, "operator-s%d.json" % s), "rb") as f:
             doc_s, op, cert, _ = parse_operator_document(f.read())
     except (OSError, DocumentError):
-        pass
-    else:
-        if doc_s == s and verify_certificate(term, op, cert):
-            return op, cert
-    m = expected_order(s)
-    return zeilberger(term, m, r_from=m)
+        return None
+    if doc_s != s or not verify_certificate(binom_power_term(s), op, cert):
+        return None
+    return op, cert
 
 
 def coefficient_rows(s: int, J: int, n_from: int, n_to: int):
     """Rows (A_0(n), .., A_J(n)) for n = n_from..n_to: the one row source.
 
-    When `recursion_pays`, `recursion_rows` runs from the proven start of
-    the order-m operator, m = ceil(s/2), that `_order_m_telescoper` reads
-    from the frozen table or searches for, verified in this call;
-    otherwise, or when none verifies or the start check fails, every row
-    comes from :func:`coefficient_row`.  Returns an iterator, empty when
-    n_to < n_from.
+    When 2J < s and the request is not empty, `recursion_rows` runs from
+    the proven start of the order-m operator, m = ceil(s/2), that
+    `_order_m_telescoper` reads from the frozen table and verifies in this
+    call; otherwise, or when no entry verifies or the start check fails,
+    every row comes from :func:`coefficient_row`.  Returns an iterator,
+    empty when n_to < n_from.
     """
     if s < 1:
         raise ValueError("the power s must be a positive integer")
     if J < 0 or n_from < 0:
         raise ValueError("n_from and J must be nonnegative")
-    if recursion_pays(s, J, range(n_from, n_to + 1)):
-        try:
-            op, cert = _order_m_telescoper(s)
-        except (TelescoperNotFoundError, AssertionError):
-            pass
-        else:
-            start = recursion_start(op, cert)
+    if 2 * J < s and n_from <= n_to:
+        found = _order_m_telescoper(s)
+        if found is not None:
+            start = recursion_start(*found)
             if start is not None:
-                return recursion_rows(s, J, n_from, n_to, op, start)
+                return recursion_rows(s, J, n_from, n_to, found[0], start)
     return (coefficient_row(s, n, J) for n in range(n_from, n_to + 1))
 
 
@@ -599,10 +577,10 @@ def apery_zeta3(n_max: int) -> list:
     (n+1)^3 u(n+1) = (2n+1)(17n^2+17n+5) u(n) - n^3 u(n-1)
     with (A(0), A(1)) = (1, 5) and (B(0), B(1)) = (0, 1).
 
-    Both are stepped by forward recursion with the coefficients of the
+    Both are stepped by `_stepped_rows` with the coefficients of the
     proven operator below, on the integers with each division checked
-    exact: A(n), and X(n) = lcm(1..n)^3 B(n), whose window is scaled by
-    p^3 when n = p^a, as in `recursion_rows`.  So the exact divisions prove
+    exact: A(n) at scale 1, and X(n) = lcm(1..n)^3 B(n), whose window is
+    scaled by p^3 when n = p^a.  So the exact divisions prove
     that lcm(1..n)^3 is a multiple of B(n)'s denominator, and B(n) is
     X(n) / lcm(1..n)^3.  That A(n) is the double-square
     sum sum_k (binom(n, k) binom(n+k, k))^2 at every n is proven once, not
@@ -626,23 +604,10 @@ def apery_zeta3(n_max: int) -> list:
             recursion_start(op, cert) != 0:
         raise AssertionError("the Apery telescoper does not prove the "
                              "classical recurrence from n=0")
-    steps = lcm_steps(n_max)
     a_vals, b_vals = [1, 5], [Fraction(0), Fraction(1)]
-    cube, x_vals = 1, [0, 1]  # lcm(1..n)^3 and (X(n-1), X(n)) at that scale
-    for n in range(1, n_max):
-        # c_0(m) u(m) + c_1(m) u(m+1) + c_2(m) u(m+2) = 0 at m = n - 1
-        c0, c1, c2 = (c.eval_int(n - 1) for c in op.coeffs)
-        p = steps[n + 1]
-        if p > 1:  # n + 1 = p^a: lcm(1..n+1) = p lcm(1..n)
-            cube *= p ** 3
-            x_vals = [x * p ** 3 for x in x_vals]
-        (a, rem_a), (x, rem_x) = (divmod(c0 * u[-2] + c1 * u[-1], -c2)
-                                  for u in (a_vals, x_vals))
-        if rem_a or rem_x:
-            raise AssertionError("A(%d) or lcm(1..%d)^3 B(%d) is not an "
-                                 "integer" % (n + 1, n + 1, n + 1))
+    for (a, x), (_, cube) in _stepped_rows(op, 0, [(1, 0), (5, 1)], (0, 3),
+                                           n_max):
         a_vals.append(a)
-        x_vals = [x_vals[1], x]
         b_vals.append(Fraction(x, cube))
     for n in (0, 1, n_max):
         if _apery_a_direct(n) != a_vals[n]:

@@ -1,7 +1,9 @@
 import time
+from functools import lru_cache
 
 import pytest
 
+from franel import sequences
 from franel.hyperterm import binom_power_term
 from franel.telescoper import (expected_order, solve_at_order,
                                verify_certificate, zeilberger)
@@ -21,7 +23,7 @@ def telescoped():
 @pytest.fixture(scope="session")
 def order_m_operators():
     """The verified order ceil(s/2) operator and certificate, s = 1..8,
-    from the one order-m solve that `telescope` and the row source run."""
+    from the one order-m solve that `telescope` runs."""
     results = {}
     for s in range(1, 9):
         term = binom_power_term(s)
@@ -29,3 +31,11 @@ def order_m_operators():
         assert verify_certificate(term, op, cert)
         results[s] = (op, cert)
     return results
+
+
+@pytest.fixture(scope="session")
+def table_operators():
+    """s -> the frozen table's verified order ceil(s/2) operator and
+    certificate, read and verified once per session; s = 11 and 12 take
+    about 1-2 s each."""
+    return lru_cache(maxsize=None)(sequences._order_m_telescoper)

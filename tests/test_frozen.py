@@ -1,5 +1,6 @@
 """The frozen order-m table the row source reads, against the search it
-replaces: the documents `telescope` writes, and the rows of a broken entry."""
+replaced: the documents `telescope` writes, and the direct rows a broken
+entry falls back to."""
 
 import hashlib
 import json
@@ -10,16 +11,20 @@ import pytest
 from franel import cli, sequences, telescoper
 from franel.documents import parse_operator_document
 from franel.hyperterm import binom_power_term
-from franel.sequences import coefficient_row, coefficient_rows, recursion_pays
+from franel.sequences import coefficient_row, coefficient_rows
 from franel.telescoper import verify_certificate
 from test_golden import GOLDEN, OPERATOR_DIGESTS
 
 FROZEN = Path(sequences._FROZEN)
 
 
-def test_table_holds_s_1_to_8():
+def test_table_holds_s_1_to_12():
     assert sorted(p.name for p in FROZEN.iterdir()) == \
-        ["operator-s%d.json" % s for s in range(1, 9)]
+        sorted("operator-s%d.json" % s for s in range(1, 13))
+    # s = 8 is pinned below; CI re-solves s = 9..12 against these digests
+    for s in range(9, 13):
+        raw = (FROZEN / ("operator-s%d.json" % s)).read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == OPERATOR_DIGESTS[s]
 
 
 @pytest.mark.parametrize("s", range(1, 8))
@@ -61,10 +66,9 @@ def _other_s(raw):
                                     None],
                          ids=["truncated", "c0-plus-one", "other-s",
                               "missing"])
-def test_broken_entry_falls_back_to_the_search(damage, tmp_path,
-                                               monkeypatch):
+def test_broken_entry_falls_back_to_direct_rows(damage, tmp_path,
+                                                monkeypatch):
     s, J, rows = 3, 1, (199, 200)
-    assert recursion_pays(s, J, rows)
     name = "operator-s%d.json" % s
     if damage is not None:
         broken = damage((FROZEN / name).read_bytes())
@@ -78,33 +82,35 @@ def test_broken_entry_falls_back_to_the_search(damage, tmp_path,
     solve = telescoper.solve_at_order
     monkeypatch.setattr(telescoper, "solve_at_order",
                         lambda term, r: solved.append(r) or solve(term, r))
+    assert sequences._order_m_telescoper(s) is None
     assert list(coefficient_rows(s, J, *rows)) == \
         [coefficient_row(s, n, J) for n in rows]
-    assert solved == [2]
+    assert solved == []
 
 
-def _no_solve(term, r):
-    raise RuntimeError("the search ran")
+def _unreachable(*args):
+    raise RuntimeError("a path that must not run ran")
 
 
 @pytest.mark.parametrize("argv, proof", [
-    ("compute --s 5 --n-max 80 --J 2 --format json", (5, 2, range(81))),
-    ("limits --s 3 --n-max 2000 --J 1 --json", (3, 1, [1999, 2000])),
+    ("compute --s 5 --n-max 80 --J 2 --format json", (5, 2)),
+    ("limits --s 3 --n-max 2000 --J 1 --json", (3, 1)),
     ("demo-apery --n-max 40 --precision-bits 512", None),
 ])
 def test_commands_run_without_the_search(argv, proof, tmp_path,
                                          monkeypatch, capsys):
-    monkeypatch.setattr(telescoper, "solve_at_order", _no_solve)
+    monkeypatch.setattr(telescoper, "solve_at_order", _unreachable)
     assert cli.main(argv.split()) == 0
     out = capsys.readouterr().out
-    monkeypatch.undo()
     if proof is None:
         assert out == (GOLDEN / "demo-apery-n40-512.txt").read_text()
         return
-    # rows by recursion, and the same bytes through the search from an
-    # empty table
-    assert recursion_pays(*proof)
+    # rows by recursion (2J < s), and the same bytes from direct rows with
+    # an empty table
+    s, J = proof
+    assert 2 * J < s
     monkeypatch.setattr(sequences, "_FROZEN", str(tmp_path))
+    monkeypatch.setattr(sequences, "recursion_rows", _unreachable)
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out == out
 

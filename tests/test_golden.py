@@ -81,9 +81,10 @@ DIGESTS = {
 
 # `telescope --s S --r-max R --out FILE` with SOURCE_DATE_EPOCH=0, frozen
 # as the SHA-256 of FILE: R = 5 for s = 8..10 (112 KB, 279 KB, 398 KB) and
-# R = 6 for s = 11 and 12 (903 KB, 1.2 MB).  Tier-1 re-solves s=8 (under
-# 1 s); CI re-solves s = 9..12, which take about 1 s, 6 s, 7 s and 80 s of
-# solve on 2 cores, and verifies the documents.
+# R = 6 for s = 11 and 12 (903 KB, 1.2 MB).  The package's frozen table
+# holds these bytes.  Tier-1 re-solves s=8 (under 1 s); CI re-solves
+# s = 9..12, which take about 1 s, 3 s, 6 s and 40-80 s of solve on
+# 2 cores, and verifies the documents.
 OPERATOR_DIGESTS = {
     8: "15c4b10663f82d04dec3e78003dab6f648ffd4826ef63c4357ddf43e74fdd301",
     9: "e5052705f864d2821d3c6f6b8597d1ab6b9094d8be6a6e4cfedf3642e8d90105",

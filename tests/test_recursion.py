@@ -1,5 +1,6 @@
 """Rows by forward recursion against the direct kernel, the per-operator
-start check, and the rule that picks the path."""
+start check, and the rule that picks the path: the table's verified
+operator when 2J < s, direct rows otherwise, and never a search."""
 
 from math import comb
 
@@ -8,27 +9,23 @@ import pytest
 from franel import cli, limits, sequences, telescoper
 from franel.bipoly import BiPoly, RatFunc
 from franel.operators import Certificate, RecurrenceOperator
+from franel.documents import document_bytes, operator_document
 from franel.sequences import (_apery_a_direct, coefficient_row,
-                              coefficient_rows, recursion_pays,
-                              recursion_rows, recursion_start)
-from franel.telescoper import (analyze_structure, first_valid_row,
-                               verify_certificate)
+                              coefficient_rows, recursion_rows,
+                              recursion_start)
+from franel.telescoper import (analyze_structure, expected_order,
+                               first_valid_row, verify_certificate)
 
 
-def _crossover(s, J, two_rows):
-    """The least N whose request the rule sends to the recursion."""
-    N = 1
-    while not recursion_pays(s, J, [N - 1, N] if two_rows
-                             else range(N + 1)):
-        N += 1
-    return N
+def _no_search(*args, **kwargs):
+    raise AssertionError("the row source searched")
 
 
 @pytest.fixture
 def obtained(monkeypatch):
-    """The orders of the operators the row source obtains, from the table
-    or from the search, one entry per operator; each must have passed
-    `verify_certificate` within the call that obtained it."""
+    """The orders of the operators the row source obtains from the table,
+    one entry per operator; each must have passed `verify_certificate`
+    within the call that obtained it."""
     orders, verified = [], []
     check, obtain = verify_certificate, sequences._order_m_telescoper
 
@@ -44,33 +41,28 @@ def obtained(monkeypatch):
         assert any(v is op for v in verified)
         orders.append(op.order)
         return op, cert
-    # the table path checks through sequences' name, the search through
-    # telescoper's
     monkeypatch.setattr(sequences, "verify_certificate", verify)
-    monkeypatch.setattr(telescoper, "verify_certificate", verify)
     monkeypatch.setattr(sequences, "_order_m_telescoper", spy)
+    monkeypatch.setattr(telescoper, "zeilberger", _no_search)
     return orders
 
 
-def test_recursion_rows_equal_direct_rows(order_m_operators):
-    for s in range(1, 9):
-        op, cert = order_m_operators[s]
+def test_recursion_rows_equal_direct_rows(order_m_operators,
+                                          table_operators):
+    # s <= 8 from a fresh solve, s = 9 and 10 from the table; CI checks
+    # s = 11 and 12, whose entries take about 2 s each to verify
+    for s in range(1, 11):
+        op, cert = order_m_operators[s] if s <= 8 else table_operators(s)
         start = recursion_start(op, cert)
         assert start == 0
         r = op.order
         for J in range((s - 1) // 2 + 1):
-            # whole tables below, at and just past r
+            # whole tables below, at and just past r, and two far rows
             for N in sorted({max(r - 1, 0), r, r + 2}):
                 want = [coefficient_row(s, n, J) for n in range(N + 1)]
                 assert list(recursion_rows(s, J, 0, N, op, start)) == want
-            # the last two rows where the rule switches, for tables and,
-            # while the direct rows stay cheap (s <= 5), for two-row requests
-            crossings = [_crossover(s, J, False)]
-            if s <= 5:
-                crossings.append(_crossover(s, J, True))
-            for N in crossings:
-                want = [coefficient_row(s, n, J) for n in (N - 1, N)]
-                assert list(recursion_rows(s, J, N - 1, N, op, start)) == want
+            want = [coefficient_row(s, n, J) for n in (39, 40)]
+            assert list(recursion_rows(s, J, 39, 40, op, start)) == want
 
 
 def _crafted(cert, factor):
@@ -103,94 +95,94 @@ def test_start_covers_first_valid_row(order_m_operators):
 
 
 def test_start_refused_when_a_boundary_pole_is_identical(
-        order_m_operators, monkeypatch, tmp_path):
+        order_m_operators, monkeypatch):
     op, cert = order_m_operators[3]
     crafted = _crafted(cert, BiPoly.var_k() + 1)
     assert recursion_start(op, crafted) is None
     # the crafted certificate is no telescoper; only the start check is
-    # exercised here, on the search path of an empty table
-    monkeypatch.setattr(sequences, "_FROZEN", str(tmp_path))
-    monkeypatch.setattr(telescoper, "solve_at_order",
-                        lambda term, r: (op, crafted))
-    monkeypatch.setattr(telescoper, "verify_certificate", lambda *a: True)
+    # exercised here, as if the table had verified it
+    monkeypatch.setattr(sequences, "_order_m_telescoper",
+                        lambda s: (op, crafted))
+    monkeypatch.setattr(sequences, "recursion_rows", _no_search)
     assert list(coefficient_rows(3, 1, 199, 200)) == \
         [coefficient_row(3, n, 1) for n in (199, 200)]
 
 
 def test_failed_solve_falls_back_to_direct_rows(order_m_operators,
                                                 monkeypatch, tmp_path):
-    # no solution at order m, then one that fails verification, searched
-    # for with an empty table
+    # an empty table, then an entry whose c_0 is moved, which parses and
+    # fails verification: direct rows both times, and no search
     monkeypatch.setattr(sequences, "_FROZEN", str(tmp_path))
+    monkeypatch.setattr(telescoper, "solve_at_order", _no_search)
+    monkeypatch.setattr(telescoper, "zeilberger", _no_search)
     op, cert = order_m_operators[3]
     bumped = RecurrenceOperator((op.coeffs[0] + 1,) + op.coeffs[1:])
-    assert recursion_pays(3, 1, [199, 200])
-    for found in (None, (bumped, cert)):
-        monkeypatch.setattr(telescoper, "solve_at_order",
-                            lambda term, r, found=found: found)
+    for entry in (None, bumped):
+        if entry is not None:
+            (tmp_path / "operator-s3.json").write_bytes(document_bytes(
+                operator_document(3, entry, cert, 2, "0")))
+        assert sequences._order_m_telescoper(3) is None
         assert list(coefficient_rows(3, 1, 199, 200)) == \
             [coefficient_row(3, n, 1) for n in (199, 200)]
 
 
-def test_rule_pinned_on_both_sides():
-    # 2J >= s: never, however large the request
-    assert not recursion_pays(5, 3, range(5000))
-    assert not recursion_pays(4, 2, [9999, 10000])
-    tables = {(3, 1): 22, (5, 2): 42, (6, 2): 64, (7, 3): 87, (8, 3): 133}
-    for (s, J), N in tables.items():
-        assert not recursion_pays(s, J, range(N))
-        assert recursion_pays(s, J, range(N + 1))
-    two_rows = {(3, 1): 89, (5, 2): 224, (6, 2): 393, (8, 3): 976}
-    for (s, J), n in two_rows.items():
-        assert not recursion_pays(s, J, [n - 2, n - 1])
-        assert recursion_pays(s, J, [n - 1, n])
+def test_rows_come_from_the_table_exactly_when_2J_below_s(table_operators,
+                                                          monkeypatch):
+    monkeypatch.setattr(telescoper, "zeilberger", _no_search)
+    read, recursed = [], []
+
+    def reader(s):
+        read.append(s)
+        found = table_operators(s)
+        assert found is not None
+        return found
+    recurse = sequences.recursion_rows
+
+    def recursion(*args):
+        recursed.append(args[0])
+        return recurse(*args)
+    monkeypatch.setattr(sequences, "_order_m_telescoper", reader)
+    monkeypatch.setattr(sequences, "recursion_rows", recursion)
+    for s in range(1, 13):
+        n_to = expected_order(s) + 2
+        for J in range(s + 1):
+            read.clear()
+            recursed.clear()
+            rows = list(coefficient_rows(s, J, 0, n_to))
+            want = [s] if 2 * J < s else []
+            assert (read, recursed) == (want, want)
+            assert rows == [coefficient_row(s, n, J) for n in range(n_to + 1)]
+
+
+def test_an_empty_request_reads_no_table_entry(monkeypatch):
+    monkeypatch.setattr(sequences, "_order_m_telescoper", _no_search)
+    assert list(coefficient_rows(3, 1, 5, 4)) == []
+    assert list(coefficient_rows(12, 5, 301, 300)) == []
 
 
 def test_rule_takes_a_huge_power_without_overflow():
-    # 3**s as a float overflows from s = 647 on; a row of s = 1000 with
-    # 2J < s is direct
-    assert not recursion_pays(1000, 0, [0, 1])
+    # s = 1000 has no table entry, so its rows are direct
     assert list(coefficient_rows(1000, 0, 0, 1)) == [(1,), (2,)]
 
 
-def test_rule_matches_the_float_product_it_replaced():
-    def float_rule(s, J, rows):
-        if 2 * J >= s:
-            return False
-        w = s * (J + 1)
-        direct = sum(n * (sequences._DIRECT_STEP_S
-                          + w * (sequences._DIRECT_TERM_S
-                                 + sequences._DIRECT_DIGIT_S * n))
-                     for n in rows)
-        return direct > sequences._SOLVE_S * 3 ** s
-
-    requests = ([range(N) for N in (0, 1, 10, 22, 23, 42, 43, 64, 65, 133,
-                                    134, 400, 2000)]
-                + [[n - 1, n] for n in (1, 89, 90, 224, 225, 393, 394, 976,
-                                        977, 5000)])
-    for s in range(1, 13):
-        for J in range(3):
-            for rows in requests:
-                assert recursion_pays(s, J, rows) is float_rule(s, J, rows)
-
-
 def test_rule_follows_the_request(obtained):
+    assert list(coefficient_rows(5, 3, 0, 20)) == \
+        [coefficient_row(5, n, 3) for n in range(21)]
+    assert obtained == []
     assert list(coefficient_rows(5, 2, 0, 20)) == \
         [coefficient_row(5, n, 2) for n in range(21)]
-    assert obtained == []
+    assert obtained == [3]
     table = sequences.coefficient_table(3, 60, 1)
-    assert obtained == [2]
+    assert obtained == [3, 2]
     assert table.rows[59:] == (coefficient_row(3, 59, 1),
                                coefficient_row(3, 60, 1))
 
 
 def test_no_solve_beyond_the_proven_range(obtained, capsys):
-    # requests the rule would send to the recursion at a J in range, made
-    # at 2J >= s, with --J-force or without, obtain no operator
-    assert recursion_pays(5, 2, [599, 600])
+    # large requests at 2J >= s, with --J-force or without, obtain no
+    # operator
     assert cli.main(["limits", "--s", "5", "--n-max", "600", "--J", "3",
                      "--J-force", "--json"]) == 0
-    assert recursion_pays(4, 1, range(101))
     assert cli.main(["compute", "--s", "4", "--n-max", "100", "--J",
                      "2"]) == 0
     assert obtained == []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb, lcm
@@ -260,6 +261,18 @@ def test_apery_direct_equals_recursion():
     for p in pairs:
         assert p.a == sum((comb(p.n, k) * comb(p.n + k, k)) ** 2
                           for k in range(p.n + 1))
+
+
+def test_apery_pairs_to_2000_keep_their_digest():
+    # every field of every pair, integers in hex, which Python's limit on
+    # int-to-decimal conversion does not cover
+    digest = hashlib.sha256()
+    for p in apery_zeta3(2000):
+        digest.update(b"%x %x %x %x %d\n" % (
+            p.n, p.a, p.b.numerator, p.b.denominator,
+            p.b_denominator_divides_lcm_cubed))
+    assert digest.hexdigest() == \
+        "0be7cdc1e005660b61c533a284cc71f49854567556091a56fa538f140d000c14"
 
 
 # the certificate apery_zeta3 stores, as (num, den) by powers of k
